@@ -321,6 +321,17 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
     st.facts_added = ckpt->totals.facts_added;
   }
 
+  // Per-dependency fire state, computed once instead of per trigger: the
+  // existential variables of each rhs, and one rhs search-option set.
+  std::vector<std::vector<Value>> existentials;
+  existentials.reserve(tgds.size());
+  for (const Tgd& tgd : tgds) {
+    existentials.push_back(tgd.ExistentialVariables());
+  }
+  HomSearchOptions rhs_options;
+  rhs_options.use_index = options.use_index;
+  rhs_options.use_compiled_plan = options.use_compiled_plan;
+
   // Phase 1.5 — hash-sharded parallel firing. The satisfaction searches
   // are the expensive part of the fire loop, and they have bounded reach:
   // a dependency's rhs search reads exactly the relations its rhs atoms
@@ -381,31 +392,25 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
       pool.ParallelFor(plan.num_shards, [&](size_t s) {
         Instance shard_inst(target_inst.schema());
         uint32_t shard_null = null_base;
-        HomSearchOptions rhs_options;
-        rhs_options.use_index = options.use_index;
-        rhs_options.use_compiled_plan = options.use_compiled_plan;
         for (uint32_t d : plan.shard_deps[s]) {
           const Tgd& tgd = tgds[d];
-          const std::vector<Value> existentials =
-              tgd.ExistentialVariables();
           const uint32_t prof_dep =
               profiled ? prof_deps[d] : obs::kProfileNoDep;
           obs::ProfiledDepScope prof_scope(prof_dep,
                                            obs::ProfilePhase::kFire);
           for (size_t t = 0; t < merged[d].size(); ++t) {
             const Assignment& h = *merged[d][t].h;
-            bool fire =
-                !FindHomomorphism(tgd.rhs, shard_inst, h, rhs_options)
-                     .has_value();
+            bool fire = !HasHomomorphism(tgd.rhs, shard_inst, h, rhs_options);
             shard_outcomes[d][t] = fire ? 1 : 0;
             if (!fire) continue;
             Assignment extended = h;
-            for (const Value& y : existentials) {
+            for (const Value& y : existentials[d]) {
               extended.emplace(y, Value::MakeNull(shard_null++));
             }
-            for (const Atom& atom :
+            for (Atom& atom :
                  ApplyAssignmentToConjunction(tgd.rhs, extended)) {
-              Status status = shard_inst.AddFact(atom.relation, atom.args);
+              Status status =
+                  shard_inst.AddFact(atom.relation, std::move(atom.args));
               (void)status;  // target schema: cannot fail
             }
           }
@@ -436,10 +441,11 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
   if (fast) {
     // Every recorded outcome survives verbatim on the fast path, so the
     // re-recorded prefix is the old record list itself: recycle the
-    // checkpoint's vectors instead of copying one std::map-backed
-    // Assignment per replayed trigger. `merged` holds pointers into
-    // these records; a vector move keeps the elements in place, so the
-    // fire loop below may still read them.
+    // checkpoint's vectors instead of copying one Assignment per
+    // replayed trigger. `merged` holds pointers into these records; a
+    // vector move keeps the elements in place, and the only push_backs
+    // (which may reallocate and move the inline pairs) come from fresh
+    // triggers, after the fire loop has passed the last recorded one.
     for (size_t d = 0; d < tgds.size(); ++d) {
       out_records[d] = std::move(ckpt->triggers[d]);
     }
@@ -490,11 +496,7 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
           fire = true;
           ++st.checks_skipped;
         } else {
-          HomSearchOptions rhs_options;
-          rhs_options.use_index = options.use_index;
-          rhs_options.use_compiled_plan = options.use_compiled_plan;
-          fire = !FindHomomorphism(tgd.rhs, target_inst, h, rhs_options)
-                      .has_value();
+          fire = !HasHomomorphism(tgd.rhs, target_inst, h, rhs_options);
         }
         if (!fire) {
           ++st.satisfaction_hits;
@@ -517,7 +519,7 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
       }
       Assignment extended = h;
       size_t fresh_nulls = 0;
-      for (const Value& y : tgd.ExistentialVariables()) {
+      for (const Value& y : existentials[dep_index]) {
         Value fresh = Value::MakeNull(next_null++);
         extended.emplace(y, fresh);
         ++st.nulls_minted;
@@ -533,20 +535,24 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
         if (!overflow.ok()) break;
       }
       size_t facts_this_fire = 0;
-      for (const Atom& atom :
-           ApplyAssignmentToConjunction(tgd.rhs, extended)) {
+      for (Atom& atom : ApplyAssignmentToConjunction(tgd.rhs, extended)) {
         overflow =
             guard.ChargeMemory(ApproxFactBytes(atom.args.size(),
                                                sizeof(Value)));
         if (!overflow.ok()) break;
-        Status status = target_inst.AddFact(atom.relation, atom.args);
+        std::string fact_text;
+        if (journal.active()) {
+          fact_text = AtomToString(atom, *target_inst.schema());
+        }
+        Status status =
+            target_inst.AddFact(atom.relation, std::move(atom.args));
         ++st.facts_added;
         ++facts_this_fire;
         if (journal.active()) {
           journal.RecordDerivedFact(
-              AtomToString(atom, *target_inst.schema()),
-              dep_texts[dep_index], static_cast<int32_t>(dep_index),
-              AssignmentToString(h), parent_ids, null_ids);
+              fact_text, dep_texts[dep_index],
+              static_cast<int32_t>(dep_index), AssignmentToString(h),
+              parent_ids, null_ids);
         }
         if (mt.prov == Provenance::kNew || diverged) {
           touched[atom.relation] = true;

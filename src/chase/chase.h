@@ -48,9 +48,9 @@ struct ChaseOptions {
   /// (trigger batches are canonically sorted before firing).
   bool use_index = true;
   /// If true (default), indexed searches execute compiled per-dependency
-  /// match plans (chase/match_plan.h) — body compiled once per
-  /// (dependency, instance epoch), flat register frame instead of map
-  /// mutations. If false, the interpretive matcher runs: the
+  /// match plans (chase/match_plan.h) — a body's plan is reused while
+  /// its greedy join order holds, flat register frame instead of
+  /// Assignment mutations. If false, the interpretive matcher runs: the
   /// differential oracle for the plan layer, the same pattern as
   /// `use_index=false` for the index layer. Identical chase output
   /// either way. Ignored (always interpretive) when `use_index` is

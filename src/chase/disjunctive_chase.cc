@@ -72,8 +72,7 @@ std::optional<ApplicableStep> FindApplicableStep(
     for (const Assignment& h : dep_matches[dep_index]) {
       bool satisfied = false;
       for (const Conjunction& disjunct : dep.disjuncts) {
-        if (FindHomomorphism(disjunct, current, h, rhs_options)
-                .has_value()) {
+        if (HasHomomorphism(disjunct, current, h, rhs_options)) {
           satisfied = true;
           break;
         }

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cstring>
 #include <mutex>
-#include <set>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -15,16 +15,6 @@ namespace qimap {
 
 namespace {
 
-// FNV-1a style mixing for the statistics digest and cache keys.
-inline uint64_t Mix(uint64_t h, uint64_t x) {
-  h ^= x + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
-// Sentinel mixed in for movable (non-literal) argument positions so the
-// digest distinguishes "no literal here" from "literal with posting 0".
-constexpr uint64_t kMovableSentinel = 0xA5A5A5A5A5A5A5A5ULL;
-
 // Expected posting-list length for a column probed with a value that is
 // only known at run time: rows / distinct, rounded up. Mirrors the
 // interpretive OrderAtoms estimate exactly.
@@ -34,23 +24,34 @@ size_t DistinctEstimate(const Instance& inst, RelationId rel, uint32_t col,
   return distinct > 0 ? (rows + distinct - 1) / distinct : rows;
 }
 
-// Greedy join order over `body`: at each step pick the atom with the
-// fewest unbound movable arguments, breaking ties by the smaller
-// statistics extent, then by the lower original index — the interpretive
-// OrderAtoms heuristic, including its zero-extent short-circuit (an atom
-// whose extent is provably 0 is picked immediately so the empty search
-// prunes in O(1)). The one deliberate divergence: arguments bound by the
-// partial assignment are costed by rows/distinct instead of their exact
-// posting length, because plan compilation never reads partial *values*
-// (they vary per search under one cached plan).
-std::vector<size_t> GreedyOrder(const Conjunction& body,
-                                const Instance& inst,
-                                const std::set<Value>& keyset,
-                                const HomSearchOptions& options) {
-  std::vector<bool> used(body.size(), false);
-  std::set<Value> bound = keyset;
-  std::vector<size_t> order;
-  order.reserve(body.size());
+// Greedy join order over `body`, written to `order`: at each step pick the
+// atom with the fewest unbound movable arguments, breaking ties by the
+// smaller statistics extent, then by the lower original index — the
+// interpretive OrderAtoms heuristic, including its zero-extent
+// short-circuit (an atom whose extent is provably 0 is picked immediately
+// so the empty search prunes in O(1)). The one deliberate divergence:
+// arguments bound by the partial assignment are costed by rows/distinct
+// instead of their exact posting length, because plans never read partial
+// *values* (they vary per search under one cached plan).
+//
+// This one function both compiles a plan and checks, on every cache hit
+// of a statistics-dependent plan, that the cached order still holds. It
+// allocates nothing once `order` and the thread-local buffers have grown to
+// the body's size.
+void GreedyOrder(const Conjunction& body, const Instance& inst,
+                 const Assignment& partial, const HomSearchOptions& options,
+                 std::vector<size_t>* order) {
+  thread_local std::vector<uint8_t> used;
+  // Movable values bound by the atoms picked so far, kept sorted; the
+  // partial assignment's keys are bound from the start.
+  thread_local std::vector<Value> picked;
+  used.assign(body.size(), 0);
+  picked.clear();
+  auto is_bound = [&](const Value& v) {
+    return partial.contains(v) ||
+           std::binary_search(picked.begin(), picked.end(), v);
+  };
+  order->clear();
   for (size_t step = 0; step < body.size(); ++step) {
     size_t best = body.size();
     size_t best_unbound = SIZE_MAX;
@@ -59,7 +60,7 @@ std::vector<size_t> GreedyOrder(const Conjunction& body,
       if (used[i]) continue;
       size_t unbound = 0;
       for (const Value& v : body[i].args) {
-        if (IsMovableValue(v, options) && bound.count(v) == 0) ++unbound;
+        if (IsMovableValue(v, options) && !is_bound(v)) ++unbound;
       }
       const size_t rows = inst.NumRows(body[i].relation);
       size_t extent = rows;
@@ -70,7 +71,7 @@ std::vector<size_t> GreedyOrder(const Conjunction& body,
           const std::vector<uint32_t>* ids = inst.RowsWith(
               body[i].relation, static_cast<uint32_t>(a), arg);
           estimate = ids != nullptr ? ids->size() : 0;
-        } else if (bound.count(arg) > 0) {
+        } else if (is_bound(arg)) {
           estimate =
               DistinctEstimate(inst, body[i].relation,
                                static_cast<uint32_t>(a), rows);
@@ -90,24 +91,26 @@ std::vector<size_t> GreedyOrder(const Conjunction& body,
         best_extent = extent;
       }
     }
-    used[best] = true;
-    order.push_back(best);
+    used[best] = 1;
+    order->push_back(best);
     for (const Value& v : body[best].args) {
-      if (IsMovableValue(v, options)) bound.insert(v);
+      if (!IsMovableValue(v, options) || is_bound(v)) continue;
+      picked.insert(std::lower_bound(picked.begin(), picked.end(), v), v);
     }
   }
-  return order;
 }
 
-// True when every argument of every atom is determined before any step
-// runs (a literal, or a key of the partial assignment). Such bodies
-// compile to a pure point-lookup chain in written order: no statistic can
-// change the plan, so it is stats-free and cache hits never re-digest.
-bool FullyDetermined(const Conjunction& body, const std::set<Value>& keyset,
-                     const HomSearchOptions& options) {
+// True when the plan's shape cannot depend on index statistics: a body of
+// at most one atom, or one where every argument of every atom is
+// determined before any step runs (a literal, or a key of the partial
+// assignment). The latter compiles to a pure point-lookup chain in
+// written order.
+bool StatsFree(const Conjunction& body, const Assignment& partial,
+               const HomSearchOptions& options) {
+  if (body.size() <= 1) return true;
   for (const Atom& atom : body) {
     for (const Value& arg : atom.args) {
-      if (IsMovableValue(arg, options) && keyset.count(arg) == 0) {
+      if (IsMovableValue(arg, options) && !partial.contains(arg)) {
         return false;
       }
     }
@@ -119,11 +122,11 @@ bool FullyDetermined(const Conjunction& body, const std::set<Value>& keyset,
 // Plan cache.
 //
 // One slot per structural key (body content + movability/side-condition
-// bits + partial key set). The slot holds the latest compiled plan; a
-// non-stats-free plan is revalidated against the current statistics
-// digest on every hit and recompiled in place when the instance has
-// moved on ("compiled once per instance epoch"). Single-slot-per-key
-// keeps memory bounded by the number of distinct bodies, not epochs.
+// bits + partial key set). The slot holds the latest compiled plan; a hit
+// on a statistics-dependent plan re-runs GreedyOrder against the current
+// instance and recompiles in place only when the order differs from the
+// plan's `perm`. Single-slot-per-key keeps memory bounded by the number
+// of distinct bodies.
 //
 // A lock-free thread-local front cache serves stats-free plans (the
 // satisfaction-search hot path: ground rhs bodies) without touching the
@@ -175,13 +178,13 @@ void AppendValue(std::string* out, const Value& v) {
   AppendU32(out, v.id());
 }
 
-// Serializes everything that determines plan *shape* other than the
-// statistics digest: body atoms, movability bits, side conditions, and
-// the partial assignment's key set.
-std::string StructuralKey(const Conjunction& body, const Assignment& partial,
-                          const HomSearchOptions& options) {
-  std::string key;
-  key.reserve(body.size() * 16 + partial.size() * 5 + 8);
+// Serializes everything that determines plan *shape* other than the join
+// order into `*out`: body atoms, movability bits, side conditions, and the
+// partial assignment's key set.
+void StructuralKey(const Conjunction& body, const Assignment& partial,
+                   const HomSearchOptions& options, std::string* out) {
+  std::string& key = *out;
+  key.clear();
   key.push_back(options.map_nulls ? 'n' : '-');
   key.push_back(options.map_variables ? 'v' : '-');
   for (const Atom& atom : body) {
@@ -202,21 +205,21 @@ std::string StructuralKey(const Conjunction& body, const Assignment& partial,
       AppendValue(&key, b);
     }
   }
-  return key;
 }
 
 // ---------------------------------------------------------------------
 // Plan execution: a recursive matcher over the flat register frame. No
-// map is touched until a full match is emitted; failed candidates leave
-// registers dirty by design (a register is only read by steps that run
-// strictly after the step that bound it succeeded).
+// Assignment is built until a full match is emitted, and none at all for
+// an existence-only search (`fn` null); failed candidates leave registers
+// dirty by design (a register is only read by steps that run strictly
+// after the step that bound it succeeded).
 // ---------------------------------------------------------------------
 
 class PlanRunner {
  public:
   PlanRunner(const MatchPlan& plan, const Instance& inst,
              const Assignment& partial, const HomSearchOptions& options,
-             const std::function<bool(const Assignment&)>& fn)
+             const std::function<bool(const Assignment&)>* fn)
       : plan_(plan),
         inst_(inst),
         partial_(partial),
@@ -277,8 +280,10 @@ class PlanRunner {
       case PlanStepMode::kPointLookup: {
         ++point_lookups_;
         ++step_counts_[s].probes;
-        Tuple probe;
-        probe.reserve(step.args.size());
+        // ContainsFact calls back into nothing, so one probe buffer per
+        // thread serves every point lookup without allocating.
+        thread_local Tuple probe;
+        probe.clear();
         for (const PlanArg& arg : step.args) probe.push_back(ArgValue(arg));
         if (!inst_.ContainsFact(step.relation, probe)) return;
         ++index_hits_;
@@ -361,29 +366,48 @@ class PlanRunner {
     return true;
   }
 
-  void Emit() {
-    Assignment out = partial_;
+  // What the emitted assignment would map `v` to: its register, else its
+  // partial binding, else `v` itself.
+  Value Lookup(const Value& v) const {
     for (size_t r = 0; r < regs_.size(); ++r) {
-      out.emplace(plan_.reg_vars[r], regs_[r]);  // preloads already present
+      if (plan_.reg_vars[r] == v) return regs_[r];
     }
-    // Final re-check of every side condition on the complete assignment
+    return Resolve(partial_, v);
+  }
+
+  void Emit() {
+    // Final re-check of every side condition on the complete match
     // (covers partners that were unbound at bind time and conditions over
     // non-movable values), exactly like the interpretive FinalCheck.
     for (const Value& v : options_.must_be_constant) {
-      if (!Resolve(out, v).IsConstant()) return;
+      if (!Lookup(v).IsConstant()) return;
     }
     for (const auto& [a, b] : options_.inequalities) {
-      if (Resolve(out, a) == Resolve(out, b)) return;
+      if (Lookup(a) == Lookup(b)) return;
     }
     ++count_;
-    if (!fn_(out)) stop_ = true;
+    if (fn_ == nullptr) {  // existence only: the first match decides
+      stop_ = true;
+      return;
+    }
+    // Built in bulk: the partial's pairs plus every register it does not
+    // already carry (preloaded registers hold the partial's own values).
+    Assignment out = partial_;
+    out.reserve(partial_.size() + regs_.size());
+    for (size_t r = 0; r < regs_.size(); ++r) {
+      if (!partial_.contains(plan_.reg_vars[r])) {
+        out.AppendUnsorted(plan_.reg_vars[r], regs_[r]);
+      }
+    }
+    out.SortByKey();
+    if (!(*fn_)(out)) stop_ = true;
   }
 
   const MatchPlan& plan_;
   const Instance& inst_;
   const Assignment& partial_;
   const HomSearchOptions& options_;
-  const std::function<bool(const Assignment&)>& fn_;
+  const std::function<bool(const Assignment&)>* fn_;
   std::vector<Value> regs_;
   std::vector<obs::ProfileAtomCounters> step_counts_;
   size_t index_hits_ = 0;
@@ -406,45 +430,16 @@ const char* PlanStepModeName(PlanStepMode mode) {
   return "unknown";
 }
 
-uint64_t MatchPlanStatsDigest(const Conjunction& body,
-                              const Instance& instance,
-                              const HomSearchOptions& options) {
-  uint64_t h = 0x243F6A8885A308D3ULL;
-  for (const Atom& atom : body) {
-    h = Mix(h, atom.relation);
-    h = Mix(h, instance.NumRows(atom.relation));
-    for (size_t a = 0; a < atom.args.size(); ++a) {
-      h = Mix(h, instance.ColumnDistinct(atom.relation,
-                                         static_cast<uint32_t>(a)));
-      if (!IsMovableValue(atom.args[a], options)) {
-        const std::vector<uint32_t>* ids = instance.RowsWith(
-            atom.relation, static_cast<uint32_t>(a), atom.args[a]);
-        h = Mix(h, ids != nullptr ? ids->size() : 0);
-      } else {
-        h = Mix(h, kMovableSentinel);
-      }
-    }
-  }
-  return h != 0 ? h : 1;  // 0 is reserved for "stats-free"
-}
+namespace {
 
-MatchPlan CompileMatchPlan(const Conjunction& body, const Instance& instance,
-                           const Assignment& partial,
-                           const HomSearchOptions& options) {
+// Compiles the plan for `perm` (a join order over `body`); everything but
+// the order is a pure function of the body, options and partial key set.
+MatchPlan BuildPlan(const Conjunction& body, const Assignment& partial,
+                    const HomSearchOptions& options, bool stats_free,
+                    std::vector<size_t> perm) {
   MatchPlan plan;
-  std::set<Value> keyset;
-  for (const auto& [k, unused] : partial) keyset.insert(k);
-
-  const bool fully_determined = FullyDetermined(body, keyset, options);
-  if (body.size() <= 1 || fully_determined) {
-    plan.stats_free = true;
-    plan.perm.resize(body.size());
-    for (size_t i = 0; i < body.size(); ++i) plan.perm[i] = i;
-  } else {
-    plan.perm = GreedyOrder(body, instance, keyset, options);
-    plan.stats_digest = MatchPlanStatsDigest(body, instance, options);
-  }
-
+  plan.stats_free = stats_free;
+  plan.perm = std::move(perm);
   const bool has_conditions =
       !options.must_be_constant.empty() || !options.inequalities.empty();
 
@@ -468,7 +463,7 @@ MatchPlan CompileMatchPlan(const Conjunction& body, const Instance& instance,
           uint16_t reg = static_cast<uint16_t>(plan.reg_vars.size());
           reg_of.emplace(arg, reg);
           plan.reg_vars.push_back(arg);
-          if (keyset.count(arg) > 0) {
+          if (partial.contains(arg)) {
             plan.preload_regs.push_back(reg);
             pa.kind = PlanArgKind::kCheck;
           } else {
@@ -545,6 +540,30 @@ MatchPlan CompileMatchPlan(const Conjunction& body, const Instance& instance,
   return plan;
 }
 
+// The plan's join order: the written order for stats-free bodies, the
+// greedy order otherwise.
+void PlanOrder(const Conjunction& body, const Instance& instance,
+               const Assignment& partial, const HomSearchOptions& options,
+               bool stats_free, std::vector<size_t>* order) {
+  if (!stats_free) {
+    GreedyOrder(body, instance, partial, options, order);
+    return;
+  }
+  order->resize(body.size());
+  std::iota(order->begin(), order->end(), size_t{0});
+}
+
+}  // namespace
+
+MatchPlan CompileMatchPlan(const Conjunction& body, const Instance& instance,
+                           const Assignment& partial,
+                           const HomSearchOptions& options) {
+  const bool stats_free = StatsFree(body, partial, options);
+  std::vector<size_t> order;
+  PlanOrder(body, instance, partial, options, stats_free, &order);
+  return BuildPlan(body, partial, options, stats_free, std::move(order));
+}
+
 std::shared_ptr<const MatchPlan> GetOrCompileMatchPlan(
     const Conjunction& body, const Instance& instance,
     const Assignment& partial, const HomSearchOptions& options) {
@@ -553,7 +572,12 @@ std::shared_ptr<const MatchPlan> GetOrCompileMatchPlan(
   static const obs::MetricId kCacheHits =
       obs::RegisterCounter("chase.plan.cache_hits");
 
-  std::string key = StructuralKey(body, partial, options);
+  // Built in a per-thread buffer: a hit allocates nothing.
+  thread_local std::string key;
+  StructuralKey(body, partial, options, &key);
+  // Stats-freeness is a function of the structural key, so every plan in
+  // a slot agrees with it.
+  const bool stats_free = StatsFree(body, partial, options);
 
   // Lock-free front cache for stats-free plans (instance-independent, so
   // never stale). Invalidated wholesale when the global cache version
@@ -571,10 +595,18 @@ std::shared_ptr<const MatchPlan> GetOrCompileMatchPlan(
     front.reset_generation = reset_gen;
     front.slots.clear();
   }
-  if (auto it = front.slots.find(key); it != front.slots.end()) {
-    obs::CounterAdd(kCacheHits);
-    return it->second;
+  if (stats_free) {
+    if (auto it = front.slots.find(key); it != front.slots.end()) {
+      obs::CounterAdd(kCacheHits);
+      return it->second;
+    }
   }
+
+  // The order this search would compile to, computed outside the lock: a
+  // cached plan with the same order is exactly the plan a fresh compile
+  // would produce.
+  thread_local std::vector<size_t> order;
+  PlanOrder(body, instance, partial, options, stats_free, &order);
 
   PlanCache& cache = GlobalCache();
   std::unique_lock<std::mutex> lock(cache.mu);
@@ -584,34 +616,24 @@ std::shared_ptr<const MatchPlan> GetOrCompileMatchPlan(
     g_cache_version.fetch_add(1, std::memory_order_acq_rel);
   }
   auto it = cache.slots.find(key);
-  if (it != cache.slots.end()) {
-    const std::shared_ptr<const MatchPlan>& cached = it->second.plan;
-    if (cached->stats_free) {
-      obs::CounterAdd(kCacheHits);
-      front.slots.emplace(key, cached);
-      return cached;
-    }
-    if (cached->stats_digest ==
-        MatchPlanStatsDigest(body, instance, options)) {
-      obs::CounterAdd(kCacheHits);
-      return cached;
-    }
-    // The instance's statistics moved on: recompile in place.
-    auto plan = std::make_shared<const MatchPlan>(
-        CompileMatchPlan(body, instance, partial, options));
-    it->second.plan = plan;
-    obs::CounterAdd(kCompiles);
-    return plan;
-  }
-  if (cache.slots.size() >= kMaxCacheSlots) {
-    cache.slots.clear();
-    g_cache_version.fetch_add(1, std::memory_order_acq_rel);
+  if (it != cache.slots.end() && it->second.plan->perm == order) {
+    obs::CounterAdd(kCacheHits);
+    if (stats_free) front.slots.emplace(key, it->second.plan);
+    return it->second.plan;
   }
   auto plan = std::make_shared<const MatchPlan>(
-      CompileMatchPlan(body, instance, partial, options));
-  auto inserted = cache.slots.emplace(key, CacheEntry{plan});
-  if (plan->stats_free) front.slots.emplace(key, plan);
-  (void)inserted;
+      BuildPlan(body, partial, options, stats_free, order));
+  if (it != cache.slots.end()) {
+    // The statistics reordered the join: recompile in place.
+    it->second.plan = plan;
+  } else {
+    if (cache.slots.size() >= kMaxCacheSlots) {
+      cache.slots.clear();
+      g_cache_version.fetch_add(1, std::memory_order_acq_rel);
+    }
+    cache.slots.emplace(key, CacheEntry{plan});
+  }
+  if (stats_free) front.slots.emplace(key, plan);
   obs::CounterAdd(kCompiles);
   return plan;
 }
@@ -623,10 +645,13 @@ void ClearMatchPlanCache() {
   g_cache_version.fetch_add(1, std::memory_order_acq_rel);
 }
 
-size_t ForEachPlanMatch(const Conjunction& body, const Instance& target,
-                        const Assignment& partial,
-                        const HomSearchOptions& options,
-                        const std::function<bool(const Assignment&)>& fn) {
+namespace {
+
+// Fetches the plan and runs it; `fn` null means existence only. Flushes
+// the same hom.* / chase.index.* counters as the interpretive matcher.
+size_t RunPlan(const Conjunction& body, const Instance& target,
+               const Assignment& partial, const HomSearchOptions& options,
+               const std::function<bool(const Assignment&)>* fn) {
   static const obs::MetricId kSearches =
       obs::RegisterCounter("hom.searches");
   static const obs::MetricId kMatches = obs::RegisterCounter("hom.matches");
@@ -664,6 +689,21 @@ size_t ForEachPlanMatch(const Conjunction& body, const Instance& target,
     obs::ProfileRecordSearch(count, runner.backtracks(), atoms);
   }
   return count;
+}
+
+}  // namespace
+
+size_t ForEachPlanMatch(const Conjunction& body, const Instance& target,
+                        const Assignment& partial,
+                        const HomSearchOptions& options,
+                        const std::function<bool(const Assignment&)>& fn) {
+  return RunPlan(body, target, partial, options, &fn);
+}
+
+bool HasPlanMatch(const Conjunction& body, const Instance& target,
+                  const Assignment& partial,
+                  const HomSearchOptions& options) {
+  return RunPlan(body, target, partial, options, nullptr) > 0;
 }
 
 std::string MatchPlan::ToText(const Schema& schema) const {

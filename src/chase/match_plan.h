@@ -20,28 +20,36 @@ namespace qimap {
 /// executable queries).
 ///
 /// The interpretive `Matcher` re-derives a join order per search, mutates
-/// a `std::map` Assignment per candidate row, and re-probes posting lists
-/// it already probed while ordering. A `MatchPlan` hoists all of that to
-/// compile time: the body is compiled once per (body, options, bound-key
-/// set, index-statistics epoch) into an ordered step sequence with a
+/// an Assignment per candidate row, and re-probes posting lists it already
+/// probed while ordering. A `MatchPlan` hoists all of that to compile
+/// time: the body is compiled into an ordered step sequence with a
 /// *static* per-atom access-path decision — point-lookup vs posting-probe
 /// vs scan — and bound-variable propagation resolved into a flat register
-/// frame (dense variable slots). Executing a plan touches no maps until a
-/// match is actually emitted.
+/// frame (dense variable slots). Executing a plan touches no Assignment
+/// until a match is actually emitted.
 ///
-/// Determinism contract: plan *content* is a pure function of the body,
-/// the options' movability/side-condition bits, the partial assignment's
-/// key set, and the instance's index statistics (row counts, per-column
-/// distinct counts, literal posting lengths). The partial assignment's
-/// *values* never influence compilation, so every search sharing a cache
-/// key executes the same plan regardless of which thread compiled it
-/// first — `hom.*`, `chase.index.*`, and `chase.plan.*` counters stay
+/// Plan reuse: a plan's steps are a pure function of the body, the
+/// options' movability/side-condition bits, the partial assignment's key
+/// set, and the join order. Only the join order reads index statistics
+/// (row counts, per-column distinct counts, literal posting lengths). So
+/// one plan is cached per (body, options, key set), and a cache hit on a
+/// statistics-dependent plan re-runs the greedy order against the current
+/// statistics: the plan is kept while the order equals its `perm`, and
+/// recompiled only when the order changes. A chase that grows an
+/// instance fact by fact keeps its plans until a relation's statistics
+/// actually reorder the join.
+///
+/// Determinism contract: the partial assignment's *values* never
+/// influence compilation or reuse, so every search sharing a cache key
+/// executes the same plan regardless of which thread compiled it first —
+/// `hom.*`, `chase.index.*`, and `chase.plan.*` counters stay
 /// byte-identical at every thread count, like the rest of the engine.
 /// The sharded firing phase relies on a corollary: the statistics of a
 /// dependency's rhs relations are identical between the serial target and
 /// a shard's private instance at corresponding trigger points (provisional
 /// null relabeling is injective, so rows / distinct counts / constant
-/// posting lengths all agree), so compile and cache-hit counts agree too.
+/// posting lengths all agree), so greedy orders, compiles and cache hits
+/// agree too.
 ///
 /// The compiler's greedy ordering deliberately replicates the interpretive
 /// `OrderAtoms` heuristic (fewest unbound arguments, then smallest
@@ -117,13 +125,9 @@ struct MatchPlan {
   std::vector<uint16_t> preload_regs;
   /// True when the plan's shape does not depend on index statistics
   /// (single-atom bodies, and bodies where every atom is fully determined
-  /// up front). Stats-free plans never go stale and skip the per-search
-  /// statistics digest entirely.
+  /// up front). Stats-free plans never go stale: their cache hits skip the
+  /// order check and are served from a thread-local front cache.
   bool stats_free = false;
-  /// MatchPlanStatsDigest of the instance the plan was compiled against
-  /// (0 when stats_free). A cached plan is reused only while the digest
-  /// still matches — "compiled once per instance epoch".
-  uint64_t stats_digest = 0;
 
   /// Human-readable dump (one line per step) for `analyze --plan`.
   std::string ToText(const Schema& schema) const;
@@ -132,14 +136,6 @@ struct MatchPlan {
   std::string ToJson(const Schema& schema) const;
 };
 
-/// Hash of every statistic the compiler consults for `body` against
-/// `instance`: per-atom row counts, per-column distinct counts, and exact
-/// posting lengths of literal (non-movable) arguments. Two instances with
-/// equal digests compile to identical plans.
-uint64_t MatchPlanStatsDigest(const Conjunction& body,
-                              const Instance& instance,
-                              const HomSearchOptions& options);
-
 /// Compiles `body` for searches that extend assignments whose key set
 /// equals `partial`'s key set. Only the keys of `partial` are read.
 MatchPlan CompileMatchPlan(const Conjunction& body, const Instance& instance,
@@ -147,8 +143,9 @@ MatchPlan CompileMatchPlan(const Conjunction& body, const Instance& instance,
                            const HomSearchOptions& options);
 
 /// Returns the cached plan for (body, options, partial key set) if its
-/// statistics digest is still current, else compiles (and caches) a fresh
-/// one. Increments chase.plan.compiles / chase.plan.cache_hits.
+/// join order still holds against `instance`'s statistics, else compiles
+/// (and caches) a fresh one. Increments chase.plan.compiles /
+/// chase.plan.cache_hits.
 std::shared_ptr<const MatchPlan> GetOrCompileMatchPlan(
     const Conjunction& body, const Instance& instance,
     const Assignment& partial, const HomSearchOptions& options);
@@ -168,6 +165,13 @@ size_t ForEachPlanMatch(const Conjunction& body, const Instance& target,
                         const Assignment& partial,
                         const HomSearchOptions& options,
                         const std::function<bool(const Assignment&)>& fn);
+
+/// Plan-executing equivalent of HasHomomorphism: the same search as
+/// ForEachPlanMatch, stopped at the first match without materializing it.
+/// Flushes exactly the counters a ForEachPlanMatch that stops at the
+/// first match flushes.
+bool HasPlanMatch(const Conjunction& body, const Instance& target,
+                  const Assignment& partial, const HomSearchOptions& options);
 
 }  // namespace qimap
 

@@ -49,7 +49,7 @@ std::optional<Assignment> FindTgdTrigger(const Instance& inst,
   }
   obs::ProfiledDepScope scope(prof_dep, obs::ProfilePhase::kFire);
   for (const Assignment& h : matches) {
-    if (!FindHomomorphism(tgd.rhs, inst, h, options).has_value()) {
+    if (!HasHomomorphism(tgd.rhs, inst, h, options)) {
       return h;
     }
     obs::ProfileRecordSkip(prof_dep);
@@ -189,6 +189,13 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
   HomSearchOptions search_options;
   search_options.use_index = options.use_index;
   search_options.use_compiled_plan = options.use_compiled_plan;
+  // Each target tgd's existential variables, computed once per run
+  // instead of once per fire.
+  std::vector<std::vector<Value>> existentials;
+  existentials.reserve(constraints.tgds.size());
+  for (const Tgd& tgd : constraints.tgds) {
+    existentials.push_back(tgd.ExistentialVariables());
+  }
 
   // Fixpoint loop: egds first (cheap, and merging can satisfy tgds),
   // then target tgds.
@@ -267,7 +274,7 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
       }
       Assignment extended = *trigger;
       size_t fresh_nulls = 0;
-      for (const Value& y : tgd.ExistentialVariables()) {
+      for (const Value& y : existentials[ti]) {
         Value fresh = Value::MakeNull(next_null++);
         extended.emplace(y, fresh);
         ++st.nulls_minted;
@@ -282,15 +289,16 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
         Status charge = guard.ChargeNulls(fresh_nulls);
         if (!charge.ok()) return trip(std::move(charge));
       }
-      for (const Atom& atom :
-           ApplyAssignmentToConjunction(tgd.rhs, extended)) {
+      for (Atom& atom : ApplyAssignmentToConjunction(tgd.rhs, extended)) {
         Status charge = guard.ChargeMemory(
             ApproxFactBytes(atom.args.size(), sizeof(Value)));
         if (!charge.ok()) return trip(std::move(charge));
-        QIMAP_RETURN_IF_ERROR(target_inst.AddFact(atom.relation, atom.args));
+        std::string fact_text;
+        if (journal.active()) fact_text = AtomToString(atom, *m.target);
+        QIMAP_RETURN_IF_ERROR(
+            target_inst.AddFact(atom.relation, std::move(atom.args)));
         if (journal.active()) {
-          journal.RecordDerivedFact(AtomToString(atom, *m.target),
-                                    ttgd_texts[ti],
+          journal.RecordDerivedFact(fact_text, ttgd_texts[ti],
                                     static_cast<int32_t>(ti),
                                     AssignmentToString(*trigger),
                                     parent_ids, null_ids);

@@ -172,8 +172,7 @@ Result<ContainmentReport> CheckContainment(const SchemaMapping& sub,
       // Only the existentials remain as variables; the frozen frontier
       // constants must match themselves.
       HomSearchOptions hom_options;
-      verdict.implied =
-          FindHomomorphism(mapped_rhs, chased, {}, hom_options).has_value();
+      verdict.implied = HasHomomorphism(mapped_rhs, chased, {}, hom_options);
       if (!verdict.implied && report.holds) {
         report.holds = false;
         report.witness = sigma_text;

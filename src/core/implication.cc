@@ -76,7 +76,7 @@ Result<bool> ImpliesTgd(const SchemaMapping& m, const Tgd& sigma) {
   Assignment partial;
   for (const Value& v : VariablesOf(sigma.lhs)) partial.emplace(v, v);
   HomSearchOptions options;
-  return FindHomomorphism(sigma.rhs, chased, partial, options).has_value();
+  return HasHomomorphism(sigma.rhs, chased, partial, options);
 }
 
 Result<bool> EquivalentTgdSets(const SchemaMapping& a,
@@ -128,7 +128,7 @@ Result<bool> ImpliesDisjunctive(const ReverseMapping& premises,
         // values (constants AND nulls) must stay fixed.
         HomSearchOptions hom_options;
         hom_options.map_nulls = false;
-        if (FindHomomorphism(mapped, leaf, {}, hom_options).has_value()) {
+        if (HasHomomorphism(mapped, leaf, {}, hom_options)) {
           satisfied = true;
           break;
         }

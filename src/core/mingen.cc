@@ -205,7 +205,7 @@ Result<bool> IsGenerator(const SchemaMapping& m, const Conjunction& beta,
   Assignment partial;
   for (const Value& v : x) partial.emplace(v, v);
   HomSearchOptions options;
-  return FindHomomorphism(psi, chased, partial, options).has_value();
+  return HasHomomorphism(psi, chased, partial, options);
 }
 
 bool IsSubConjunctionUpToRenaming(const Conjunction& small,

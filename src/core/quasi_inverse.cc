@@ -94,7 +94,7 @@ bool DisjunctSubsumes(const Conjunction& general,
   Assignment partial;
   for (const Value& v : x) partial.emplace(v, v);
   HomSearchOptions options;
-  return FindHomomorphism(general, canonical, partial, options).has_value();
+  return HasHomomorphism(general, canonical, partial, options);
 }
 
 Result<ReverseMapping> QuasiInverse(const SchemaMapping& m,

@@ -12,8 +12,7 @@ bool Satisfies(const Instance& source_inst, const Instance& target_inst,
       tgd.lhs, source_inst, {}, lhs_options,
       [&](const Assignment& h) {
         HomSearchOptions rhs_options;
-        if (!FindHomomorphism(tgd.rhs, target_inst, h, rhs_options)
-                 .has_value()) {
+        if (!HasHomomorphism(tgd.rhs, target_inst, h, rhs_options)) {
           satisfied = false;
           return false;  // counterexample found; stop
         }
@@ -41,8 +40,7 @@ bool SatisfiesDisjunctive(const Instance& from_inst, const Instance& to_inst,
       [&](const Assignment& h) {
         for (const Conjunction& disjunct : dep.disjuncts) {
           HomSearchOptions rhs_options;
-          if (FindHomomorphism(disjunct, to_inst, h, rhs_options)
-                  .has_value()) {
+          if (HasHomomorphism(disjunct, to_inst, h, rhs_options)) {
             return true;  // this lhs match is satisfied; keep scanning
           }
         }

@@ -78,6 +78,11 @@ MetricsSnapshot SnapshotMetrics();
 /// threads first.
 void ResetMetrics();
 
+/// Number of per-thread shards allocated so far. A thread returns its
+/// shard to a pool on exit and later threads reuse it, so this is bounded
+/// by the peak number of threads alive at once, not by how many ran.
+size_t MetricsShardCount();
+
 /// Monotonically increasing count of ResetMetrics() calls (starts at 1).
 /// Caches whose hit/miss counters feed this registry key their validity
 /// on it so that counter values are a pure function of the work performed

@@ -349,17 +349,13 @@ std::string AssignmentToString(const Assignment& assignment) {
   return out;
 }
 
-size_t ForEachHomomorphism(const Conjunction& body, const Instance& target,
-                           const Assignment& partial,
-                           const HomSearchOptions& options,
-                           const std::function<bool(const Assignment&)>& fn) {
-  if (options.use_compiled_plan && options.use_index && !body.empty()) {
-    // Compiled path: a cached per-body plan with a flat register frame
-    // (chase/match_plan.h). The interpretive matcher below remains the
-    // differential oracle (`use_compiled_plan=false`), and the full-scan
-    // oracle (`use_index=false`) stays interpretive and naive.
-    return ForEachPlanMatch(body, target, partial, options, fn);
-  }
+namespace {
+
+// The interpretive search behind ForEachHomomorphism and HasHomomorphism.
+size_t InterpretiveSearch(const Conjunction& body, const Instance& target,
+                          const Assignment& partial,
+                          const HomSearchOptions& options,
+                          const std::function<bool(const Assignment&)>& fn) {
   static const obs::MetricId kSearches =
       obs::RegisterCounter("hom.searches");
   static const obs::MetricId kMatches =
@@ -402,6 +398,39 @@ size_t ForEachHomomorphism(const Conjunction& body, const Instance& target,
   return count;
 }
 
+// Compiled path: a cached per-body plan with a flat register frame
+// (chase/match_plan.h). The interpretive matcher remains the differential
+// oracle (`use_compiled_plan=false`), and the full-scan oracle
+// (`use_index=false`) stays interpretive and naive.
+bool UsesCompiledPlan(const Conjunction& body,
+                      const HomSearchOptions& options) {
+  return options.use_compiled_plan && options.use_index && !body.empty();
+}
+
+}  // namespace
+
+size_t ForEachHomomorphism(const Conjunction& body, const Instance& target,
+                           const Assignment& partial,
+                           const HomSearchOptions& options,
+                           const std::function<bool(const Assignment&)>& fn) {
+  if (UsesCompiledPlan(body, options)) {
+    return ForEachPlanMatch(body, target, partial, options, fn);
+  }
+  return InterpretiveSearch(body, target, partial, options, fn);
+}
+
+bool HasHomomorphism(const Conjunction& body, const Instance& target,
+                     const Assignment& partial,
+                     const HomSearchOptions& options) {
+  if (UsesCompiledPlan(body, options)) {
+    return HasPlanMatch(body, target, partial, options);
+  }
+  static const std::function<bool(const Assignment&)> kStopAtFirst =
+      [](const Assignment&) { return false; };
+  return InterpretiveSearch(body, target, partial, options, kStopAtFirst) >
+         0;
+}
+
 std::optional<Assignment> FindHomomorphism(const Conjunction& body,
                                            const Instance& target,
                                            const Assignment& partial,
@@ -437,7 +466,7 @@ bool ExistsInstanceHomomorphism(const Instance& from, const Instance& to,
   HomSearchOptions options;
   options.map_nulls = true;
   options.map_variables = map_variables;
-  return FindHomomorphism(body, to, {}, options).has_value();
+  return HasHomomorphism(body, to, {}, options);
 }
 
 bool HomomorphicallyEquivalent(const Instance& a, const Instance& b) {

@@ -2,22 +2,17 @@
 #define QIMAP_RELATIONAL_HOMOMORPHISM_H_
 
 #include <functional>
-#include <map>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "base/value.h"
+#include "relational/assignment.h"
 #include "relational/atom.h"
 #include "relational/instance.h"
 
 namespace qimap {
-
-/// A (partial) mapping from values to values. Keys are the movable values
-/// (variables and, for instance-level homomorphisms, nulls); constants are
-/// never keys — they are fixed pointwise, as required by the paper's
-/// definition of homomorphism (Section 2).
-using Assignment = std::map<Value, Value>;
 
 /// Options controlling which value kinds are movable during homomorphism
 /// search, plus side constraints in the style of Definition 6.2.
@@ -41,10 +36,10 @@ struct HomSearchOptions {
   bool use_index = true;
   /// If true (default), indexed searches run through a compiled match
   /// plan (chase/match_plan.h): the body is compiled once per (body,
-  /// bound-key set, index-statistics epoch) into an ordered step sequence
+  /// bound-key set, greedy join order) into an ordered step sequence
   /// with static point-lookup / posting-probe / scan decisions and a flat
   /// register frame, replacing the per-search join reorder and the
-  /// per-candidate `std::map` mutations. If false, the interpretive
+  /// per-candidate Assignment mutations. If false, the interpretive
   /// matcher runs instead — the differential oracle for the plan layer,
   /// exactly as `use_index=false` is the oracle for the index layer. Both
   /// paths enumerate the same homomorphism set; plans are only consulted
@@ -80,6 +75,13 @@ std::optional<Assignment> FindHomomorphism(const Conjunction& body,
                                            const Instance& target,
                                            const Assignment& partial,
                                            const HomSearchOptions& options);
+
+/// True iff FindHomomorphism would find one: the same search, stopped at
+/// the first match without materializing it (satisfaction checks). Flushes
+/// exactly the counters FindHomomorphism flushes.
+bool HasHomomorphism(const Conjunction& body, const Instance& target,
+                     const Assignment& partial,
+                     const HomSearchOptions& options);
 
 /// Invokes `fn` for every homomorphism (conjunctive-query evaluation).
 /// If `fn` returns false the search stops early. Returns the number of

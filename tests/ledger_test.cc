@@ -90,8 +90,10 @@ TEST_F(LedgerTest, AppendAssignsDenseSeqAndRecordsParse) {
     EXPECT_NE(record->Find("counters"), nullptr);
     EXPECT_NE(record->Find("budget"), nullptr);
   }
-  const obs::JsonValue* command =
-      obs::ParseJson(lines[0])->Find("command");
+  // Keep the parsed record alive: Find returns a pointer into it.
+  Result<obs::JsonValue> first_record = obs::ParseJson(lines[0]);
+  ASSERT_TRUE(first_record.ok()) << lines[0];
+  const obs::JsonValue* command = first_record->Find("command");
   ASSERT_NE(command, nullptr);
   EXPECT_EQ(command->string_value, "chase");
   std::remove(path.c_str());

@@ -16,7 +16,8 @@
 // Unit tests for the compiled match-plan layer (chase/match_plan.h):
 // static access-path decisions, OrderAtoms-parity join ordering, dense
 // register frames, cache compile/hit accounting (including the
-// metrics-reset window), and the text/JSON dumps. The system-level
+// metrics-reset window and reuse while the join order holds), and the
+// text/JSON dumps. The system-level
 // equivalence with the interpretive matcher is soaked separately by
 // tests/store_differential_test.cc.
 
@@ -209,7 +210,7 @@ TEST(MatchPlanTest, CacheCountsCompilesAndHitsPerMetricsWindow) {
   EXPECT_EQ(Counter("chase.plan.compiles"), 1u);
   EXPECT_EQ(Counter("chase.plan.cache_hits"), 1u);
 
-  // Growing the instance moves the statistics digest: recompile in place.
+  // Growing P past Q reorders the join: recompile in place.
   ASSERT_TRUE(inst.AddFact(0, {Const("a"), Const("c")}).ok());
   auto p3 = GetOrCompileMatchPlan(body, inst, {}, {});
   EXPECT_NE(p3.get(), p2.get());
@@ -247,17 +248,81 @@ TEST(MatchPlanTest, StatsFreePlansHitTheFrontCache) {
   EXPECT_EQ(Counter("chase.plan.cache_hits"), 5u);
 }
 
-TEST(MatchPlanTest, StatsDigestTracksLiteralPostingsAndRowCounts) {
-  SchemaPtr schema = MakeSchema("P/2");
-  Instance a = MustParseInstance(schema, "P(a,b), P(a,c)");
-  Instance b = MustParseInstance(schema, "P(a,b), P(a,c)");
-  Conjunction body = {{0, {Const("a"), Var("y")}},
-                      {0, {Var("y"), Var("z")}}};
-  EXPECT_EQ(MatchPlanStatsDigest(body, a, {}),
-            MatchPlanStatsDigest(body, b, {}));
-  ASSERT_TRUE(b.AddFact(0, {Const("d"), Const("e")}).ok());
-  EXPECT_NE(MatchPlanStatsDigest(body, a, {}),
-            MatchPlanStatsDigest(body, b, {}));
+// A cached plan stays valid while the greedy order over the current
+// statistics equals its perm: statistics that move without reordering
+// the join are cache hits, and the kept plan is exactly the plan a fresh
+// compile against the grown instance produces — same steps, same
+// enumeration.
+TEST(MatchPlanTest, StatisticsThatKeepTheOrderReuseThePlan) {
+  obs::ResetMetrics();
+  SchemaPtr schema = MakeSchema("P/2, Q/2");
+  Instance inst = MustParseInstance(
+      schema, "P(a,b), Q(b,c), Q(b,d), Q(e,f), Q(g,h)");
+  Conjunction body = {{0, {Var("x"), Var("y")}},
+                      {1, {Var("y"), Var("z")}}};
+  auto p1 = GetOrCompileMatchPlan(body, inst, {}, {});
+  ASSERT_EQ(p1->perm, (std::vector<size_t>{0, 1}));
+  EXPECT_FALSE(p1->stats_free);
+
+  // Row and distinct counts move on both relations; P stays the smaller.
+  ASSERT_TRUE(inst.AddFact(0, {Const("e"), Const("f")}).ok());
+  ASSERT_TRUE(inst.AddFact(1, {Const("f"), Const("i")}).ok());
+  ASSERT_TRUE(inst.AddFact(1, {Const("b"), Const("j")}).ok());
+  auto p2 = GetOrCompileMatchPlan(body, inst, {}, {});
+  EXPECT_EQ(p2.get(), p1.get()) << "order held: the plan must be reused";
+  EXPECT_EQ(Counter("chase.plan.compiles"), 1u);
+  EXPECT_EQ(Counter("chase.plan.cache_hits"), 1u);
+
+  MatchPlan fresh = CompileMatchPlan(body, inst, {}, {});
+  EXPECT_EQ(p2->ToJson(*schema), fresh.ToJson(*schema));
+  HomSearchOptions interp;
+  interp.use_compiled_plan = false;
+  std::vector<Assignment> cached_order, interp_order;
+  ForEachPlanMatch(body, inst, {}, {}, [&](const Assignment& h) {
+    cached_order.push_back(h);
+    return true;
+  });
+  ForEachHomomorphism(body, inst, {}, interp, [&](const Assignment& h) {
+    interp_order.push_back(h);
+    return true;
+  });
+  EXPECT_EQ(cached_order.size(), 4u);
+  EXPECT_EQ(cached_order, interp_order);
+}
+
+// Keys of the partial assignment count as bound in the order check: with
+// x and z preloaded, each atom has one unbound argument, so the
+// rows/distinct estimate of its bound column decides. A statistics change
+// that flips the order recompiles in place.
+TEST(MatchPlanTest, ChangedOrderRecompiles) {
+  obs::ResetMetrics();
+  SchemaPtr schema = MakeSchema("P/2, Q/2");
+  Instance inst = MustParseInstance(
+      schema, "P(a,b), P(a,c), P(a,d), Q(a,b), Q(b,c), Q(c,d), Q(d,e)");
+  Conjunction body = {{0, {Var("x"), Var("y")}},
+                      {1, {Var("z"), Var("y")}}};
+  Assignment partial = {{Var("x"), Const("a")}, {Var("z"), Const("b")}};
+  // P: 3 rows over 1 distinct x (estimate 3); Q: 4 rows over 4 distinct
+  // z (estimate 1). Q runs first.
+  auto p1 = GetOrCompileMatchPlan(body, inst, partial, {});
+  ASSERT_EQ(p1->perm, (std::vector<size_t>{1, 0}));
+
+  // Q grows to 12 rows over the same 4 distinct z: estimate 3 ties P,
+  // and the lower index wins.
+  for (const char* y : {"f", "g", "h", "i", "j", "k", "l", "m"}) {
+    ASSERT_TRUE(inst.AddFact(1, {Const("a"), Const(y)}).ok());
+  }
+  auto p2 = GetOrCompileMatchPlan(body, inst, partial, {});
+  EXPECT_NE(p2.get(), p1.get());
+  EXPECT_EQ(p2->perm, (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(Counter("chase.plan.compiles"), 2u);
+  EXPECT_EQ(Counter("chase.plan.cache_hits"), 0u);
+  EXPECT_EQ(p2->ToJson(*schema),
+            CompileMatchPlan(body, inst, partial, {}).ToJson(*schema));
+
+  // The recompiled plan replaced the old one in its slot.
+  EXPECT_EQ(GetOrCompileMatchPlan(body, inst, partial, {}).get(), p2.get());
+  EXPECT_EQ(Counter("chase.plan.cache_hits"), 1u);
 }
 
 TEST(MatchPlanTest, DumpsRenderTextAndValidJson) {

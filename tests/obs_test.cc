@@ -37,6 +37,35 @@ TEST(MetricsTest, CounterSumsAcrossConcurrentThreads) {
             static_cast<uint64_t>(kThreads) * kIncrements);
 }
 
+// Every thread that touches a metric gets a shard, and a multi-threaded
+// chase starts a fresh pool each run. Exited threads must hand their
+// shards back for reuse: many generations of short-lived threads allocate
+// only as many shards as run at once, the pooled shards keep their
+// counts, and a reset zeroes them too.
+TEST(ParallelMetricsShardTest, ShortLivedThreadsReuseBoundedShards) {
+  obs::ResetMetrics();
+  obs::MetricId id = obs::RegisterCounter("test.short_lived");
+  obs::CounterAdd(id);  // this thread keeps its shard throughout
+  const size_t before = obs::MetricsShardCount();
+  constexpr int kGenerations = 200;
+  constexpr int kWidth = 4;
+  constexpr int kIncrements = 50;
+  for (int g = 0; g < kGenerations; ++g) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kWidth; ++t) {
+      threads.emplace_back([id] {
+        for (int i = 0; i < kIncrements; ++i) obs::CounterAdd(id);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  EXPECT_LE(obs::MetricsShardCount(), before + kWidth);
+  EXPECT_EQ(obs::SnapshotMetrics().counters.at("test.short_lived"),
+            1u + static_cast<uint64_t>(kGenerations) * kWidth * kIncrements);
+  obs::ResetMetrics();
+  EXPECT_EQ(obs::SnapshotMetrics().counters.at("test.short_lived"), 0u);
+}
+
 // Stress for the thread-local shard design: heavy concurrent increments
 // on shared and per-thread metrics while another thread keeps forcing
 // merge-on-snapshot. Totals must come out exact — a lost update anywhere
