@@ -104,46 +104,34 @@ void BM_Prop312ChaseOfPathsNoIndex(benchmark::State& state) {
 }
 BENCHMARK(BM_Prop312ChaseOfPathsNoIndex)->RangeMultiplier(4)->Range(4, 256);
 
-// Timed three-way differential, recorded as chase_plan /
-// chase_interpretive / chase_noindex phases in BENCH_prop_312.json. The
-// lhs E(x,z) & E(z,y) is a genuine join: the full-scan matcher re-reads
-// the whole E relation for the second atom of every candidate, the
-// index-backed matchers probe the per-column posting lists (and collapse
-// fully-determined satisfaction checks to one full-tuple hash lookup).
-// The long 2000-edge chain is chased twice at full length — once through
-// the compiled match plans (the hot path) and once through the per-step
-// interpretive matcher — so the committed counters pin the two
-// index-backed paths against each other at scale. The full-scan oracle
-// only has to *agree*, not to race, so its differential leg runs a
-// 150-edge chain: full-scan backtracking is quadratic in the chain, and
-// keeping the oracle short keeps the committed hom.backtracks baseline
-// an honest measure of the planned path instead of the oracle's.
+// Timed differential, recorded as chase_plan / chase_noindex phases in
+// BENCH_prop_312.json. The lhs E(x,z) & E(z,y) is a genuine join: the
+// full-scan matcher re-reads the whole E relation for the second atom of
+// every candidate, the compiled match plans probe the per-column posting
+// lists (and collapse fully-determined satisfaction checks to one
+// full-tuple hash lookup). The 2000-edge chain is chased at full length
+// through the plans (the hot path). The full-scan oracle only has to
+// *agree*, not to race, so its differential leg runs a 150-edge chain:
+// full-scan backtracking is quadratic in the chain, and keeping the oracle
+// short keeps the committed hom.backtracks baseline an honest measure of
+// the planned path instead of the oracle's.
 void DifferentialPhases(bench::JsonReporter& reporter) {
   SchemaMapping m = catalog::Prop312();
   Instance long_chain = Chain(m, 2000);
   Instance oracle_chain = Chain(m, 150);
-  ChaseOptions planned;  // defaults: use_index + use_compiled_plan
-  ChaseOptions interpretive;
-  interpretive.use_compiled_plan = false;
+  ChaseOptions planned;  // default: use_index
   ChaseOptions naive;
   naive.use_index = false;
-  std::string with_plan, with_interpretive, plan_short, without_index;
+  std::string plan_short, without_index;
   {
     bench::JsonReporter::ScopedPhase phase(reporter, "chase_plan");
-    with_plan = MustChase(long_chain, m, planned).ToString();
+    benchmark::DoNotOptimize(MustChase(long_chain, m, planned).ToString());
     plan_short = MustChase(oracle_chain, m, planned).ToString();
-  }
-  {
-    bench::JsonReporter::ScopedPhase phase(reporter, "chase_interpretive");
-    with_interpretive = MustChase(long_chain, m, interpretive).ToString();
   }
   {
     bench::JsonReporter::ScopedPhase phase(reporter, "chase_noindex");
     without_index = MustChase(oracle_chain, m, naive).ToString();
   }
-  bench::Row("compiled-plan chase output matches interpretive",
-             "identical",
-             with_plan == with_interpretive ? "identical" : "different");
   bench::Row("compiled-plan chase output matches full-scan", "identical",
              plan_short == without_index ? "identical" : "different");
 }

@@ -83,8 +83,8 @@ struct BudgetSpec {
   /// Deterministic fault injection (inactive by default).
   FaultPlan fault_plan;
 
-  /// A spec with only a step limit set (the StepLimiter / RunBudget
-  /// local-valve shape).
+  /// A spec with only a step limit set (the RunBudget local-valve
+  /// shape).
   static BudgetSpec StepsOnly(size_t max_steps) {
     BudgetSpec spec;
     spec.max_steps = max_steps;
@@ -142,7 +142,6 @@ class Budget {
   }
   /// Microseconds since construction, per the spec's clock.
   uint64_t elapsed_us() const;
-  size_t max_steps() const { return spec_.max_steps; }
   /// The limits this budget enforces (progress heartbeats derive the
   /// consumed-fraction display from consumed counts over these).
   const BudgetSpec& spec() const { return spec_; }

@@ -32,6 +32,18 @@ ThreadConfigWarningHook SetThreadConfigWarningHook(
                                                std::memory_order_acq_rel);
 }
 
+size_t CapThreadCount(size_t requested, const std::string& what) {
+  size_t hw = std::thread::hardware_concurrency();
+  if (hw == 0) hw = 1;  // unknown topology: be conservative
+  const size_t cap = kMaxHardwareOversubscription * hw;
+  if (requested <= cap) return requested;
+  WarnThreadConfig(what + " exceeds " +
+                   std::to_string(kMaxHardwareOversubscription) +
+                   "x hardware concurrency; capping at " +
+                   std::to_string(cap) + " threads");
+  return cap;
+}
+
 size_t ResolveThreadCount(size_t requested) {
   if (requested > 0) return requested;
   const char* env = std::getenv("QIMAP_CHASE_THREADS");
@@ -45,18 +57,8 @@ size_t ResolveThreadCount(size_t requested) {
                      "' is not a positive integer; using 1 thread");
     return 1;
   }
-  size_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;  // unknown topology: be conservative
-  size_t cap = kMaxHardwareOversubscription * hw;
-  if (static_cast<unsigned long>(parsed) > cap) {
-    WarnThreadConfig("QIMAP_CHASE_THREADS=" + std::string(env) +
-                     " exceeds " +
-                     std::to_string(kMaxHardwareOversubscription) +
-                     "x hardware concurrency; capping at " +
-                     std::to_string(cap) + " threads");
-    return cap;
-  }
-  return static_cast<size_t>(parsed);
+  return CapThreadCount(static_cast<size_t>(parsed),
+                        "QIMAP_CHASE_THREADS=" + std::string(env));
 }
 
 ThreadPool::ThreadPool(size_t num_threads)

@@ -6,6 +6,7 @@
 #include <functional>
 #include <mutex>
 #include <queue>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,19 +27,24 @@ using ThreadConfigWarningHook = void (*)(const char* message);
 ThreadConfigWarningHook SetThreadConfigWarningHook(
     ThreadConfigWarningHook hook);
 
-/// The largest multiple of std::thread::hardware_concurrency a
-/// `QIMAP_CHASE_THREADS` request may reach before being capped. Requests
-/// beyond it only add contention, and a typo'd value ("100" for "10")
-/// used to oversubscribe the machine silently.
+/// The largest multiple of std::thread::hardware_concurrency a thread
+/// request (`QIMAP_CHASE_THREADS`, or `qimap_cli --threads`) may reach
+/// before being capped. Requests beyond it only add contention, and a
+/// typo'd value ("100" for "10") used to oversubscribe the machine
+/// silently.
 inline constexpr size_t kMaxHardwareOversubscription = 4;
+
+/// Returns `requested` capped at `kMaxHardwareOversubscription *
+/// hardware_concurrency`, warning through the thread-config hook when it
+/// caps. `what` names the request in the warning (e.g. "--threads 64").
+size_t CapThreadCount(size_t requested, const std::string& what);
 
 /// Resolves a thread-count knob: a positive value is taken as-is; 0 reads
 /// the `QIMAP_CHASE_THREADS` environment variable. An unset/empty variable
 /// resolves to 1; an unparsable or non-positive value resolves to 1 with a
-/// warning through the thread-config hook; a parsable value is capped at
-/// `kMaxHardwareOversubscription * hardware_concurrency` (again with a
-/// warning). Lets benches and ctest legs vary the thread count without
-/// touching call sites.
+/// warning through the thread-config hook; a parsable value is capped by
+/// CapThreadCount. Lets benches and ctest legs vary the thread count
+/// without touching call sites.
 size_t ResolveThreadCount(size_t requested);
 
 /// A small fixed-size worker pool for fan-out over independent work items.

@@ -224,7 +224,6 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
   ThreadPool pool(ResolveThreadCount(options.num_threads));
   HomSearchOptions lhs_options;
   lhs_options.use_index = options.use_index;
-  lhs_options.use_compiled_plan = options.use_compiled_plan;
   std::vector<const Conjunction*> bodies;
   bodies.reserve(tgds.size());
   for (const Tgd& tgd : tgds) bodies.push_back(&tgd.lhs);
@@ -330,7 +329,6 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
   }
   HomSearchOptions rhs_options;
   rhs_options.use_index = options.use_index;
-  rhs_options.use_compiled_plan = options.use_compiled_plan;
 
   // Phase 1.5 — hash-sharded parallel firing. The satisfaction searches
   // are the expensive part of the fire loop, and they have bounded reach:

@@ -39,23 +39,15 @@ struct ChaseOptions {
   /// Safety valve on the number of chase steps (s-t chases always
   /// terminate; this guards against misuse).
   size_t max_steps = 1u << 20;
-  /// If true (default), trigger finding joins lhs atoms through the
-  /// instance's per-column posting lists (every column is indexed; the
-  /// matcher probes the smallest determined-column list, and ground atoms
-  /// collapse to one full-tuple hash lookup). If false, every atom is
-  /// matched by a full relation scan — the naive oracle the differential
-  /// tests compare against. Both settings produce identical chase output
-  /// (trigger batches are canonically sorted before firing).
+  /// If true (default), every search runs a compiled per-dependency
+  /// match plan (chase/match_plan.h) over the instance's per-column
+  /// posting lists: each step probes the smallest determined-column list,
+  /// ground atoms collapse to one full-tuple hash lookup, and a body's
+  /// plan is reused while its greedy join order holds. If false, every
+  /// atom is matched by a full relation scan — the naive oracle the
+  /// differential tests compare against. Both settings produce identical
+  /// chase output (trigger batches are canonically sorted before firing).
   bool use_index = true;
-  /// If true (default), indexed searches execute compiled per-dependency
-  /// match plans (chase/match_plan.h) — a body's plan is reused while
-  /// its greedy join order holds, flat register frame instead of
-  /// Assignment mutations. If false, the interpretive matcher runs: the
-  /// differential oracle for the plan layer, the same pattern as
-  /// `use_index=false` for the index layer. Identical chase output
-  /// either way. Ignored (always interpretive) when `use_index` is
-  /// false.
-  bool use_compiled_plan = true;
   /// Worker threads for the chase's two parallel phases: trigger
   /// collection (per-dependency fan-out) and, on plain full runs, sharded
   /// firing — dependencies grouped by shared rhs relations fire into

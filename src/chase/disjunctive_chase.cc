@@ -164,7 +164,6 @@ Result<std::vector<Instance>> DisjunctiveChase(
     bodies.push_back(&dep.lhs);
     HomSearchOptions lhs_options;
     lhs_options.use_index = options.use_index;
-    lhs_options.use_compiled_plan = options.use_compiled_plan;
     lhs_options.must_be_constant = dep.constant_vars;
     lhs_options.inequalities = dep.inequalities;
     body_options.push_back(std::move(lhs_options));
@@ -184,7 +183,6 @@ Result<std::vector<Instance>> DisjunctiveChase(
   // One rhs-search option set shared by every node's satisfaction checks.
   HomSearchOptions rhs_options;
   rhs_options.use_index = options.use_index;
-  rhs_options.use_compiled_plan = options.use_compiled_plan;
   std::vector<std::vector<Assignment>> dep_matches;
   {
     Result<std::vector<std::vector<Assignment>>> collected =

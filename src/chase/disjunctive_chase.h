@@ -30,8 +30,6 @@ struct DisjunctiveChaseOptions {
   bool dedup_equivalent_leaves = false;
   /// Index-first trigger finding (see ChaseOptions::use_index).
   bool use_index = true;
-  /// Compiled match plans (see ChaseOptions::use_compiled_plan).
-  bool use_compiled_plan = true;
   /// Worker threads for the per-node applicable-step search. The chase
   /// tree is explored level-synchronously: each wave's nodes are examined
   /// in parallel (the searches read only the fixed target instance and

@@ -16,8 +16,7 @@ namespace qimap {
 namespace {
 
 // Expected posting-list length for a column probed with a value that is
-// only known at run time: rows / distinct, rounded up. Mirrors the
-// interpretive OrderAtoms estimate exactly.
+// only known at run time: rows / distinct, rounded up.
 size_t DistinctEstimate(const Instance& inst, RelationId rel, uint32_t col,
                         size_t rows) {
   uint32_t distinct = inst.ColumnDistinct(rel, col);
@@ -26,13 +25,13 @@ size_t DistinctEstimate(const Instance& inst, RelationId rel, uint32_t col,
 
 // Greedy join order over `body`, written to `order`: at each step pick the
 // atom with the fewest unbound movable arguments, breaking ties by the
-// smaller statistics extent, then by the lower original index — the
-// interpretive OrderAtoms heuristic, including its zero-extent
-// short-circuit (an atom whose extent is provably 0 is picked immediately
-// so the empty search prunes in O(1)). The one deliberate divergence:
-// arguments bound by the partial assignment are costed by rows/distinct
-// instead of their exact posting length, because plans never read partial
-// *values* (they vary per search under one cached plan).
+// smaller statistics extent, then by the lower original index. An atom's
+// extent is the smallest estimate over its determined columns: the exact
+// posting length for a literal, rows/distinct for a variable bound by the
+// partial assignment or an earlier atom (plans never read partial
+// *values*: they vary per search under one cached plan). An atom whose
+// extent is provably 0 is picked immediately so the empty search prunes
+// in O(1).
 //
 // This one function both compiles a plan and checks, on every cache hit
 // of a statistics-dependent plan, that the cached order still holds. It
@@ -353,8 +352,7 @@ class PlanRunner {
     return true;
   }
 
-  // Eager side-condition rejection at bind time; mirrors the interpretive
-  // BindOk so both paths reject the same candidates.
+  // Eager side-condition rejection at bind time.
   bool BindOk(const PlanBindChecks& checks, const Value& cell) const {
     if (checks.must_be_constant && !cell.IsConstant()) return false;
     for (const Value& other : checks.neq_literals) {
@@ -378,7 +376,7 @@ class PlanRunner {
   void Emit() {
     // Final re-check of every side condition on the complete match
     // (covers partners that were unbound at bind time and conditions over
-    // non-movable values), exactly like the interpretive FinalCheck.
+    // non-movable values).
     for (const Value& v : options_.must_be_constant) {
       if (!Lookup(v).IsConstant()) return;
     }
@@ -645,13 +643,9 @@ void ClearMatchPlanCache() {
   g_cache_version.fetch_add(1, std::memory_order_acq_rel);
 }
 
-namespace {
-
-// Fetches the plan and runs it; `fn` null means existence only. Flushes
-// the same hom.* / chase.index.* counters as the interpretive matcher.
-size_t RunPlan(const Conjunction& body, const Instance& target,
-               const Assignment& partial, const HomSearchOptions& options,
-               const std::function<bool(const Assignment&)>* fn) {
+size_t RunMatchPlan(const Conjunction& body, const Instance& target,
+                    const Assignment& partial, const HomSearchOptions& options,
+                    const std::function<bool(const Assignment&)>* fn) {
   static const obs::MetricId kSearches =
       obs::RegisterCounter("hom.searches");
   static const obs::MetricId kMatches = obs::RegisterCounter("hom.matches");
@@ -689,21 +683,6 @@ size_t RunPlan(const Conjunction& body, const Instance& target,
     obs::ProfileRecordSearch(count, runner.backtracks(), atoms);
   }
   return count;
-}
-
-}  // namespace
-
-size_t ForEachPlanMatch(const Conjunction& body, const Instance& target,
-                        const Assignment& partial,
-                        const HomSearchOptions& options,
-                        const std::function<bool(const Assignment&)>& fn) {
-  return RunPlan(body, target, partial, options, &fn);
-}
-
-bool HasPlanMatch(const Conjunction& body, const Instance& target,
-                  const Assignment& partial,
-                  const HomSearchOptions& options) {
-  return RunPlan(body, target, partial, options, nullptr) > 0;
 }
 
 std::string MatchPlan::ToText(const Schema& schema) const {

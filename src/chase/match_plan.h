@@ -15,18 +15,18 @@
 
 namespace qimap {
 
-/// Compiled per-dependency match plans (ROADMAP #3, following the
-/// *Laconic schema mappings* direction: compile the mapping itself into
-/// executable queries).
+/// Compiled per-dependency match plans (following the *Laconic schema
+/// mappings* direction: compile the mapping itself into executable
+/// queries). Every indexed homomorphism search (`use_index` on, non-empty
+/// body) runs one; the full-scan matcher (`use_index=false`) is the
+/// oracle it is tested against.
 ///
-/// The interpretive `Matcher` re-derives a join order per search, mutates
-/// an Assignment per candidate row, and re-probes posting lists it already
-/// probed while ordering. A `MatchPlan` hoists all of that to compile
-/// time: the body is compiled into an ordered step sequence with a
-/// *static* per-atom access-path decision — point-lookup vs posting-probe
-/// vs scan — and bound-variable propagation resolved into a flat register
-/// frame (dense variable slots). Executing a plan touches no Assignment
-/// until a match is actually emitted.
+/// A `MatchPlan` hoists the per-search work to compile time: the body is
+/// compiled into an ordered step sequence with a *static* per-atom
+/// access-path decision — point-lookup vs posting-probe vs scan — and
+/// bound-variable propagation resolved into a flat register frame (dense
+/// variable slots). Executing a plan touches no Assignment until a match
+/// is actually emitted.
 ///
 /// Plan reuse: a plan's steps are a pure function of the body, the
 /// options' movability/side-condition bits, the partial assignment's key
@@ -50,13 +50,6 @@ namespace qimap {
 /// null relabeling is injective, so rows / distinct counts / constant
 /// posting lengths all agree), so greedy orders, compiles and cache hits
 /// agree too.
-///
-/// The compiler's greedy ordering deliberately replicates the interpretive
-/// `OrderAtoms` heuristic (fewest unbound arguments, then smallest
-/// statistics extent, zero-extent atoms first) so that with an empty
-/// partial assignment both paths enumerate homomorphisms in the same
-/// order — the SO chase allocates nulls in emission order and stays
-/// byte-identical with plans on or off.
 
 /// How a compiled step locates candidate rows. Decided statically at
 /// compile time from which argument positions are determined when the
@@ -89,9 +82,9 @@ struct PlanArg {
   Value literal;     ///< fixed value (kLiteral)
 };
 
-/// Side conditions compiled onto a kBind argument so they reject eagerly,
-/// mirroring the interpretive matcher's `BindOk`. Conditions whose other
-/// side is not yet determined at bind time are left to the final check.
+/// Side conditions compiled onto a kBind argument so they reject eagerly.
+/// Conditions whose other side is not yet determined at bind time are left
+/// to the final check.
 struct PlanBindChecks {
   bool must_be_constant = false;
   std::vector<Value> neq_literals;  ///< `x != c` partners fixed at compile
@@ -103,8 +96,7 @@ struct PlanStep {
   PlanStepMode mode = PlanStepMode::kScan;
   std::vector<PlanArg> args;  ///< one per column, in column order
   /// Determined columns (kProbe): each is probed and the smallest posting
-  /// list drives the loop, exactly like the interpretive matcher, so both
-  /// paths visit the same candidate rows in the same ascending-row order.
+  /// list drives the loop, visiting candidate rows in ascending row id.
   std::vector<uint16_t> probe_cols;
   /// Parallel to `args` when the search carries side conditions; empty
   /// otherwise. Consulted only for kBind arguments.
@@ -155,23 +147,16 @@ std::shared_ptr<const MatchPlan> GetOrCompileMatchPlan(
 /// their shared_ptr.
 void ClearMatchPlanCache();
 
-/// Plan-executing equivalent of ForEachHomomorphism: compiles (or fetches)
-/// the plan and runs it. Flushes the same hom.* / chase.index.* counters
-/// as the interpretive matcher plus chase.plan.*, and attributes per-atom
-/// profiler telemetry through the plan's perm. Called by
-/// ForEachHomomorphism when HomSearchOptions::use_compiled_plan is on;
-/// callers normally go through ForEachHomomorphism.
-size_t ForEachPlanMatch(const Conjunction& body, const Instance& target,
-                        const Assignment& partial,
-                        const HomSearchOptions& options,
-                        const std::function<bool(const Assignment&)>& fn);
-
-/// Plan-executing equivalent of HasHomomorphism: the same search as
-/// ForEachPlanMatch, stopped at the first match without materializing it.
-/// Flushes exactly the counters a ForEachPlanMatch that stops at the
-/// first match flushes.
-bool HasPlanMatch(const Conjunction& body, const Instance& target,
-                  const Assignment& partial, const HomSearchOptions& options);
+/// Fetches (or compiles) the plan for `body` and runs it: `fn` is called
+/// for every match until it returns false, or, when null, the search stops
+/// at the first match without materializing it. Returns the number of
+/// matches. Flushes the hom.* / chase.index.* counters and attributes
+/// per-atom profiler telemetry through the plan's perm. This is the
+/// indexed path of ForEachHomomorphism / HasHomomorphism; callers go
+/// through those.
+size_t RunMatchPlan(const Conjunction& body, const Instance& target,
+                    const Assignment& partial, const HomSearchOptions& options,
+                    const std::function<bool(const Assignment&)>* fn);
 
 }  // namespace qimap
 

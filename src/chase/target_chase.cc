@@ -96,7 +96,6 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
   ChaseOptions st_options;
   st_options.first_null_label = options.first_null_label;
   st_options.use_index = options.use_index;
-  st_options.use_compiled_plan = options.use_compiled_plan;
   st_options.num_threads = options.num_threads;
   st_options.budget = options.budget;
   // A budget trip inside the s-t phase journals and reports itself; the
@@ -188,7 +187,6 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
   // apply to both trigger collection and rhs satisfaction searches.
   HomSearchOptions search_options;
   search_options.use_index = options.use_index;
-  search_options.use_compiled_plan = options.use_compiled_plan;
   // Each target tgd's existential variables, computed once per run
   // instead of once per fire.
   std::vector<std::vector<Value>> existentials;

@@ -19,9 +19,6 @@ struct TargetChaseOptions {
   /// Index-first trigger finding (see ChaseOptions::use_index); applies
   /// to the inner s-t chase and to the fixpoint's egd/tgd trigger search.
   bool use_index = true;
-  /// Compiled match plans (see ChaseOptions::use_compiled_plan); applies
-  /// to the inner s-t chase and the fixpoint's searches alike.
-  bool use_compiled_plan = true;
   /// Worker threads for the inner s-t chase's trigger collection (see
   /// ChaseOptions::num_threads). The fixpoint loop itself is inherently
   /// serial: each step rewrites the instance the next trigger search

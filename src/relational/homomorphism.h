@@ -23,29 +23,18 @@ struct HomSearchOptions {
   /// If true, variables in the body map anywhere; if false they must match
   /// identically (used for canonical instances with frozen variables).
   bool map_variables = true;
-  /// If true (default), the matcher probes the instance's per-column
-  /// posting lists: every determined argument position is probed and the
-  /// smallest list drives the candidate loop, and a fully-determined atom
-  /// collapses to one full-tuple hash lookup. If false, every atom is
-  /// matched by a full scan of its relation — the naive oracle the
-  /// differential tests compare against
-  /// (`ChaseOptions::use_index=false`). Both paths enumerate exactly the
-  /// same set of homomorphisms; the enumeration order may differ (the
-  /// index also informs the join order), which is why the chase engines
-  /// sort trigger batches canonically before firing.
-  bool use_index = true;
-  /// If true (default), indexed searches run through a compiled match
+  /// If true (default), a non-empty body is matched by a compiled match
   /// plan (chase/match_plan.h): the body is compiled once per (body,
-  /// bound-key set, greedy join order) into an ordered step sequence
-  /// with static point-lookup / posting-probe / scan decisions and a flat
-  /// register frame, replacing the per-search join reorder and the
-  /// per-candidate Assignment mutations. If false, the interpretive
-  /// matcher runs instead — the differential oracle for the plan layer,
-  /// exactly as `use_index=false` is the oracle for the index layer. Both
-  /// paths enumerate the same homomorphism set; plans are only consulted
-  /// when `use_index` is on (the full-scan oracle stays interpretive and
-  /// naive).
-  bool use_compiled_plan = true;
+  /// bound-key set, greedy join order) into a step sequence with static
+  /// point-lookup / posting-probe / scan decisions over the instance's
+  /// per-column posting lists and a flat register frame. If false, every
+  /// atom is matched by a full scan of its relation — the naive oracle the
+  /// differential tests compare against (`ChaseOptions::use_index=false`).
+  /// Both paths enumerate exactly the same set of homomorphisms; the
+  /// enumeration order may differ (the index also informs the join
+  /// order), which is why the chase engines sort trigger batches
+  /// canonically before firing.
+  bool use_index = true;
   /// `Constant(x)` side conditions: each listed value must be assigned a
   /// constant (Definition 6.2, condition (3)).
   std::vector<Value> must_be_constant;

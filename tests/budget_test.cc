@@ -8,14 +8,12 @@
 #include "base/status.h"
 #include "chase/chase.h"
 #include "dependency/parser.h"
-#include "obs/step_limit.h"
 #include "relational/instance.h"
 
 // Unit tests for the qimap::Budget resource governor: each limit trips
 // independently and stickily, the fast path charges nothing when no limit
-// is set, fault plans parse and fire deterministically, and the
-// StepLimiter shim keeps the historical message shape while fixing its
-// two counting bugs.
+// is set, fault plans parse and fire deterministically, and a tripped
+// step limit reports exactly the work performed.
 
 namespace qimap {
 namespace {
@@ -264,30 +262,15 @@ TEST(RunBudgetTest, NoSharedBudgetMeansNoFaultSitesOrCancellation) {
   EXPECT_TRUE(guard.Check().ok());
 }
 
-TEST(StepLimiterTest, KeepsHistoricalMessageAndFixesOverreport) {
-  obs::StepLimiter limiter("standard chase", 2,
-                           " (is the mapping weakly acyclic?)");
-  EXPECT_TRUE(limiter.Tick().ok());
-  EXPECT_TRUE(limiter.Tick().ok());
-  Status trip = limiter.Tick();
-  ASSERT_FALSE(trip.ok());
-  EXPECT_EQ(trip.message(),
-            "standard chase exceeded its step limit (2 steps) (is the "
-            "mapping weakly acyclic?)");
-  // Regression: steps() used to report max_steps + 1 after tripping.
-  EXPECT_EQ(limiter.steps(), 2u);
-  EXPECT_EQ(limiter.max_steps(), 2u);
-}
-
-TEST(StepLimiterTest, HintIsNormalizedToOneLeadingSpace) {
-  // Callers historically spelled the hint with and without a leading
-  // space; both must render with exactly one separator.
-  obs::StepLimiter with_space("x", 1, " hint");
-  obs::StepLimiter without_space("x", 1, "hint");
-  ASSERT_TRUE(with_space.Tick().ok());
-  ASSERT_TRUE(without_space.Tick().ok());
-  Status a = with_space.Tick();
-  Status b = without_space.Tick();
+TEST(BudgetTest, StepLimitHintRendersWithExactlyOneSeparator) {
+  // Callers spell the hint with and without a leading space; both must
+  // render with exactly one separator.
+  Budget with_space(BudgetSpec::StepsOnly(1));
+  Budget without_space(BudgetSpec::StepsOnly(1));
+  ASSERT_TRUE(with_space.Tick("x", " hint").ok());
+  ASSERT_TRUE(without_space.Tick("x", "hint").ok());
+  Status a = with_space.Tick("x", " hint");
+  Status b = without_space.Tick("x", "hint");
   ASSERT_FALSE(a.ok());
   ASSERT_FALSE(b.ok());
   EXPECT_EQ(a.message(), b.message());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,9 +13,10 @@
 
 // HasHomomorphism is FindHomomorphism(...).has_value() without building
 // the match: the same search, stopped at the same candidate. Every
-// combination of matcher path (compiled plan, interpretive, full scan),
-// frozen kinds, partial assignment and side conditions must give the same
-// answer and leave the same hom.* / chase.index.* counter deltas.
+// combination of matcher path (compiled plan, full scan), frozen kinds,
+// partial assignment and side conditions must give the same answer and
+// leave the same hom.* / chase.index.* counter deltas, and the compiled
+// plan must enumerate exactly the full scan's set of homomorphisms.
 
 namespace qimap {
 namespace {
@@ -43,12 +45,6 @@ std::map<std::string, uint64_t> Delta(
   }
   return out;
 }
-
-struct Path {
-  const char* name;
-  bool use_index;
-  bool use_compiled_plan;
-};
 
 TEST(HasHomomorphismTest, AgreesWithFindOnEveryPathAndCondition) {
   SchemaPtr schema = MakeSchema("P/2, Q/1, R/3");
@@ -84,28 +80,24 @@ TEST(HasHomomorphismTest, AgreesWithFindOnEveryPathAndCondition) {
       {{}, {{Var("x"), Var("y")}}},
       {{Var("x")}, {{Var("y"), Const("a")}, {Var("x"), Var("z")}}},
   };
-  const std::vector<Path> paths = {
-      {"compiled", true, true},
-      {"interpretive", true, false},
-      {"full_scan", false, false},
-  };
   size_t found = 0;
   size_t missing = 0;
+  size_t multiple = 0;
   for (size_t b = 0; b < bodies.size(); ++b) {
     for (size_t p = 0; p < partials.size(); ++p) {
       for (size_t c = 0; c < conditions.size(); ++c) {
-        for (const Path& path : paths) {
-          for (bool map_nulls : {true, false}) {
+        for (bool map_nulls : {true, false}) {
+          std::vector<std::set<Assignment>> sets;
+          for (bool use_index : {true, false}) {
             HomSearchOptions options;
             options.map_nulls = map_nulls;
-            options.use_index = path.use_index;
-            options.use_compiled_plan = path.use_compiled_plan;
+            options.use_index = use_index;
             options.must_be_constant = conditions[c].must_be_constant;
             options.inequalities = conditions[c].inequalities;
             const std::string where =
                 "body " + std::to_string(b) + " partial " +
                 std::to_string(p) + " conditions " + std::to_string(c) +
-                " " + path.name + " map_nulls " +
+                (use_index ? " compiled" : " full_scan") + " map_nulls " +
                 std::to_string(map_nulls);
 
             auto before = SearchCounters();
@@ -120,14 +112,27 @@ TEST(HasHomomorphismTest, AgreesWithFindOnEveryPathAndCondition) {
             EXPECT_EQ(actual, expected) << where;
             EXPECT_EQ(Delta(middle, after), Delta(before, middle)) << where;
             (expected ? found : missing) += 1;
+
+            std::vector<Assignment> all =
+                FindAllHomomorphisms(bodies[b], inst, partials[p], options);
+            sets.emplace_back(all.begin(), all.end());
+            EXPECT_EQ(sets.back().size(), all.size())
+                << where << ": a homomorphism was enumerated twice";
+            EXPECT_EQ(!all.empty(), expected) << where;
           }
+          EXPECT_EQ(sets[0], sets[1])
+              << "body " << b << " partial " << p << " conditions " << c
+              << " map_nulls " << map_nulls
+              << ": compiled plan and full scan enumerate different sets";
+          if (sets[1].size() > 1) ++multiple;
         }
       }
     }
   }
-  // The grid exercises both outcomes.
+  // The grid exercises both outcomes, and many-match enumerations.
   EXPECT_GT(found, 50u);
   EXPECT_GT(missing, 50u);
+  EXPECT_GT(multiple, 50u);
 }
 
 // An instance homomorphism over many nulls: the existence check agrees
@@ -147,9 +152,9 @@ TEST(HasHomomorphismTest, InstanceLevelCheckOverManyNulls) {
   for (const Fact& fact : path.Facts()) {
     body.push_back(Atom{fact.relation, fact.tuple});
   }
-  for (bool compiled : {true, false}) {
+  for (bool use_index : {true, false}) {
     HomSearchOptions options;
-    options.use_compiled_plan = compiled;
+    options.use_index = use_index;
     auto h = FindHomomorphism(body, loop, {}, options);
     ASSERT_TRUE(h.has_value());
     EXPECT_EQ(h->size(), 41u);

@@ -14,12 +14,11 @@
 #include "relational/schema.h"
 
 // Unit tests for the compiled match-plan layer (chase/match_plan.h):
-// static access-path decisions, OrderAtoms-parity join ordering, dense
-// register frames, cache compile/hit accounting (including the
-// metrics-reset window and reuse while the join order holds), and the
-// text/JSON dumps. The system-level
-// equivalence with the interpretive matcher is soaked separately by
-// tests/store_differential_test.cc.
+// static access-path decisions, greedy join ordering, dense register
+// frames, cache compile/hit accounting (including the metrics-reset
+// window and reuse while the join order holds), and the text/JSON dumps.
+// The system-level equivalence with the full-scan matcher is soaked
+// separately by tests/store_differential_test.cc.
 
 namespace qimap {
 namespace {
@@ -99,7 +98,7 @@ TEST(MatchPlanTest, PropagatedBindingsBecomeProbesAndRegistersAreDense) {
 }
 
 // Keys of the partial assignment preload registers and count as bound for
-// the access-path decision, exactly like the interpretive matcher.
+// the access-path decision.
 TEST(MatchPlanTest, PartialKeysPreloadRegistersAndDriveProbes) {
   SchemaPtr schema = MakeSchema("P/2");
   Instance inst = MustParseInstance(schema, "P(a,b), P(c,d), P(c,e)");
@@ -112,19 +111,19 @@ TEST(MatchPlanTest, PartialKeysPreloadRegistersAndDriveProbes) {
   EXPECT_EQ(plan.reg_vars[plan.preload_regs[0]], Var("x"));
   // And executing it honors the preloaded value.
   std::vector<Assignment> found;
-  size_t n = ForEachPlanMatch(body, inst, partial, {},
-                              [&](const Assignment& h) {
-                                found.push_back(h);
-                                return true;
-                              });
+  size_t n = ForEachHomomorphism(body, inst, partial, {},
+                                 [&](const Assignment& h) {
+                                   found.push_back(h);
+                                   return true;
+                                 });
   EXPECT_EQ(n, 2u);
   for (const Assignment& h : found) {
     EXPECT_EQ(h.at(Var("x")), Const("c"));
   }
 }
 
-// The compiler replicates OrderAtoms' zero-extent rule: an empty relation
-// is picked first no matter how many unbound arguments it carries.
+// Zero-extent rule of the greedy order: an empty relation is picked first
+// no matter how many unbound arguments it carries.
 TEST(MatchPlanTest, ZeroExtentAtomIsOrderedFirst) {
   SchemaPtr schema = MakeSchema("B/1, Empty/3");
   Instance inst = MustParseInstance(schema, "B(a), B(b), B(c)");
@@ -136,8 +135,9 @@ TEST(MatchPlanTest, ZeroExtentAtomIsOrderedFirst) {
   EXPECT_EQ(plan.perm[1], 0u);
 }
 
-// The compiled path enumerates exactly the interpretive matcher's
-// homomorphism set — including under side conditions and frozen kinds.
+// The compiled path enumerates exactly the interpretive full-scan
+// matcher's homomorphism set — including under side conditions and frozen
+// kinds.
 TEST(MatchPlanTest, PlanAndInterpretiveEnumerateTheSameSet) {
   SchemaPtr schema = MakeSchema("P/2, Q/1");
   Instance inst = MustParseInstance(
@@ -150,51 +150,25 @@ TEST(MatchPlanTest, PlanAndInterpretiveEnumerateTheSameSet) {
   };
   for (size_t b = 0; b < bodies.size(); ++b) {
     for (bool map_nulls : {true, false}) {
-      HomSearchOptions interp;
-      interp.map_nulls = map_nulls;
-      interp.use_compiled_plan = false;
-      interp.inequalities = {{Var("x"), Var("y")}};
-      HomSearchOptions plan = interp;
-      plan.use_compiled_plan = true;
-      std::set<Assignment> interp_set, plan_set;
-      ForEachHomomorphism(bodies[b], inst, {}, interp,
-                          [&](const Assignment& h) {
-                            interp_set.insert(h);
-                            return true;
-                          });
-      ForEachPlanMatch(bodies[b], inst, {}, plan,
-                       [&](const Assignment& h) {
-                         plan_set.insert(h);
-                         return true;
-                       });
-      EXPECT_EQ(interp_set, plan_set)
+      HomSearchOptions plan;
+      plan.map_nulls = map_nulls;
+      plan.inequalities = {{Var("x"), Var("y")}};
+      HomSearchOptions scan = plan;
+      scan.use_index = false;
+      std::set<Assignment> scan_set, plan_set;
+      for (const Assignment& h : FindAllHomomorphisms(bodies[b], inst, {},
+                                                      scan)) {
+        scan_set.insert(h);
+      }
+      for (const Assignment& h : FindAllHomomorphisms(bodies[b], inst, {},
+                                                      plan)) {
+        plan_set.insert(h);
+      }
+      EXPECT_EQ(scan_set, plan_set)
           << "body " << b << " map_nulls " << map_nulls;
-      EXPECT_FALSE(interp_set.empty() && b == 0);
+      EXPECT_FALSE(scan_set.empty() && b == 0);
     }
   }
-}
-
-// With an empty partial assignment both paths also agree on the
-// enumeration *order* (the SO chase allocates nulls in emission order).
-TEST(MatchPlanTest, EmptyPartialEnumerationOrderMatchesInterpretive) {
-  SchemaPtr schema = MakeSchema("P/2, Q/2");
-  Instance inst = MustParseInstance(
-      schema, "P(a,b), P(b,c), P(c,a), Q(b,u), Q(c,v), Q(a,w), Q(b,t)");
-  Conjunction body = {{0, {Var("x"), Var("y")}},
-                      {1, {Var("y"), Var("z")}}};
-  HomSearchOptions interp;
-  interp.use_compiled_plan = false;
-  std::vector<Assignment> interp_order, plan_order;
-  ForEachHomomorphism(body, inst, {}, interp, [&](const Assignment& h) {
-    interp_order.push_back(h);
-    return true;
-  });
-  ForEachPlanMatch(body, inst, {}, {}, [&](const Assignment& h) {
-    plan_order.push_back(h);
-    return true;
-  });
-  ASSERT_EQ(interp_order.size(), 4u);
-  EXPECT_EQ(interp_order, plan_order);
 }
 
 TEST(MatchPlanTest, CacheCountsCompilesAndHitsPerMetricsWindow) {
@@ -251,8 +225,7 @@ TEST(MatchPlanTest, StatsFreePlansHitTheFrontCache) {
 // A cached plan stays valid while the greedy order over the current
 // statistics equals its perm: statistics that move without reordering
 // the join are cache hits, and the kept plan is exactly the plan a fresh
-// compile against the grown instance produces — same steps, same
-// enumeration.
+// compile against the grown instance produces.
 TEST(MatchPlanTest, StatisticsThatKeepTheOrderReuseThePlan) {
   obs::ResetMetrics();
   SchemaPtr schema = MakeSchema("P/2, Q/2");
@@ -275,19 +248,6 @@ TEST(MatchPlanTest, StatisticsThatKeepTheOrderReuseThePlan) {
 
   MatchPlan fresh = CompileMatchPlan(body, inst, {}, {});
   EXPECT_EQ(p2->ToJson(*schema), fresh.ToJson(*schema));
-  HomSearchOptions interp;
-  interp.use_compiled_plan = false;
-  std::vector<Assignment> cached_order, interp_order;
-  ForEachPlanMatch(body, inst, {}, {}, [&](const Assignment& h) {
-    cached_order.push_back(h);
-    return true;
-  });
-  ForEachHomomorphism(body, inst, {}, interp, [&](const Assignment& h) {
-    interp_order.push_back(h);
-    return true;
-  });
-  EXPECT_EQ(cached_order.size(), 4u);
-  EXPECT_EQ(cached_order, interp_order);
 }
 
 // Keys of the partial assignment count as bound in the order check: with

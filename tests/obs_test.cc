@@ -8,7 +8,6 @@
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/step_limit.h"
 #include "obs/trace.h"
 
 namespace qimap {
@@ -328,28 +327,6 @@ TEST(JsonTest, RejectsNonStrictNumbers) {
   EXPECT_TRUE(obs::ParseJson("1e9").ok());
   EXPECT_TRUE(obs::ParseJson("6.5e-7").ok());
   EXPECT_TRUE(obs::ParseJson("1E+2").ok());
-}
-
-TEST(StepLimiterTest, TicksUpToTheLimitThenExhausts) {
-  obs::StepLimiter limiter("test chase", 3);
-  EXPECT_TRUE(limiter.Tick().ok());
-  EXPECT_TRUE(limiter.Tick().ok());
-  EXPECT_TRUE(limiter.Tick().ok());
-  Status overflow = limiter.Tick();
-  EXPECT_EQ(overflow.code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(overflow.message().find("test chase"), std::string::npos);
-  EXPECT_NE(overflow.message().find("3 steps"), std::string::npos);
-  // The refused tick is not counted: a tripped limiter reports exactly
-  // the work it performed.
-  EXPECT_EQ(limiter.steps(), 3u);
-}
-
-TEST(StepLimiterTest, HintIsAppendedToTheMessage) {
-  obs::StepLimiter limiter("target chase", 1, " (check acyclicity)");
-  EXPECT_TRUE(limiter.Tick().ok());
-  Status overflow = limiter.Tick();
-  EXPECT_NE(overflow.message().find("(check acyclicity)"),
-            std::string::npos);
 }
 
 TEST(LogTest, LevelGatingIsMonotone) {

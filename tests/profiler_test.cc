@@ -138,24 +138,24 @@ TEST_F(ProfilerTest, PerAtomRowsSumExactlyToDependencyTotals) {
       << "the two-atom join dependency should record backtracks";
 }
 
-// OrderAtoms must pick a zero-extent atom first regardless of how many
-// unbound arguments it has: the whole search then dies on one empty scan
-// instead of enumerating the other atoms' rows first. Pinned through the
-// per-atom profiler attribution (the join reorder is mapped back to
-// as-written positions via the matcher's perm): with the zero-extent
-// atom ordered first, *no* atom records any probe or row work. The old
-// greedy ordered B(x) (one unbound arg) ahead of Empty(x,y,z) (three),
-// scanning B's rows and probing Empty once per row. Both the interpretive
-// matcher and the compiled-plan path share the ordering rule.
+// Both join orders (the compiled plan's greedy order and the full scan's)
+// must pick a zero-extent atom first regardless of how many unbound
+// arguments it has: the whole search then dies on one empty scan instead
+// of enumerating the other atoms' rows first. Pinned through the per-atom
+// profiler attribution (the join reorder is mapped back to as-written
+// positions via the order's perm): with the zero-extent atom ordered
+// first, *no* atom records any probe or row work. The old greedy ordered
+// B(x) (one unbound arg) ahead of Empty(x,y,z) (three), scanning B's rows
+// and probing Empty once per row.
 TEST_F(ProfilerTest, ZeroExtentAtomIsOrderedFirstAndPrunesInstantly) {
   SchemaMapping m = MustParseMapping("B/1, Empty/3", "P/1",
                                      "B(x) & Empty(x,y,z) -> P(x)");
-  for (bool compiled : {false, true}) {
+  for (bool use_index : {false, true}) {
     obs::Profiler::Reset();
     obs::Profiler::Enable();
     Instance src = MustParseInstance(m.source, "B(a), B(b), B(c)");
     ChaseOptions options;
-    options.use_compiled_plan = compiled;
+    options.use_index = use_index;
     MustChase(src, m, options);
     obs::ProfileSnapshot snap = obs::Profiler::Snapshot();
     ASSERT_EQ(snap.deps.size(), 1u);
@@ -165,13 +165,13 @@ TEST_F(ProfilerTest, ZeroExtentAtomIsOrderedFirstAndPrunesInstantly) {
     ASSERT_EQ(dep.totals.atoms.size(), 2u);
     for (size_t i = 0; i < dep.totals.atoms.size(); ++i) {
       const obs::ProfileAtomCounters& atom = dep.totals.atoms[i];
-      EXPECT_EQ(atom.probes, 0u) << "compiled=" << compiled << " atom " << i;
+      EXPECT_EQ(atom.probes, 0u) << "use_index=" << use_index << " atom " << i;
       EXPECT_EQ(atom.probe_rows, 0u)
-          << "compiled=" << compiled << " atom " << i;
+          << "use_index=" << use_index << " atom " << i;
       EXPECT_EQ(atom.scan_rows, 0u)
-          << "compiled=" << compiled << " atom " << i;
+          << "use_index=" << use_index << " atom " << i;
       EXPECT_EQ(atom.unify_fails, 0u)
-          << "compiled=" << compiled << " atom " << i;
+          << "use_index=" << use_index << " atom " << i;
     }
     obs::Profiler::Disable();
   }

@@ -10,23 +10,20 @@
 
 // Store-differential property layer for the columnar instance and the
 // compiled match planner: every scenario family x body topology the
-// generator emits is chased through a three-way oracle —
+// generator emits is chased through a two-way oracle —
 //
-//   1. compiled plan   (`use_index = true`, `use_compiled_plan = true`,
-//                       the hot path, additionally run at 1/2/8 threads),
-//   2. interpretive    (`use_index = true`, `use_compiled_plan = false`,
-//                       the per-step index-informed matcher), and
-//   3. full scan       (`use_index = false`, the permanent naive oracle).
+//   1. compiled plan   (`use_index = true`, the hot path, run at 1/2/8
+//                       threads), and
+//   2. full scan       (`use_index = false`, the permanent naive oracle).
 //
-// The three paths share everything above the matcher's candidate
-// enumeration, so any divergence pins the bug to a specific layer:
-// compiled-vs-interpretive isolates the plan compiler (step ordering,
-// register propagation, static mode selection), interpretive-vs-scan
-// isolates the columnar store (posting lists, the full-tuple dedup slot
-// table, the index-informed join order). The diff is total: facts
-// (canonical rendering), null labels, the incremental fingerprint, and
-// the provenance journal must all be byte-identical — at every thread
-// count for the compiled path.
+// The two paths share everything above the matcher's candidate
+// enumeration, so any divergence pins the bug to the indexed matcher: the
+// plan compiler (step ordering, register propagation, static mode
+// selection) or the columnar store it reads (posting lists, the
+// full-tuple dedup slot table, the statistics behind the join order). The
+// diff is total: facts (canonical rendering), null labels, the
+// incremental fingerprint, and the provenance journal must all be
+// byte-identical — at every thread count for the compiled path.
 
 namespace qimap {
 namespace {
@@ -50,8 +47,6 @@ std::vector<std::string> NormalizedJournalLines() {
   return lines;
 }
 
-enum class MatcherMode { kCompiledPlan, kInterpretiveIndexed, kFullScan };
-
 struct ChaseOutput {
   std::string facts;
   uint32_t max_null_label = 0;
@@ -59,13 +54,12 @@ struct ChaseOutput {
   std::vector<std::string> journal;
 };
 
-ChaseOutput RunOnce(const Scenario& scenario, MatcherMode mode,
+ChaseOutput RunOnce(const Scenario& scenario, bool use_index,
                     size_t threads = 1) {
   obs::Journal::Clear();
   obs::Journal::Enable();
   ChaseOptions options;
-  options.use_index = mode != MatcherMode::kFullScan;
-  options.use_compiled_plan = mode == MatcherMode::kCompiledPlan;
+  options.use_index = use_index;
   options.num_threads = threads;
   Instance chased = MustChase(scenario.source, scenario.mapping, options);
   ChaseOutput out;
@@ -101,23 +95,19 @@ class StoreDifferentialTest : public ::testing::Test {
 
 void RunCase(const ScenarioConfig& config, uint64_t seed) {
   Scenario scenario = GenerateScenario(config, seed, /*num_facts=*/14);
-  ChaseOutput plan = RunOnce(scenario, MatcherMode::kCompiledPlan);
-  ChaseOutput interp = RunOnce(scenario, MatcherMode::kInterpretiveIndexed);
-  ChaseOutput naive = RunOnce(scenario, MatcherMode::kFullScan);
+  ChaseOutput plan = RunOnce(scenario, /*use_index=*/true);
+  ChaseOutput naive = RunOnce(scenario, /*use_index=*/false);
   SCOPED_TRACE(std::string(ScenarioFamilyName(config.family)) + "/" +
                BodyTopologyName(config.topology) + " seed=" +
                std::to_string(seed) +
                "\n  source:  " + scenario.source.ToString() +
                "\n  plan:    " + plan.facts +
-               "\n  interp:  " + interp.facts +
                "\n  naive:   " + naive.facts);
-  ExpectSameOutput(plan, interp, "plan vs interp");
-  ExpectSameOutput(interp, naive, "interp vs naive");
+  ExpectSameOutput(plan, naive, "plan vs naive");
   // The compiled path must also be insensitive to the firing-phase
   // thread count: same bytes at 2 and 8 workers as at 1.
   for (size_t threads : {size_t{2}, size_t{8}}) {
-    ChaseOutput threaded = RunOnce(scenario, MatcherMode::kCompiledPlan,
-                                   threads);
+    ChaseOutput threaded = RunOnce(scenario, /*use_index=*/true, threads);
     ExpectSameOutput(threaded, plan,
                      threads == 2 ? "plan @2 threads" : "plan @8 threads");
   }

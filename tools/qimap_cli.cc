@@ -36,6 +36,7 @@
 #include "base/budget.h"
 #include "base/fault.h"
 #include "base/strings.h"
+#include "base/thread_pool.h"
 #include "base/version.h"
 #include "chase/chase.h"
 #include "chase/chase_checkpoint.h"
@@ -89,6 +90,12 @@ Budget* g_budget = nullptr;
 // in profile reports as the planner handoff.
 std::optional<CostModel> g_cost_model;
 
+// Worker threads for every chase (--threads, capped; 0 defers to
+// QIMAP_CHASE_THREADS) and the bounded-space fact limit (--max-facts),
+// both parsed strictly in Main.
+size_t g_threads = 1;
+size_t g_max_facts = 2;
+
 // The corpus case loaded by --case, supplying the mapping (and, for
 // commands that chase, the matched source instance) in place of the
 // --source/--target/--tgds/--instance flags.
@@ -108,10 +115,11 @@ struct Args {
   bool Has(const std::string& key) const { return parsed.Has(key); }
 };
 
-// Strict parse for the numeric limit flags: garbage must be an error, not
-// a silent 0 (= "limit off").
-bool ParseLimitFlag(const Args& args, const char* key, uint64_t* out) {
-  const char* text = args.Get(key, "0");
+// Strict parse for the numeric flags: garbage must be an error, not a
+// silent 0 (= "limit off" for the budget flags).
+bool ParseLimitFlag(const Args& args, const char* key, uint64_t* out,
+                    const char* fallback = "0") {
+  const char* text = args.Get(key, fallback);
   if (!tools::ParseUint64(text, out)) {
     std::fprintf(stderr, "qimap_cli: --%s expects a non-negative integer, "
                  "got '%s'\n", key, text);
@@ -134,7 +142,7 @@ const tools::ArgSpec& CliSpec() {
         "case",          "contained-in", "plan-out"};
     spec.bool_flags = {"verbose", "version", "help",     "incremental",
                        "solution-cache", "profile", "progress", "quiet",
-                       "plan",    "no-plan"};
+                       "plan"};
     return spec;
   }();
   return kSpec;
@@ -222,10 +230,6 @@ int Usage() {
       "           analyze --plan-out FILE  write the plans as JSON "
       "(validated by\n"
       "             telemetry_check --plan)\n"
-      "           --no-plan           run the interpretive matcher "
-      "instead of\n"
-      "             compiled match plans (the plan layer's differential "
-      "oracle)\n"
       "other:     --version           print the library version\n"
       "Flags accept both --key value and --key=value.\n");
   return 2;
@@ -233,12 +237,10 @@ int Usage() {
 
 // Chase options shared by every command that chases: --threads N
 // (default 1; 0 defers to the QIMAP_CHASE_THREADS environment variable).
-ChaseOptions LoadChaseOptions(const Args& args) {
+ChaseOptions LoadChaseOptions() {
   ChaseOptions options;
-  options.num_threads =
-      static_cast<size_t>(std::atoi(args.Get("threads", "1")));
+  options.num_threads = g_threads;
   options.budget = g_budget;
-  options.use_compiled_plan = !args.Has("no-plan");
   return options;
 }
 
@@ -292,8 +294,7 @@ BoundedSpace LoadSpace(const Args& args) {
   std::vector<std::string> names =
       SplitAndTrim(args.Get("domain", "a,b"), ',');
   space.domain = MakeDomain(names);
-  space.max_facts =
-      static_cast<size_t>(std::atoi(args.Get("max-facts", "2")));
+  space.max_facts = g_max_facts;
   return space;
 }
 
@@ -309,7 +310,7 @@ int RunChase(const Args& args, const SchemaMapping& m) {
   } else {
     i = g_case->source;
   }
-  ChaseOptions options = LoadChaseOptions(args);
+  ChaseOptions options = LoadChaseOptions();
   Instance partial(m.target);
   if (g_budget != nullptr) options.partial_out = &partial;
   if (args.Has("incremental")) {
@@ -461,7 +462,7 @@ int RunExplain(const Args& args, const SchemaMapping& m) {
   }
   QIMAP_ASSIGN_OR_RETURN_CLI(Instance i, ParseInstance(m.source, text));
   obs::Journal::Enable();
-  QIMAP_ASSIGN_OR_RETURN_CLI(Instance u, Chase(i, m, LoadChaseOptions(args)));
+  QIMAP_ASSIGN_OR_RETURN_CLI(Instance u, Chase(i, m, LoadChaseOptions()));
   std::vector<obs::JournalEvent> events = obs::Journal::Events();
 
   std::vector<std::string> facts;
@@ -534,7 +535,7 @@ int RunAnalyze(const Args& args, const SchemaMapping& m) {
     QIMAP_ASSIGN_OR_RETURN_CLI(
         Instance i, ParseInstance(m.source, args.Get("instance")));
     QIMAP_ASSIGN_OR_RETURN_CLI(Instance u,
-                               Chase(i, m, LoadChaseOptions(args)));
+                               Chase(i, m, LoadChaseOptions()));
     g_cost_model = CostModel::FromInstance(u);
   }
   // Under --plan, compile each dependency's body against --instance (or
@@ -594,8 +595,7 @@ int RunContains(const Args& args, const SchemaMapping& m) {
       super.tgds, ParseTgds(*m.source, *m.target, super_text));
   ContainmentOptions options;
   options.budget = g_budget;
-  options.num_threads =
-      static_cast<size_t>(std::atoi(args.Get("threads", "1")));
+  options.num_threads = g_threads;
   options.use_solution_cache = args.Has("solution-cache");
   ContainmentReport partial;
   if (g_budget != nullptr) options.partial_out = &partial;
@@ -872,8 +872,17 @@ int Main(int argc, char** argv) {
     g_budget = &*budget;
   }
 
-  // Resolved worker-thread count, stamped into every telemetry artifact.
-  obs::SetRunThreads(std::atoi(args.Get("threads", "1")));
+  uint64_t threads = 1, max_facts = 2;
+  if (!ParseLimitFlag(args, "threads", &threads, "1") ||
+      !ParseLimitFlag(args, "max-facts", &max_facts, "2")) {
+    return 2;
+  }
+  g_threads = CapThreadCount(static_cast<size_t>(threads),
+                             std::string("--threads ") +
+                                 args.Get("threads", "1"));
+  g_max_facts = static_cast<size_t>(max_facts);
+  // Requested worker-thread count, stamped into every telemetry artifact.
+  obs::SetRunThreads(static_cast<int>(g_threads));
 
   // Live heartbeats: --progress renders the stderr status line (TTY-aware,
   // --quiet wins), --progress-out streams every snapshot as JSONL. Either
