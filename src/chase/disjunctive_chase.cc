@@ -16,7 +16,6 @@
 #include "obs/profiler.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
-#include "relational/hom_cache.h"
 #include "relational/homomorphism.h"
 
 namespace qimap {
@@ -239,17 +238,7 @@ Result<std::vector<Instance>> DisjunctiveChase(
       Instance current = std::move(wave[node]);
       std::optional<ApplicableStep>& step = steps[node];
       if (!step.has_value()) {
-        bool fresh =
-            !options.dedup_leaves || seen_leaves.insert(current).second;
-        if (fresh && options.dedup_equivalent_leaves) {
-          for (const Instance& leaf : leaves) {
-            if (CachedHomomorphicallyEquivalent(leaf, current)) {
-              fresh = false;
-              break;
-            }
-          }
-        }
-        if (fresh) {
+        if (seen_leaves.insert(current).second) {
           leaves.push_back(std::move(current));
           ++st.leaves;
           if (leaves.size() > options.max_leaves) {

@@ -20,14 +20,6 @@ struct DisjunctiveChaseOptions {
   /// Label of the first fresh null; 0 means "one above the largest null
   /// label of the input target instance".
   uint32_t first_null_label = 0;
-  /// If true (default), drop duplicate leaves that are value-level equal.
-  bool dedup_leaves = true;
-  /// If true, additionally drop leaves that are homomorphically
-  /// equivalent to an earlier leaf. Safe for the Section 6 round-trip
-  /// uses (soundness/faithfulness only inspect leaves up to homomorphic
-  /// equivalence) and can shrink `V` dramatically; off by default so the
-  /// leaf set matches Definition 6.4 exactly.
-  bool dedup_equivalent_leaves = false;
   /// Index-first trigger finding (see ChaseOptions::use_index).
   bool use_index = true;
   /// Worker threads for the per-node applicable-step search. The chase
@@ -61,7 +53,7 @@ struct DisjunctiveChaseStats {
   /// Children spawned across all expansions; `branches / steps` is the
   /// average branch factor of the chase tree.
   size_t branches = 0;
-  /// Leaves dropped by value-level or homomorphic deduplication.
+  /// Leaves dropped as value-level duplicates of an earlier leaf.
   size_t dedup_dropped = 0;
   /// Fresh nulls minted for disjunct existentials.
   size_t nulls_minted = 0;

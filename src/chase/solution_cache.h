@@ -1,83 +1,19 @@
 #ifndef QIMAP_CHASE_SOLUTION_CACHE_H_
 #define QIMAP_CHASE_SOLUTION_CACHE_H_
 
-#include <cstddef>
-#include <cstdint>
-
 #include "chase/chase.h"
-#include "dependency/schema_mapping.h"
-#include "relational/instance.h"
 
 namespace qimap {
 
-/// Memoized `Chase`: a bounded, process-wide map from (mapping
-/// fingerprint, source-instance fingerprint, variant, first-null label)
-/// to the chased universal solution. The framework's subset-property
-/// machinery and the soundness round trips recompute `Sol(M, I)` for the
-/// same handful of instances over and over; the cache turns the repeats
-/// into hash lookups. Same discipline as the homomorphism cache
-/// (relational/hom_cache.h):
-///
-/// Collision-safe: each entry keeps a copy of the source instance and
-/// the rendered mapping, and a hit is only trusted after value-level
-/// re-verification of both (fingerprints are 64-bit hashes, not
-/// identities). A fingerprint match with different content counts as
-/// `solcache.collisions` and is recomputed.
-///
-/// Mutation-safe: `Instance::AddFact` changes the fingerprint, so a
-/// mutated instance stops matching its old entries — no invalidation
-/// hook to call.
-///
-/// Observable: hits/misses/collisions/evictions mirror into the
-/// `solcache.*` counters, and a served hit appends a journal `cache`
-/// event when the provenance journal is enabled — the audit trail for
-/// "this run never derived these facts itself".
-///
-/// Governed, partial, and incremental runs (`options.budget`,
-/// `options.partial_out`, `options.incremental`) bypass the cache
-/// entirely (counted as `solcache.bypasses`): their outputs are not pure
-/// functions of the cache key.
-///
-/// Thread-safe (a single process-wide mutex-guarded table; the chase
-/// itself runs outside the lock).
-Result<Instance> CachedChase(const Instance& source, const SchemaMapping& m,
-                             const ChaseOptions& options = {},
-                             ChaseStats* stats = nullptr);
+// Forwarders with no memo behind them; perfbench is their only caller.
+inline Result<Instance> CachedChase(const Instance& source,
+                                    const SchemaMapping& m,
+                                    const ChaseOptions& options = {},
+                                    ChaseStats* stats = nullptr) {
+  return Chase(source, m, options, stats);
+}
 
-/// Running totals, mirrored into the `solcache.*` metrics.
-struct SolutionCacheStats {
-  size_t hits = 0;
-  size_t misses = 0;
-  size_t collisions = 0;
-  size_t evictions = 0;
-  size_t bypasses = 0;
-};
-
-/// Snapshot of the process-wide cache counters.
-SolutionCacheStats SolutionCacheSnapshot();
-
-/// Drops every entry and zeroes the counters (tests).
-void SolutionCacheClear();
-
-/// The cache's rendering of a mapping (schemas plus every dependency) and
-/// the fingerprint of that rendering — the "mapping id" half of the cache
-/// key. Exposed so tests can forge collisions against real keys.
-std::string MappingCacheText(const SchemaMapping& m);
-uint64_t MappingCacheFingerprint(const SchemaMapping& m);
-
-namespace solution_cache_internal {
-
-/// Test-only: plants an entry under an explicit key, storing the given
-/// source instance, mapping text, and solution. Planting content
-/// *different* from what the fingerprints were computed from forges a
-/// collision, exercising the re-verify path.
-void InsertForTesting(uint64_t mapping_fingerprint,
-                      uint64_t source_fingerprint, ChaseVariant variant,
-                      uint32_t first_null_label, const Instance& source,
-                      const std::string& mapping_text,
-                      const Instance& solution);
-
-}  // namespace solution_cache_internal
+inline void SolutionCacheClear() {}
 
 }  // namespace qimap
 

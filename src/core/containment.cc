@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "chase/chase.h"
-#include "chase/solution_cache.h"
 #include "obs/budget_obs.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
@@ -150,10 +149,7 @@ Result<ContainmentReport> CheckContainment(const SchemaMapping& sub,
       Instance canonical = CanonicalInstance(ground_lhs, sub.source);
       ++report.chases;
       obs::CounterAdd(kChases);
-      Result<Instance> chase =
-          options.use_solution_cache
-              ? CachedChase(canonical, sub, chase_options)
-              : Chase(canonical, sub, chase_options);
+      Result<Instance> chase = Chase(canonical, sub, chase_options);
       if (!chase.ok()) {
         // The inner chase journals and reports its own trip; `trip` then
         // hands the caller the verdicts reached before the budget ran

@@ -68,10 +68,6 @@ struct ContainmentOptions {
   Budget* budget = nullptr;
   /// Worker threads for the inner chases (0 = QIMAP_CHASE_THREADS).
   size_t num_threads = 1;
-  /// Serve repeated canonical-instance chases from the fingerprint-keyed
-  /// solution cache (chase/solution_cache.h). Governed runs bypass the
-  /// cache either way.
-  bool use_solution_cache = true;
   ContainmentReport* partial_out = nullptr;
 };
 

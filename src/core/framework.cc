@@ -4,10 +4,8 @@
 #include <utility>
 
 #include "chase/chase.h"
-#include "chase/solution_cache.h"
 #include "core/solution_space.h"
 #include "dependency/satisfaction.h"
-#include "relational/hom_cache.h"
 #include "relational/homomorphism.h"
 #include "relational/instance_enum.h"
 
@@ -54,12 +52,12 @@ Status FrameworkChecker::Prepare() {
     }
   }
 
-  // Chase every instance once; later passes (SaturateClass, the
-  // subset-property walk) re-ask for the same Sol(M, I) and hit the
-  // solution cache instead of re-chasing.
+  // Chase every instance once; later passes (class saturation, the
+  // subset-property walk) read Sol(M, I) from chases_ instead of
+  // re-chasing.
   chases_.reserve(instances_.size());
   for (const Instance& inst : instances_) {
-    Result<Instance> chased = CachedChase(inst, m_);
+    Result<Instance> chased = Chase(inst, m_);
     if (!chased.ok()) return chased.status();
     chases_.push_back(std::move(chased).value());
   }
@@ -96,7 +94,7 @@ Status FrameworkChecker::Prepare() {
       size_t i = representatives[ri];
       size_t j = representatives[rj];
       if (find(i) == find(j)) continue;
-      if (CachedHomomorphicallyEquivalent(chases_[i], chases_[j])) {
+      if (HomomorphicallyEquivalent(chases_[i], chases_[j])) {
         parent[find(j)] = find(i);
       }
     }
@@ -120,7 +118,12 @@ Status FrameworkChecker::Prepare() {
 
 Result<Instance> FrameworkChecker::SaturateClass(const Instance& inst) {
   QIMAP_RETURN_IF_ERROR(Prepare());
-  QIMAP_ASSIGN_OR_RETURN(Instance chased, CachedChase(inst, m_));
+  QIMAP_ASSIGN_OR_RETURN(Instance chased, Chase(inst, m_));
+  return SaturateChased(inst, chased);
+}
+
+Result<Instance> FrameworkChecker::SaturateChased(const Instance& inst,
+                                                  const Instance& chased) {
   // Umax = { f over the domain : Sol(inst) ⊆ Sol({f}) }. For LAV
   // mappings every constraint involves a single fact, so
   // Sol(A) = ⋂_{f ∈ A} Sol({f}); hence Sol(Umax) = Sol(inst), every
@@ -141,8 +144,8 @@ Result<Instance> FrameworkChecker::SaturateClass(const Instance& inst) {
 Result<const Instance*> FrameworkChecker::SaturatedOf(size_t index) {
   size_t cls = class_id_[index];
   if (!saturated_[cls].has_value()) {
-    QIMAP_ASSIGN_OR_RETURN(Instance umax,
-                           SaturateClass(instances_[index]));
+    QIMAP_ASSIGN_OR_RETURN(
+        Instance umax, SaturateChased(instances_[index], chases_[index]));
     saturated_[cls] = std::move(umax);
   }
   return &*saturated_[cls];

@@ -126,8 +126,12 @@ class FrameworkChecker {
                           EquivKind eq1, EquivKind eq2,
                           BoundedCheckReport* report);
 
+  // SaturateClass given chase(inst) instead of computing it.
+  Result<Instance> SaturateChased(const Instance& inst,
+                                  const Instance& chased);
+
   // The saturated maximum of instances_[index]'s class, memoized per
-  // class (LAV path only).
+  // class and computed from chases_[index] (LAV path only).
   Result<const Instance*> SaturatedOf(size_t index);
 
   const SchemaMapping& m_;

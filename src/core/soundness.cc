@@ -1,8 +1,6 @@
 #include "core/soundness.h"
 
 #include "chase/chase.h"
-#include "chase/solution_cache.h"
-#include "relational/hom_cache.h"
 #include "relational/homomorphism.h"
 
 namespace qimap {
@@ -11,7 +9,7 @@ Result<RoundTrip> CheckRoundTrip(const SchemaMapping& m,
                                  const ReverseMapping& m_prime,
                                  const Instance& ground,
                                  const DisjunctiveChaseOptions& options) {
-  QIMAP_ASSIGN_OR_RETURN(Instance universal, CachedChase(ground, m));
+  QIMAP_ASSIGN_OR_RETURN(Instance universal, Chase(ground, m));
   QIMAP_ASSIGN_OR_RETURN(std::vector<Instance> recovered,
                          DisjunctiveChase(universal, m_prime, options));
 
@@ -28,12 +26,12 @@ Result<RoundTrip> CheckRoundTrip(const SchemaMapping& m,
         1;
     QIMAP_ASSIGN_OR_RETURN(
         Instance rechased,
-        CachedChase(trip.recovered[i], m, chase_options));
-    bool into = CachedExistsInstanceHomomorphism(rechased, trip.universal);
+        Chase(trip.recovered[i], m, chase_options));
+    bool into = ExistsInstanceHomomorphism(rechased, trip.universal);
     if (into) {
       trip.sound = true;
       if (!trip.faithful &&
-          CachedExistsInstanceHomomorphism(trip.universal, rechased)) {
+          ExistsInstanceHomomorphism(trip.universal, rechased)) {
         trip.faithful = true;
         trip.faithful_witness = i;
       }

@@ -106,11 +106,6 @@ void CountEvent(const JournalEvent& event) {
     case JournalEventKind::kBudgetTrip:
       CounterAdd(kBudget);
       break;
-    case JournalEventKind::kCacheEvent: {
-      static const MetricId kCache = RegisterCounter("journal.cache_events");
-      CounterAdd(kCache);
-      break;
-    }
   }
 }
 
@@ -183,8 +178,6 @@ const char* JournalEventKindName(JournalEventKind kind) {
       return "rule";
     case JournalEventKind::kBudgetTrip:
       return "budget";
-    case JournalEventKind::kCacheEvent:
-      return "cache";
   }
   return "unknown";
 }
@@ -459,20 +452,6 @@ uint64_t JournalRun::RecordBudget(const std::string& message,
   event.fact = message;
   event.dependency = limit;
   event.bindings = usage;
-  return internal::Append(std::move(event));
-}
-
-uint64_t JournalRun::RecordCache(const std::string& message,
-                                 const std::string& cache,
-                                 const std::string& key) {
-  if (!active_) return 0;
-  JournalEvent event;
-  event.kind = JournalEventKind::kCacheEvent;
-  event.run = run_;
-  event.pipeline = pipeline_;
-  event.fact = message;
-  event.dependency = cache;
-  event.bindings = key;
   return internal::Append(std::move(event));
 }
 

@@ -49,15 +49,10 @@ enum class JournalEventKind : uint8_t {
   /// ("steps", "deadline", "memory", "nulls", "cancelled", "fault"), and
   /// the bindings field carries the run's usage counters.
   kBudgetTrip = 5,
-  /// A result served from a cache instead of recomputed (the solution
-  /// cache): the fact field carries a short description, the dependency
-  /// field the cache name, and the bindings field the fingerprint key —
-  /// the audit trail for "this run never derived these facts itself".
-  kCacheEvent = 6,
 };
 
 /// Short name used in the JSONL `kind` field: "base", "fact", "null",
-/// "merge", "rule", "budget", "cache".
+/// "merge", "rule", "budget".
 const char* JournalEventKindName(JournalEventKind kind);
 
 /// One journal event. String fields are rendered with the repo's standard
@@ -173,10 +168,6 @@ class JournalRun {
                         const std::string&) {
     return 0;
   }
-  uint64_t RecordCache(const std::string&, const std::string&,
-                       const std::string&) {
-    return 0;
-  }
   uint64_t IdForFact(const std::string&) const { return 0; }
 };
 
@@ -242,12 +233,6 @@ class JournalRun {
   uint64_t RecordBudget(const std::string& message,
                         const std::string& limit,
                         const std::string& usage);
-
-  /// Records a cache-served result: `message` is a short description
-  /// ("solution cache hit"), `cache` the cache's name ("solcache"),
-  /// `key` the fingerprint key of the served entry.
-  uint64_t RecordCache(const std::string& message, const std::string& cache,
-                       const std::string& key);
 
   /// Event id previously recorded for `fact`, or 0 if unseen.
   uint64_t IdForFact(const std::string& fact) const;

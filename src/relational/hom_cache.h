@@ -1,64 +1,18 @@
 #ifndef QIMAP_RELATIONAL_HOM_CACHE_H_
 #define QIMAP_RELATIONAL_HOM_CACHE_H_
 
-#include <cstddef>
-#include <cstdint>
-
-#include "relational/instance.h"
+#include "relational/homomorphism.h"
 
 namespace qimap {
 
-/// Memoized variant of `ExistsInstanceHomomorphism`, keyed on the pair of
-/// instance fingerprints (plus the `map_variables` flag). The subset
-/// property, solution-space equality, soundness round-trips, and core
-/// computation all re-ask the same hom-existence questions about the same
-/// handful of instances many times over; the cache turns the repeats into
-/// hash lookups.
-///
-/// Collision-safe: each entry keeps copies of both instances, and a hit is
-/// only trusted after value-level equality of the stored instances against
-/// the queried ones (fingerprints are 64-bit hashes, not identities). A
-/// fingerprint match with different content is counted as
-/// `hom.cache.collisions`, recomputed, and the entry replaced.
-///
-/// Mutation-safe: `Instance::AddFact` changes the fingerprint, so a
-/// mutated instance simply stops matching its old entries — there is no
-/// explicit invalidation hook to call.
-///
-/// Thread-safe (a single process-wide mutex-guarded table).
-bool CachedExistsInstanceHomomorphism(const Instance& from,
-                                      const Instance& to,
-                                      bool map_variables = true);
+// Forwarders with no memo behind them; perfbench is their only caller.
+inline bool CachedExistsInstanceHomomorphism(const Instance& from,
+                                             const Instance& to,
+                                             bool map_variables = true) {
+  return ExistsInstanceHomomorphism(from, to, map_variables);
+}
 
-/// Memoized `HomomorphicallyEquivalent`: both directions go through the
-/// cache.
-bool CachedHomomorphicallyEquivalent(const Instance& a, const Instance& b);
-
-/// Running totals, mirrored into the `hom.cache.*` metrics.
-struct HomCacheStats {
-  size_t hits = 0;
-  size_t misses = 0;
-  size_t collisions = 0;
-  size_t evictions = 0;
-};
-
-/// Snapshot of the process-wide cache counters.
-HomCacheStats HomCacheSnapshot();
-
-/// Drops every entry and zeroes the counters (tests).
-void HomCacheClear();
-
-namespace hom_cache_internal {
-
-/// Test-only: plants an entry under an explicit fingerprint key, storing
-/// the given instances and answer. Planting instances *different* from the
-/// ones whose fingerprints are used forges a collision, exercising the
-/// re-verify path.
-void InsertForTesting(uint64_t from_fingerprint, uint64_t to_fingerprint,
-                      bool map_variables, const Instance& from,
-                      const Instance& to, bool result);
-
-}  // namespace hom_cache_internal
+inline void HomCacheClear() {}
 
 }  // namespace qimap
 

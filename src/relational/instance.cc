@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -305,6 +306,8 @@ std::string FactToString(const Schema& schema, const Fact& fact) {
 
 namespace {
 
+constexpr long long kMaxInputNullLabel = (1LL << 31) - 1;
+
 // Parses one argument token into a value (see ParseInstance contract).
 Result<Value> ParseValueToken(std::string_view token) {
   if (token.empty()) {
@@ -317,9 +320,17 @@ Result<Value> ParseValueToken(std::string_view token) {
     }
     char* end = nullptr;
     std::string digits(rest);
-    long label = std::strtol(digits.c_str(), &end, 10);
+    errno = 0;
+    long long label = std::strtoll(digits.c_str(), &end, 10);
     if (digits.empty() || end == nullptr || *end != '\0' || label < 0) {
       return Status::InvalidArgument("bad null token: " + std::string(token));
+    }
+    // Fresh nulls start one above the largest input label, so this
+    // ceiling leaves 2^31 fresh labels before the uint32 null counter
+    // could wrap onto an input label.
+    if (errno == ERANGE || label > kMaxInputNullLabel) {
+      return Status::InvalidArgument("null label out of range: " +
+                                     std::string(token));
     }
     return Value::MakeNull(static_cast<uint32_t>(label));
   }

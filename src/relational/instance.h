@@ -138,8 +138,9 @@ class Instance {
   /// Order-independent content hash of the fact set, maintained
   /// incrementally by AddFact (duplicate adds leave it unchanged). Equal
   /// instances have equal fingerprints; collisions between distinct
-  /// instances are possible, so consumers (the homomorphism and solution
-  /// caches) must verify before trusting a fingerprint match.
+  /// instances are possible, so a match is only evidence. Consumers: the
+  /// incremental-chase checkpoint's prefix proof (PrefixFingerprint), the
+  /// run-ledger source stamps, and EqualFactSets' fast reject.
   uint64_t Fingerprint() const { return fingerprint_; }
 
   /// Per-relation distinct-row counts, indexed by RelationId. Because
@@ -234,7 +235,8 @@ std::string FactToString(const Schema& schema, const Fact& fact);
 
 /// Parses `"P(a,b), Q(a)"` into an instance over `schema`. Identifiers and
 /// numbers denote constants; tokens starting with `_` denote nulls
-/// (`_N3` or `_3`); tokens starting with `?` denote variables.
+/// (`_N3` or `_3`, label at most 2^31 - 1); tokens starting with `?`
+/// denote variables.
 Result<Instance> ParseInstance(SchemaPtr schema, std::string_view text);
 
 /// Like ParseInstance but aborts on error (tests/examples/benchmarks).

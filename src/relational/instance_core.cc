@@ -1,6 +1,5 @@
 #include "relational/instance_core.h"
 
-#include "relational/hom_cache.h"
 #include "relational/homomorphism.h"
 
 namespace qimap {
@@ -33,7 +32,7 @@ Instance ComputeCore(const Instance& instance) {
       // cases. Skip the search when the instance is a single fact.
       if (current.NumFacts() <= 1) break;
       Instance candidate = WithoutFact(current, fact);
-      if (CachedExistsInstanceHomomorphism(current, candidate)) {
+      if (ExistsInstanceHomomorphism(current, candidate)) {
         current = std::move(candidate);
         changed = true;
         break;
@@ -47,7 +46,7 @@ bool IsCore(const Instance& instance) {
   for (const Fact& fact : instance.Facts()) {
     if (instance.NumFacts() <= 1) return true;
     Instance candidate = WithoutFact(instance, fact);
-    if (CachedExistsInstanceHomomorphism(instance, candidate)) return false;
+    if (ExistsInstanceHomomorphism(instance, candidate)) return false;
   }
   return true;
 }
@@ -55,8 +54,8 @@ bool IsCore(const Instance& instance) {
 bool HomomorphicallyEquivalentViaCore(const Instance& a,
                                       const Instance& b) {
   Instance core_a = ComputeCore(a);
-  return CachedExistsInstanceHomomorphism(core_a, b) &&
-         CachedExistsInstanceHomomorphism(b, core_a);
+  return ExistsInstanceHomomorphism(core_a, b) &&
+         ExistsInstanceHomomorphism(b, core_a);
 }
 
 }  // namespace qimap

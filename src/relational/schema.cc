@@ -1,5 +1,7 @@
 #include "relational/schema.h"
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
@@ -58,8 +60,10 @@ Result<Schema> Schema::Parse(std::string_view text) {
     std::string name(StripWhitespace(decl.substr(0, slash)));
     std::string arity_str(StripWhitespace(decl.substr(slash + 1)));
     char* end = nullptr;
-    long arity = std::strtol(arity_str.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || arity <= 0) {
+    errno = 0;
+    long long arity = std::strtoll(arity_str.c_str(), &end, 10);
+    if (end == nullptr || *end != '\0' || arity <= 0 || errno == ERANGE ||
+        arity > static_cast<long long>(UINT32_MAX)) {
       return Status::InvalidArgument("bad arity in declaration: " + decl);
     }
     QIMAP_ASSIGN_OR_RETURN(RelationId unused,

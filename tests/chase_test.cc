@@ -28,6 +28,16 @@ TEST(ChaseTest, ExistentialCreatesFreshNulls) {
   EXPECT_NE(facts[0].tuple[1], facts[1].tuple[1]);
 }
 
+TEST(ChaseTest, FreshNullsClearTheLargestInputLabel) {
+  SchemaMapping m =
+      MustParseMapping("P/1", "Q/2", "P(x) -> exists z: Q(x,z)");
+  Instance src = MustParseInstance(m.source, "P(_N0), P(_N2147483647)");
+  Instance result = MustChase(src, m);
+  EXPECT_EQ(result.ToString(),
+            "Q(_N0,_N2147483648), Q(_N2147483647,_N2147483649)");
+  EXPECT_TRUE(IsSolution(m, src, result));
+}
+
 TEST(ChaseTest, ResultIsUniversalSolution) {
   SchemaMapping m = MustParseMapping(
       "P/2", "Q/2", "P(x,y) -> exists z: Q(x,z) & Q(z,y)");

@@ -193,7 +193,6 @@ TEST(ContainmentMetamorphicTest, CanonicalTelemetryIdenticalAcrossThreads) {
     SchemaMapping weak = Weaken(s.mapping, 1);
     ContainmentOptions options;
     options.num_threads = threads;
-    options.use_solution_cache = false;  // exercise the live chase path
     Result<ContainmentReport> report =
         CheckContainment(s.mapping, weak, options);
     ASSERT_TRUE(report.ok()) << report.status().ToString();

@@ -152,7 +152,6 @@ TEST(ContainmentTest, BudgetTripYieldsFlaggedPartialReport) {
   Budget budget(spec);
   ContainmentOptions options;
   options.budget = &budget;
-  options.use_solution_cache = false;  // the governed path, uncached
   ContainmentReport partial;
   options.partial_out = &partial;
   // Renamed variables force the chase path; the one-step budget trips

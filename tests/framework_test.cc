@@ -2,6 +2,7 @@
 
 #include "core/framework.h"
 #include "dependency/parser.h"
+#include "obs/metrics.h"
 #include "relational/instance_enum.h"
 #include "workload/paper_catalog.h"
 
@@ -195,6 +196,28 @@ TEST(FrameworkTest, ReportStatisticsPopulated) {
   EXPECT_GT(report.space_size, 0u);
   EXPECT_GT(report.sim_classes, 0u);
   EXPECT_LE(report.sim_classes, report.space_size);
+}
+
+uint64_t ChaseRuns() {
+  auto counters = obs::SnapshotMetrics().counters;
+  auto it = counters.find("chase.runs");
+  return it != counters.end() ? it->second : 0;
+}
+
+// Prepare() chases every enumerated instance once; class saturation and
+// the subset-property walk must reuse those chases instead of re-running
+// them.
+TEST(FrameworkTest, OneChasePerEnumeratedInstance) {
+  for (const SchemaMapping& m : {catalog::Decomposition(), catalog::Union()}) {
+    FrameworkChecker checker(m, SmallSpace());
+    uint64_t before = ChaseRuns();
+    MustCheck(checker.CheckUniqueSolutions());
+    MustCheck(checker.CheckSubsetProperty(EquivKind::kSimM, EquivKind::kSimM));
+    MustCheck(
+        checker.CheckSubsetProperty(EquivKind::kEquality, EquivKind::kSimM));
+    EXPECT_EQ(ChaseRuns() - before, checker.Instances().size())
+        << m.ToString();
+  }
 }
 
 }  // namespace

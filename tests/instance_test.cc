@@ -105,6 +105,31 @@ TEST(InstanceTest, ParseNullTokens) {
   EXPECT_TRUE(domain[1].IsNull());
 }
 
+TEST(InstanceTest, ParseRejectsOutOfRangeNullLabels) {
+  SchemaPtr schema = MakeSchema("P/1");
+  // Labels past uint32 used to truncate (_N4294967296 parsed as _N0) or
+  // saturate (the 20-digit label parsed as _N4294967295).
+  for (const char* text :
+       {"P(_N4294967296)", "P(_N99999999999999999999)", "P(_N4294967295)",
+        "P(_N2147483648)"}) {
+    Result<Instance> inst = ParseInstance(schema, text);
+    ASSERT_FALSE(inst.ok()) << text;
+    EXPECT_EQ(inst.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(inst.status().message().find("null label out of range"),
+              std::string::npos)
+        << inst.status().ToString();
+  }
+}
+
+TEST(InstanceTest, ParseAcceptsTheLargestNullLabel) {
+  Instance inst = MustParseInstance(MakeSchema("P/1"), "P(_N2147483647)");
+  ASSERT_EQ(inst.NumFacts(), 1u);
+  Value null = inst.Facts()[0].tuple[0];
+  EXPECT_TRUE(null.IsNull());
+  EXPECT_EQ(null.id(), 2147483647u);
+  EXPECT_EQ(inst.MaxNullLabel(), 2147483647u);
+}
+
 TEST(InstanceTest, FactsOrderedByRelationThenTuple) {
   SchemaPtr schema = TestSchema();
   Instance inst = MustParseInstance(schema, "Q(b), P(b,a), P(a,b)");

@@ -36,7 +36,6 @@ static_assert(!obs::JournalRun::active(),
     sum += journal.RecordMerge("_N1", "_N2", "egd", 0, "x=a");
     sum += journal.RecordRule("rule", "sigma", 0, "x", {1, 2});
     sum += journal.RecordBudget("budget exhausted", "steps", "steps=1");
-    sum += journal.RecordCache("solution cache hit", "solcache", "key");
     sum += journal.IdForFact("P(a)");
   }
   return sum;

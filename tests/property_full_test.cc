@@ -1,20 +1,16 @@
 // Property sweeps for full and GAV mappings: Theorem 4.6 (no Constant
-// needed), conditional quasi-invertibility, saturation invariants, and
-// the disjunctive-chase leaf-dedup option.
+// needed), conditional quasi-invertibility, and saturation invariants.
 
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
 #include "chase/chase.h"
-#include "chase/disjunctive_chase.h"
 #include "core/framework.h"
 #include "core/quasi_inverse.h"
 #include "core/solution_space.h"
-#include "dependency/parser.h"
 #include "relational/homomorphism.h"
 #include "relational/instance_core.h"
 #include "relational/instance_enum.h"
-#include "workload/paper_catalog.h"
 #include "workload/random_mappings.h"
 #include "random_testing.h"
 
@@ -109,44 +105,6 @@ TEST_P(FullSeededTest, SaturationIsEquivalentMaximum) {
     }
     return true;
   });
-}
-
-TEST(DisjunctiveChaseDedupTest, EquivalentLeavesDropped) {
-  // The projection's reverse rule recovers P(a,_N) twice along different
-  // branches only when disjunctions multiply; use Union's quasi-inverse
-  // on symmetric input, where branch order produces equivalent leaf sets.
-  SchemaMapping m = catalog::Union();
-  ReverseMapping rev = MustParseReverseMapping(
-      m, "S(x) -> P(x) | P(x)");  // two identical disjuncts
-  Instance u = MustParseInstance(m.target, "S(a), S(b)");
-  DisjunctiveChaseOptions plain;
-  std::vector<Instance> all = MustDisjunctiveChase(u, rev, plain);
-  DisjunctiveChaseOptions dedup;
-  dedup.dedup_equivalent_leaves = true;
-  std::vector<Instance> reduced = MustDisjunctiveChase(u, rev, dedup);
-  EXPECT_LE(reduced.size(), all.size());
-  EXPECT_EQ(reduced.size(), 1u);  // all branches agree up to equality
-}
-
-TEST(DisjunctiveChaseDedupTest, RoundTripUnaffectedByDedup) {
-  SchemaMapping m = catalog::Union();
-  ReverseMapping rev = catalog::UnionQuasiInverseDisjunctive(m);
-  Instance u = MustParseInstance(m.target, "S(a), S(b), S(c)");
-  DisjunctiveChaseOptions dedup;
-  dedup.dedup_equivalent_leaves = true;
-  std::vector<Instance> plain_leaves = MustDisjunctiveChase(u, rev);
-  std::vector<Instance> dedup_leaves = MustDisjunctiveChase(u, rev, dedup);
-  // Every plain leaf has an equivalent representative in the deduped set.
-  for (const Instance& leaf : plain_leaves) {
-    bool represented = false;
-    for (const Instance& kept : dedup_leaves) {
-      if (HomomorphicallyEquivalent(leaf, kept)) {
-        represented = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(represented) << leaf.ToString();
-  }
 }
 
 }  // namespace

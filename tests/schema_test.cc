@@ -57,6 +57,13 @@ TEST(SchemaTest, ParseErrors) {
   EXPECT_FALSE(Schema::Parse("/2").ok());
 }
 
+TEST(SchemaTest, ParseRejectsAritiesBeyondUint32) {
+  // 4294967297 used to wrap to arity 1.
+  EXPECT_FALSE(Schema::Parse("P/4294967297").ok());
+  EXPECT_FALSE(Schema::Parse("P/4294967296").ok());
+  EXPECT_FALSE(Schema::Parse("P/99999999999999999999").ok());
+}
+
 TEST(SchemaTest, ParseEmptyIsEmptySchema) {
   Result<Schema> schema = Schema::Parse("");
   ASSERT_TRUE(schema.ok());

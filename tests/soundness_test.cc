@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "core/lav_quasi_inverse.h"
 #include "core/quasi_inverse.h"
 #include "core/soundness.h"
 #include "dependency/parser.h"
 #include "relational/homomorphism.h"
 #include "workload/paper_catalog.h"
+#include "workload/scenario_gen.h"
 
 namespace qimap {
 namespace {
@@ -120,6 +122,40 @@ TEST(SoundnessTest, SoundButNotFaithfulReverseMapping) {
   RoundTrip trip = MustRoundTrip(m, lossy, i);
   EXPECT_TRUE(trip.sound);
   EXPECT_FALSE(trip.faithful);
+}
+
+// Thms 6.7/6.8 over generated mappings in the shape of perfbench's
+// roundtrip corpus: LAV and GAV alternate over the chain, star and cycle
+// topologies, each with 2 tgds of fan-out 1, arity <= 2, at most one
+// existential, and a matched 4-fact source instance.
+TEST(SoundnessTest, GeneratedScenariosRoundTripSoundAndFaithful) {
+  constexpr BodyTopology kTopologies[] = {
+      BodyTopology::kChain, BodyTopology::kStar, BodyTopology::kCycle};
+  for (uint64_t i = 0; i < 240; ++i) {
+    ScenarioConfig config;
+    config.family = i % 2 == 0 ? ScenarioFamily::kLav : ScenarioFamily::kGav;
+    config.topology = kTopologies[(i / 2) % 3];
+    config.body_atoms = 2;  // GAV joins; LAV pins it to 1
+    config.fan_out = 1;
+    config.num_source_relations = 3;
+    config.num_target_relations = 3;
+    config.max_arity = 2;
+    config.num_tgds = 2;
+    config.max_existential_vars = 1;
+    Scenario s = GenerateScenario(config, 6700 + i, 4);
+    SCOPED_TRACE(CorpusCaseToString(s));
+    Result<ReverseMapping> rev = QuasiInverse(s.mapping);
+    ASSERT_TRUE(rev.ok()) << rev.status();
+    ASSERT_FALSE(rev->partial);
+    RoundTrip trip = MustRoundTrip(s.mapping, *rev, s.source);
+    EXPECT_TRUE(trip.sound);
+    EXPECT_TRUE(trip.faithful);
+    if (config.family == ScenarioFamily::kLav) {
+      Result<ReverseMapping> lav = LavQuasiInverse(s.mapping);
+      ASSERT_TRUE(lav.ok()) << lav.status();
+      EXPECT_TRUE(MustRoundTrip(s.mapping, *lav, s.source).sound);
+    }
+  }
 }
 
 }  // namespace

@@ -41,7 +41,6 @@
 #include "chase/chase.h"
 #include "chase/chase_checkpoint.h"
 #include "chase/match_plan.h"
-#include "chase/solution_cache.h"
 #include "relational/cost_model.h"
 #include "core/containment.h"
 #include "core/framework.h"
@@ -140,9 +139,8 @@ const tools::ArgSpec& CliSpec() {
         "max-memory-mb", "max-nulls",   "max-steps",   "delta",
         "profile-out",   "progress-out", "progress-interval", "ledger",
         "case",          "contained-in", "plan-out"};
-    spec.bool_flags = {"verbose", "version", "help",     "incremental",
-                       "solution-cache", "profile", "progress", "quiet",
-                       "plan"};
+    spec.bool_flags = {"verbose", "version", "help", "incremental",
+                       "profile", "progress", "quiet", "plan"};
     return spec;
   }();
   return kSpec;
@@ -170,9 +168,6 @@ int Usage() {
       "(same output as a\n"
       "             full re-chase; chase.delta.* counters show the "
       "saving)\n"
-      "         --solution-cache    serve the chase through the "
-      "fingerprint-keyed\n"
-      "             solution cache (solcache.* counters)\n"
       "limits:    --max-steps N       shared budget on chase/search steps\n"
       "           --deadline-ms N     wall-clock deadline for the whole "
       "run\n"
@@ -343,8 +338,7 @@ int RunChase(const Args& args, const SchemaMapping& m) {
     std::printf("%s\n", resumed->ToString().c_str());
     return 0;
   }
-  Result<Instance> u = args.Has("solution-cache") ? CachedChase(i, m, options)
-                                                  : Chase(i, m, options);
+  Result<Instance> u = Chase(i, m, options);
   if (!u.ok()) {
     std::fprintf(stderr, "%s\n", u.status().ToString().c_str());
     PrintBudgetSummary("chase facts", partial.NumFacts());
@@ -596,7 +590,6 @@ int RunContains(const Args& args, const SchemaMapping& m) {
   ContainmentOptions options;
   options.budget = g_budget;
   options.num_threads = g_threads;
-  options.use_solution_cache = args.Has("solution-cache");
   ContainmentReport partial;
   if (g_budget != nullptr) options.partial_out = &partial;
   Result<ContainmentReport> report = CheckContainment(m, super, options);

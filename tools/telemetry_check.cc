@@ -31,8 +31,6 @@
 //   --incremental  metrics snapshot with nonzero chase.delta.runs and
 //              chase.delta.checks_skipped counters — proves a chase
 //              resumed from a checkpoint and replayed prior work
-//   --solcache metrics snapshot with a nonzero solcache.hits counter —
-//              proves the solution cache served a memoized result
 //   --containment  metrics snapshot with nonzero containment.runs and
 //              containment.tgds_checked counters — proves the mapping-
 //              containment oracle ran and decided dependencies
@@ -288,8 +286,7 @@ bool CheckIdArray(const char* path, const obs::JsonValue& event,
 
 bool IsKnownKind(const std::string& kind) {
   return kind == "base" || kind == "fact" || kind == "null" ||
-         kind == "merge" || kind == "rule" || kind == "budget" ||
-         kind == "cache";
+         kind == "merge" || kind == "rule" || kind == "budget";
 }
 
 // An incremental chase resume flushes the chase.delta.* family: runs must
@@ -315,23 +312,6 @@ bool CheckIncremental(const char* path) {
     return Fail(path,
                 "no nonzero 'chase.delta.checks_skipped' counter — the "
                 "resume redid every satisfaction check");
-  }
-  return true;
-}
-
-// A run that reused a memoized chase result flushes solcache.hits.
-bool CheckSolutionCache(const char* path) {
-  Result<obs::JsonValue> doc = obs::ParseJsonFile(path);
-  if (!doc.ok()) return Fail(path, doc.status().ToString());
-  const obs::JsonValue* counters = FindCounters(*doc);
-  if (counters == nullptr) {
-    return Fail(path, "no 'counters' object (top level or under 'metrics')");
-  }
-  const obs::JsonValue* hits = counters->Find("solcache.hits");
-  if (hits == nullptr || !hits->IsNumber() || hits->number_value <= 0) {
-    return Fail(path,
-                "no nonzero 'solcache.hits' counter — the solution cache "
-                "never served a result");
   }
   return true;
 }
@@ -965,7 +945,7 @@ int Usage() {
                "[--journal FILE] [--explain FILE]\n"
                "                       [--parallel FILE] [--sharded FILE] "
                "[--budget FILE] "
-               "[--incremental FILE] [--solcache FILE]\n"
+               "[--incremental FILE]\n"
                "                       [--containment FILE] [--profile "
                "FILE] [--progress FILE] [--ledger FILE]\n"
                "                       [--plan FILE] "
@@ -988,7 +968,7 @@ int Main(int argc, char** argv) {
     tools::ArgSpec spec;
     for (const char* name :
          {"trace", "metrics", "journal", "explain", "parallel", "sharded",
-          "budget", "incremental", "solcache", "containment", "profile",
+          "budget", "incremental", "containment", "profile",
           "progress", "ledger", "plan"}) {
       spec.multi_value_flags[name] = 1;
     }
@@ -1017,8 +997,6 @@ int Main(int argc, char** argv) {
         ok = CheckBudget(file) && ok;
       } else if (occ.flag == "incremental") {
         ok = CheckIncremental(file) && ok;
-      } else if (occ.flag == "solcache") {
-        ok = CheckSolutionCache(file) && ok;
       } else if (occ.flag == "containment") {
         ok = CheckContainment(file) && ok;
       } else if (occ.flag == "profile") {
