@@ -22,8 +22,8 @@ namespace qimap {
 /// injectable clock), approximate memory bytes, and generated labeled
 /// nulls — and observes a cooperative `Cancellation` token that the
 /// thread pool also checks between tasks. One `Budget` may be shared
-/// across a whole pipeline composition (QuasiInverse -> MinGen -> inner
-/// chases) so the limits bound the end-to-end run, not each stage
+/// across a whole pipeline composition (QuasiInverse -> its MinGen
+/// searches) so the limits bound the end-to-end run, not each stage
 /// separately.
 ///
 /// A budget trips at most once and is sticky: the first limit violation

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "base/budget.h"
 #include "chase/chase.h"
+#include "core/sigma_star.h"
 #include "obs/budget_obs.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
@@ -23,19 +26,15 @@ void FlushMinGenMetrics(const MinGenStats& st) {
   static const obs::MetricId kRuns = obs::RegisterCounter("mingen.runs");
   static const obs::MetricId kCandidates =
       obs::RegisterCounter("mingen.candidates");
-  static const obs::MetricId kDedup =
-      obs::RegisterCounter("mingen.dedup_pruned");
+  static const obs::MetricId kCovers = obs::RegisterCounter("mingen.covers");
   static const obs::MetricId kDominated =
       obs::RegisterCounter("mingen.dominated_pruned");
-  static const obs::MetricId kTests =
-      obs::RegisterCounter("mingen.generator_tests");
   static const obs::MetricId kGenerators =
       obs::RegisterCounter("mingen.generators");
   obs::CounterAdd(kRuns);
   obs::CounterAdd(kCandidates, st.candidates);
-  obs::CounterAdd(kDedup, st.dedup_pruned);
+  obs::CounterAdd(kCovers, st.covers);
   obs::CounterAdd(kDominated, st.dominated_pruned);
-  obs::CounterAdd(kTests, st.generator_tests);
   obs::CounterAdd(kGenerators, st.generators);
 }
 
@@ -43,48 +42,6 @@ void FlushMinGenMetrics(const MinGenStats& st) {
 // dependencies, so they never collide with user variables).
 Value FreshZ(size_t index) {
   return Value::MakeVariable("#z" + std::to_string(index + 1));
-}
-
-bool ContainsAllX(const Conjunction& beta, const std::vector<Value>& x) {
-  std::set<Value> vars = VariableSetOf(beta);
-  for (const Value& v : x) {
-    if (vars.count(v) == 0) return false;
-  }
-  return true;
-}
-
-// Near-canonical key for a candidate conjunction, up to renaming of the
-// fresh #z variables: sort, rename by first occurrence, sort, rename,
-// render. Imperfect canonicalization only costs duplicated search work;
-// the final minimization deduplicates exactly.
-std::string CanonicalKey(Conjunction conj, const std::set<Value>& x_set) {
-  for (int round = 0; round < 2; ++round) {
-    std::sort(conj.begin(), conj.end());
-    std::map<Value, Value> rename;
-    size_t next = 0;
-    for (Atom& atom : conj) {
-      for (Value& v : atom.args) {
-        if (!v.IsVariable() || x_set.count(v) > 0) continue;
-        auto it = rename.find(v);
-        if (it == rename.end()) {
-          it = rename.emplace(v, FreshZ(next++)).first;
-        }
-        v = it->second;
-      }
-    }
-  }
-  std::sort(conj.begin(), conj.end());
-  std::string key;
-  for (const Atom& atom : conj) {
-    key += std::to_string(atom.relation);
-    key += '(';
-    for (const Value& v : atom.args) {
-      key += v.ToString();
-      key += ',';
-    }
-    key += ')';
-  }
-  return key;
 }
 
 // Backtracking embedding of `small`'s atoms into `big`'s atoms where the
@@ -137,58 +94,274 @@ bool Embed(const Conjunction& small, const Conjunction& big,
   return false;
 }
 
-// Enumerates every atom that may extend a candidate that currently uses
-// `used_z` fresh variables: arguments come from `x`, the used fresh
-// variables, or new fresh variables introduced left-to-right in index
-// order.
-void EnumerateAtoms(const Schema& schema, const std::vector<Value>& x,
-                    size_t used_z, std::vector<Atom>* out) {
-  for (RelationId r = 0; r < schema.size(); ++r) {
-    uint32_t arity = schema.relation(r).arity;
-    // Recursive position filling.
-    struct Filler {
-      const std::vector<Value>& x;
-      uint32_t arity;
-      RelationId relation;
-      std::vector<Atom>* out;
-      std::vector<Value> args;
-
-      void Fill(size_t pos, size_t z_avail, size_t z_base) {
-        if (pos == arity) {
-          out->push_back(Atom{relation, args});
-          return;
-        }
-        for (const Value& v : x) {
-          args.push_back(v);
-          Fill(pos + 1, z_avail, z_base);
-          args.pop_back();
-        }
-        for (size_t i = 0; i < z_avail; ++i) {
-          args.push_back(FreshZ(i));
-          Fill(pos + 1, z_avail, z_base);
-          args.pop_back();
-        }
-        // Introduce the next fresh variable (exactly one new choice keeps
-        // the enumeration canonical up to renaming).
-        args.push_back(FreshZ(z_avail));
-        Fill(pos + 1, z_avail + 1, z_base);
-        args.pop_back();
-      }
-    };
-    Filler filler{x, arity, r, out, {}};
-    filler.Fill(0, used_z, used_z);
-  }
-}
-
-size_t CountFreshZ(const Conjunction& conj, const std::set<Value>& x_set) {
-  std::set<Value> fresh;
+bool OverVariables(const Conjunction& conj) {
   for (const Atom& atom : conj) {
     for (const Value& v : atom.args) {
-      if (v.IsVariable() && x_set.count(v) == 0) fresh.insert(v);
+      if (!v.IsVariable()) return false;
     }
   }
-  return fresh.size();
+  return true;
 }
+
+// An atom over small integers: variable numbers inside a NumberedTgd or
+// psi, argument codes inside a rewriting (code `c < |x|` is x[c], code
+// `|x| + k` the k-th fresh variable).
+struct CodedAtom {
+  RelationId relation = 0;
+  std::vector<uint32_t> args;
+
+  friend bool operator==(const CodedAtom&, const CodedAtom&) = default;
+  friend auto operator<=>(const CodedAtom&, const CodedAtom&) = default;
+};
+
+// Numbers the variables of `conj` in first-occurrence order, extending
+// `vars` (the number of a variable is its index there).
+std::vector<CodedAtom> NumberAtoms(const Conjunction& conj,
+                                   std::vector<Value>* vars) {
+  std::vector<CodedAtom> out;
+  for (const Atom& atom : conj) {
+    CodedAtom coded{atom.relation, {}};
+    for (const Value& v : atom.args) {
+      auto it = std::find(vars->begin(), vars->end(), v);
+      coded.args.push_back(static_cast<uint32_t>(it - vars->begin()));
+      if (it == vars->end()) vars->push_back(v);
+    }
+    out.push_back(std::move(coded));
+  }
+  return out;
+}
+
+// A tgd with its variables numbered, the universal (lhs) ones first.
+struct NumberedTgd {
+  std::vector<CodedAtom> lhs;
+  std::vector<CodedAtom> rhs;
+  uint32_t num_universal = 0;
+  uint32_t num_vars = 0;
+};
+
+NumberedTgd NumberTgd(const Tgd& tgd) {
+  NumberedTgd out;
+  std::vector<Value> vars;
+  out.lhs = NumberAtoms(tgd.lhs, &vars);
+  out.num_universal = static_cast<uint32_t>(vars.size());
+  out.rhs = NumberAtoms(tgd.rhs, &vars);
+  out.num_vars = static_cast<uint32_t>(vars.size());
+  return out;
+}
+
+// Steps `digits` to the next tuple of a mixed-radix counter; false after
+// the last tuple.
+bool Advance(std::vector<size_t>* digits, const std::vector<size_t>& radix) {
+  for (size_t i = digits->size(); i-- > 0;) {
+    if (++(*digits)[i] < radix[i]) return true;
+    (*digits)[i] = 0;
+  }
+  return false;
+}
+
+// Union-find over psi's variables and the cover's tgd-copy variables.
+class UnionFind {
+ public:
+  void Reset(size_t n) {
+    parent_.resize(n);
+    std::iota(parent_.begin(), parent_.end(), 0u);
+  }
+  uint32_t Find(uint32_t a) {
+    while (parent_[a] != a) a = parent_[a] = parent_[parent_[a]];
+    return a;
+  }
+  void Union(uint32_t a, uint32_t b) { parent_[Find(a)] = Find(b); }
+
+ private:
+  std::vector<uint32_t> parent_;
+};
+
+// What a cover resolves psi atom i against: the tgd of its block and the
+// index of the conclusion atom in that tgd's rhs.
+struct Resolvent {
+  uint32_t tgd = 0;
+  uint32_t conclusion = 0;
+};
+
+constexpr uint32_t kNone = ~0u;
+
+// psi and Sigma numbered for unification. Node ids: psi's variables come
+// first, then each block's renamed-apart tgd copy.
+class Resolver {
+ public:
+  Resolver(const SchemaMapping& m, const Conjunction& psi,
+           const std::vector<Value>& x)
+      : num_x_(static_cast<uint32_t>(x.size())) {
+    std::vector<Value> psi_vars;
+    psi_ = NumberAtoms(psi, &psi_vars);
+    for (const Value& v : psi_vars) {
+      auto it = std::find(x.begin(), x.end(), v);
+      x_of_node_.push_back(
+          it == x.end() ? kNone : static_cast<uint32_t>(it - x.begin()));
+    }
+    for (const Tgd& tgd : m.tgds) tgds_.push_back(NumberTgd(tgd));
+    matches_.assign(psi_.size(),
+                    std::vector<std::vector<uint32_t>>(tgds_.size()));
+    for (size_t i = 0; i < psi_.size(); ++i) {
+      for (size_t t = 0; t < tgds_.size(); ++t) {
+        for (size_t c = 0; c < tgds_[t].rhs.size(); ++c) {
+          if (tgds_[t].rhs[c].relation == psi_[i].relation) {
+            matches_[i][t].push_back(static_cast<uint32_t>(c));
+          }
+        }
+      }
+    }
+  }
+
+  // Conclusion atoms of tgd `t` with psi atom `i`'s relation.
+  const std::vector<uint32_t>& matches(size_t i, size_t t) const {
+    return matches_[i][t];
+  }
+  // Variables a cover renames apart: one copy of a tgd per block.
+  size_t CopyVariables(const std::vector<size_t>& block_tgd) const {
+    size_t total = 0;
+    for (size_t t : block_tgd) total += tgds_[t].num_vars;
+    return total;
+  }
+
+  // Unifies every psi atom with its resolvent in the copy of its block
+  // (`block_tgd[b]` is block b's tgd). MiniCon's rule rejects the cover
+  // when a class holds two x variables, or an existential together with
+  // an x, a universal or a second existential variable. Otherwise returns
+  // the rewriting, the copies' premises, with each class coded as its x
+  // or as a fresh variable numbered by first occurrence.
+  bool Rewrite(const std::vector<size_t>& block,
+               const std::vector<size_t>& block_tgd,
+               const std::vector<Resolvent>& cover,
+               std::vector<CodedAtom>* rewriting, uint32_t* num_fresh) {
+    const uint32_t num_psi = static_cast<uint32_t>(x_of_node_.size());
+    std::vector<uint32_t> base(block_tgd.size());
+    uint32_t nodes = num_psi;
+    for (size_t b = 0; b < block_tgd.size(); ++b) {
+      base[b] = nodes;
+      nodes += tgds_[block_tgd[b]].num_vars;
+    }
+    uf_.Reset(nodes);
+    for (size_t i = 0; i < psi_.size(); ++i) {
+      const CodedAtom& atom = psi_[i];
+      const CodedAtom& conclusion =
+          tgds_[cover[i].tgd].rhs[cover[i].conclusion];
+      for (size_t p = 0; p < atom.args.size(); ++p) {
+        uf_.Union(atom.args[p], base[block[i]] + conclusion.args[p]);
+      }
+    }
+    // Per class: its x (kNone if none), universal and existential counts.
+    class_x_.assign(nodes, kNone);
+    universals_.assign(nodes, 0);
+    existentials_.assign(nodes, 0);
+    for (uint32_t node = 0; node < num_psi; ++node) {
+      if (x_of_node_[node] == kNone) continue;
+      uint32_t root = uf_.Find(node);
+      if (class_x_[root] != kNone) return false;
+      class_x_[root] = x_of_node_[node];
+    }
+    for (size_t b = 0; b < block_tgd.size(); ++b) {
+      const NumberedTgd& tgd = tgds_[block_tgd[b]];
+      for (uint32_t v = 0; v < tgd.num_vars; ++v) {
+        uint32_t root = uf_.Find(base[b] + v);
+        ++(v < tgd.num_universal ? universals_ : existentials_)[root];
+      }
+    }
+    for (uint32_t root = 0; root < nodes; ++root) {
+      if (existentials_[root] > 0 &&
+          (existentials_[root] > 1 || universals_[root] > 0 ||
+           class_x_[root] != kNone)) {
+        return false;
+      }
+    }
+    // Premise variables are universal, so their classes hold no
+    // existential: each is its x or a fresh variable.
+    rewriting->clear();
+    *num_fresh = 0;
+    for (size_t b = 0; b < block_tgd.size(); ++b) {
+      for (const CodedAtom& premise : tgds_[block_tgd[b]].lhs) {
+        CodedAtom coded{premise.relation, {}};
+        for (uint32_t v : premise.args) {
+          uint32_t root = uf_.Find(base[b] + v);
+          if (class_x_[root] == kNone) {
+            class_x_[root] = num_x_ + (*num_fresh)++;
+          }
+          coded.args.push_back(class_x_[root]);
+        }
+        rewriting->push_back(std::move(coded));
+      }
+    }
+    return true;
+  }
+
+ private:
+  uint32_t num_x_;
+  std::vector<CodedAtom> psi_;
+  std::vector<uint32_t> x_of_node_;
+  std::vector<NumberedTgd> tgds_;
+  std::vector<std::vector<std::vector<uint32_t>>> matches_;
+  UnionFind uf_;
+  std::vector<uint32_t> class_x_;
+  std::vector<uint32_t> universals_;
+  std::vector<uint32_t> existentials_;
+};
+
+// Calls `visit(theta)` for every substitution that fixes x and sends the
+// rewriting's `num_fresh` fresh variables to x variables or to each
+// other: a restricted-growth string where `theta[k] < num_x` sends fresh
+// variable k to x[theta[k]] and `theta[k] = num_x + b` puts it in fresh
+// block b. Stops at the first non-OK status.
+template <typename Visit>
+Status ForEachSpecialization(uint32_t num_x, uint32_t num_fresh,
+                             std::vector<uint32_t>* theta, uint32_t blocks,
+                             Visit& visit) {
+  size_t k = theta->size();
+  if (k == num_fresh) return visit(*theta);
+  for (uint32_t code = 0; code <= num_x + blocks; ++code) {
+    theta->push_back(code);
+    Status status = ForEachSpecialization(
+        num_x, num_fresh, theta, code == num_x + blocks ? blocks + 1 : blocks,
+        visit);
+    theta->pop_back();
+    if (!status.ok()) return status;
+  }
+  return Status::OK();
+}
+
+// theta(rewriting) without duplicate atoms, sorted, with its fresh
+// variables renumbered by first occurrence.
+std::vector<CodedAtom> Specialize(const std::vector<CodedAtom>& rewriting,
+                                  const std::vector<uint32_t>& theta,
+                                  uint32_t num_x) {
+  std::vector<CodedAtom> out = rewriting;
+  for (CodedAtom& atom : out) {
+    for (uint32_t& code : atom.args) {
+      if (code >= num_x) code = theta[code - num_x];
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  std::vector<uint32_t> renumber(theta.size(), kNone);
+  uint32_t next = num_x;
+  for (CodedAtom& atom : out) {
+    for (uint32_t& code : atom.args) {
+      if (code < num_x) continue;
+      uint32_t& fresh = renumber[code - num_x];
+      if (fresh == kNone) fresh = next++;
+      code = fresh;
+    }
+  }
+  return out;
+}
+
+// One examined specialization: coded (the sort key), as a conjunction
+// (what IsSubConjunctionUpToRenaming and the caller see), and the index
+// of the cover it came from.
+struct Specialization {
+  std::vector<CodedAtom> coded;
+  Conjunction atoms;
+  size_t cover = 0;
+};
 
 }  // namespace
 
@@ -228,10 +401,7 @@ Result<std::vector<Conjunction>> MinGen(const SchemaMapping& m,
   QIMAP_TRACE_SPAN("mingen/search");
 
   // Profiling: one entry per search unit (the conjunction being
-  // inverted). The frozen-x psi-embedding searches of the generator
-  // tests attribute per-atom to this entry; each test's inner chase
-  // registers and attributes its own dependencies on top, so hot-spot
-  // data aggregates across all of MinGen's chases.
+  // inverted), carrying the search's wall time and outcomes.
   uint32_t prof_dep = obs::kProfileNoDep;
   if (obs::Profiler::Enabled()) {
     prof_dep = obs::Profiler::RegisterDep(
@@ -240,19 +410,12 @@ Result<std::vector<Conjunction>> MinGen(const SchemaMapping& m,
   }
   obs::ProfiledDepScope prof_scope(prof_dep, obs::ProfilePhase::kCollect);
 
-  // Lemma 4.4: minimal generators have at most s1*s2 conjuncts.
-  size_t s1 = 0;
-  for (const Tgd& tgd : m.tgds) s1 = std::max(s1, tgd.lhs.size());
-  size_t max_atoms =
-      options.max_atoms != 0 ? options.max_atoms : s1 * psi.size();
-  std::set<Value> x_set(x.begin(), x.end());
-
   MinGenStats local_stats;
   MinGenStats& st = options.stats != nullptr ? *options.stats : local_stats;
   st = MinGenStats{};
   // Flush whatever was counted on every exit path, including errors. The
-  // profiler entry reuses the same stats: candidates examined land in
-  // triggers_found, minimal generators in fired, pruned candidates in
+  // profiler entry reuses the same stats: specializations examined land
+  // in triggers_found, minimal generators in fired, pruned ones in
   // skipped.
   struct Flusher {
     MinGenStats* st;
@@ -260,140 +423,199 @@ Result<std::vector<Conjunction>> MinGen(const SchemaMapping& m,
     ~Flusher() {
       FlushMinGenMetrics(*st);
       obs::ProfileRecordOutcomes(prof_dep, st->candidates, st->generators,
-                                 st->dedup_pruned + st->dominated_pruned);
+                                 st->dominated_pruned);
     }
   } flusher{&st, prof_dep};
 
-  std::vector<Conjunction> generators;
-  std::vector<Conjunction> frontier = {Conjunction{}};
-  std::set<std::string> seen;
+  bool over_variables = OverVariables(psi);
+  for (const Tgd& tgd : m.tgds) {
+    over_variables =
+        over_variables && OverVariables(tgd.lhs) && OverVariables(tgd.rhs);
+  }
+  if (!over_variables) {
+    return Status::InvalidArgument(
+        "MinGen: psi and the tgds must range over variables");
+  }
 
   // The candidate valve doubles as the run's local step limit; the shared
   // budget adds deadline/memory/null/cancellation governance on top.
   RunBudget guard("MinGen", options.max_candidates, options.budget,
                   "(raise MinGenOptions::max_candidates)");
-  // Heartbeats over the candidate enumeration; the candidate valve is
-  // the natural total (the run cannot outlast it).
+  // Heartbeats over the search; the step valve is the natural total (the
+  // run cannot outlast it).
   obs::ProgressRun progress(
       "mingen",
       [&st]() {
         obs::ProgressSample sample;
-        sample.facts = st.generator_tests;
+        sample.facts = st.covers;
         sample.fired = st.generators;
-        sample.skipped = st.dedup_pruned + st.dominated_pruned;
+        sample.skipped = st.dominated_pruned;
         return sample;
       },
       options.budget);
   progress.SetTotalEstimate(options.max_candidates);
+  auto step = [&]() -> Status {
+    Status tick = guard.Tick();
+    if (tick.ok()) progress.Step();
+    return tick;
+  };
+
+  std::vector<Specialization> found;
   // Ends the search on a budget trip: journal + budget.* metrics, then
-  // the generators found so far (unminimized) as the partial result. The
-  // rule events of a tripped run are never emitted, so the ad-hoc journal
-  // run only ever carries this budget event.
+  // the specializations found so far (generators, unminimized) as the
+  // partial result. The rule events of a tripped run are never emitted,
+  // so the ad-hoc journal run only ever carries this budget event.
   auto trip = [&](Status status) -> Status {
     st.partial = true;
     obs::JournalRun trip_journal("mingen");
     obs::ReportBudgetTrip(trip_journal, guard, status,
                           options.partial_out != nullptr);
     if (options.partial_out != nullptr) {
-      *options.partial_out = std::move(generators);
+      options.partial_out->clear();
+      for (Specialization& s : found) {
+        options.partial_out->push_back(std::move(s.atoms));
+      }
     }
     return status;
   };
 
-  for (size_t size = 1; size <= max_atoms && !frontier.empty(); ++size) {
-    std::vector<Conjunction> next_frontier;
-    for (const Conjunction& current : frontier) {
-      size_t used_z = CountFreshZ(current, x_set);
-      std::vector<Atom> extensions;
-      EnumerateAtoms(*m.source, x, used_z, &extensions);
-      for (const Atom& atom : extensions) {
-        if (std::find(current.begin(), current.end(), atom) !=
-            current.end()) {
+  const uint32_t num_x = static_cast<uint32_t>(x.size());
+  std::vector<Value> fresh_values;
+  Resolver resolver(m, psi, x);
+  // The unified covers, for the journal's account of each generator.
+  std::vector<std::vector<Resolvent>> covers;
+  std::vector<CodedAtom> rewriting;
+  std::vector<uint32_t> theta;
+  auto visit = [&](const std::vector<uint32_t>& subst) -> Status {
+    QIMAP_RETURN_IF_ERROR(step());
+    ++st.candidates;
+    Specialization s;
+    s.coded = Specialize(rewriting, subst, num_x);
+    s.cover = covers.size() - 1;
+    for (const CodedAtom& atom : s.coded) {
+      QIMAP_RETURN_IF_ERROR(guard.ChargeMemory(
+          ApproxFactBytes(atom.args.size(), sizeof(Value))));
+      Atom out{atom.relation, {}};
+      for (uint32_t code : atom.args) {
+        if (code < num_x) {
+          out.args.push_back(x[code]);
           continue;
         }
-        Conjunction child = current;
-        child.push_back(atom);
-        if (options.dedup_candidates) {
-          std::string key = CanonicalKey(child, x_set);
-          if (!seen.insert(std::move(key)).second) {
-            ++st.dedup_pruned;
-            continue;
-          }
+        while (fresh_values.size() <= code - num_x) {
+          fresh_values.push_back(FreshZ(fresh_values.size()));
         }
-        // Strict supersets of a found generator are never minimal.
-        bool dominated = false;
-        for (const Conjunction& g : generators) {
-          if (IsSubConjunctionUpToRenaming(g, child, x)) {
-            dominated = true;
-            break;
-          }
-        }
-        if (dominated) {
-          ++st.dominated_pruned;
-          continue;
-        }
-        {
-          Status tick = guard.Tick();
-          if (!tick.ok()) return trip(std::move(tick));
-        }
-        progress.Step();
-        ++st.candidates;
-        bool is_generator = false;
-        if (ContainsAllX(child, x)) {
-          ++st.generator_tests;
-          Result<bool> tested =
-              IsGenerator(m, child, psi, x, options.budget);
-          if (!tested.ok()) {
-            // The inner chase journals its own trip; here we only hand
-            // back the partial generator list.
-            if (guard.exhausted()) return trip(tested.status());
-            return tested.status();
-          }
-          is_generator = *tested;
-        }
-        if (is_generator) {
-          generators.push_back(std::move(child));
-        } else if (size < max_atoms) {
-          next_frontier.push_back(std::move(child));
-        }
+        out.args.push_back(fresh_values[code - num_x]);
       }
+      s.atoms.push_back(std::move(out));
     }
-    frontier = std::move(next_frontier);
+    found.push_back(std::move(s));
+    return Status::OK();
+  };
+
+  // Covers: a set partition of psi's atoms into blocks, one tgd per block
+  // and, per psi atom, a same-relation conclusion atom of its block's tgd.
+  const size_t n = psi.size();
+  for (const std::vector<size_t>& block : SetPartitions(n)) {
+    size_t num_blocks =
+        n == 0 ? 0 : *std::max_element(block.begin(), block.end()) + 1;
+    // One tgd per block: an odometer over Sigma, skipping choices that
+    // leave some psi atom without a same-relation conclusion atom.
+    if (num_blocks > 0 && m.tgds.empty()) continue;
+    std::vector<size_t> block_tgd(num_blocks, 0);
+    const std::vector<size_t> tgd_radix(num_blocks, m.tgds.size());
+    do {
+      std::vector<size_t> atom_pick(n, 0);
+      std::vector<size_t> atom_radix(n);
+      for (size_t i = 0; i < n; ++i) {
+        atom_radix[i] = resolver.matches(i, block_tgd[block[i]]).size();
+      }
+      if (std::count(atom_radix.begin(), atom_radix.end(), 0u) > 0) continue;
+      std::vector<Resolvent> cover(n);
+      do {
+        Status status = step();
+        if (status.ok()) {
+          status = guard.ChargeNulls(resolver.CopyVariables(block_tgd));
+        }
+        if (!status.ok()) return trip(std::move(status));
+        for (size_t i = 0; i < n; ++i) {
+          size_t t = block_tgd[block[i]];
+          cover[i] = {static_cast<uint32_t>(t),
+                      resolver.matches(i, t)[atom_pick[i]]};
+        }
+        uint32_t num_fresh = 0;
+        if (!resolver.Rewrite(block, block_tgd, cover, &rewriting,
+                              &num_fresh)) {
+          continue;
+        }
+        ++st.covers;
+        covers.push_back(cover);
+        theta.clear();
+        status = ForEachSpecialization(num_x, num_fresh, &theta, 0, visit);
+        if (!status.ok()) return trip(std::move(status));
+      } while (Advance(&atom_pick, atom_radix));
+    } while (Advance(&block_tgd, tgd_radix));
   }
 
-  // Paper's Step 3 (minimize): drop duplicates up to renaming, then any
-  // member containing another as a sub-conjunction. Level-order search
-  // makes strict supersets rare, but near-canonical dedup can leave
-  // renaming-equal twins.
-  std::vector<Conjunction> minimal;
-  for (const Conjunction& g : generators) {
-    bool drop = false;
-    for (const Conjunction& kept : minimal) {
-      if (IsSubConjunctionUpToRenaming(kept, g, x)) {
-        drop = true;
+  // Paper's Step 3 (minimize). Every specialization is a generator, and
+  // every minimal generator is one of them, so the minimal generators are
+  // the minimal specializations. Sorted by size, a specialization is
+  // minimal unless a kept one embeds into it; the same test drops renamed
+  // twins. The pass is quadratic in the specializations, so it still
+  // honors the deadline and cancellation.
+  std::stable_sort(found.begin(), found.end(),
+                   [](const Specialization& a, const Specialization& b) {
+                     if (a.coded.size() != b.coded.size()) {
+                       return a.coded.size() < b.coded.size();
+                     }
+                     return a.coded < b.coded;
+                   });
+  std::vector<Specialization*> minimal;
+  for (Specialization& s : found) {
+    {
+      Status check = guard.Check();
+      if (!check.ok()) return trip(std::move(check));
+    }
+    bool dominated = false;
+    for (const Specialization* kept : minimal) {
+      if (IsSubConjunctionUpToRenaming(kept->atoms, s.atoms, x)) {
+        dominated = true;
         break;
       }
     }
-    if (!drop) minimal.push_back(g);
+    if (dominated) {
+      ++st.dominated_pruned;
+    } else {
+      minimal.push_back(&s);
+    }
   }
   st.generators = minimal.size();
   // Provenance: one rule event per minimal generator, attributing it to
-  // the conjunction it generates; ids flow back through the stats so
-  // QuasiInverse can parent its emitted rules on them.
+  // the conjunction it generates, with the cover that produced it as the
+  // bindings: "psi atom <= #tgd conclusion atom" per psi atom. The ids
+  // flow back through the stats so QuasiInverse can parent its emitted
+  // rules on them.
   obs::JournalRun journal("mingen");
   if (journal.active()) {
     std::string psi_text = ConjunctionToString(psi, *m.target);
-    std::string x_text;
-    for (const Value& v : x) {
-      if (!x_text.empty()) x_text += ", ";
-      x_text += v.ToString();
-    }
-    for (const Conjunction& g : minimal) {
+    for (const Specialization* s : minimal) {
+      std::string bindings;
+      const std::vector<Resolvent>& cover = covers[s->cover];
+      for (size_t i = 0; i < cover.size(); ++i) {
+        if (i > 0) bindings += ", ";
+        bindings += AtomToString(psi[i], *m.target) + " <= #" +
+                    std::to_string(cover[i].tgd) + " " +
+                    AtomToString(m.tgds[cover[i].tgd].rhs[cover[i].conclusion],
+                                 *m.target);
+      }
       st.generator_event_ids.push_back(journal.RecordRule(
-          ConjunctionToString(g, *m.source), psi_text, -1, x_text, {}));
+          ConjunctionToString(s->atoms, *m.source), psi_text, -1, bindings,
+          {}));
     }
   }
-  return minimal;
+  std::vector<Conjunction> out;
+  out.reserve(minimal.size());
+  for (Specialization* s : minimal) out.push_back(std::move(s->atoms));
+  return out;
 }
 
 }  // namespace qimap

@@ -141,8 +141,8 @@ Result<ReverseMapping> QuasiInverse(const SchemaMapping& m,
       options.budget);
   progress.SetTotalEstimate(sigma_star.size());
   // Profiling: one entry per sigma-star member inverted. The MinGen
-  // search (and its inner chases) attribute their own finer-grained
-  // entries; this one carries the per-member wall time and outcome.
+  // search attributes its own entry; this one carries the per-member
+  // wall time and outcome.
   std::vector<uint32_t> prof_deps(sigma_star.size(), obs::kProfileNoDep);
   if (obs::Profiler::Enabled()) {
     for (size_t si = 0; si < sigma_star.size(); ++si) {

@@ -19,8 +19,8 @@ struct QuasiInverseOptions {
   /// disjunct (the paper's remark at the end of Example 4.5).
   bool prune_subsumed_disjuncts = true;
   /// Shared resource governor (see ChaseOptions::budget); also handed to
-  /// the MinGen searches (and their inner chases) unless `mingen.budget`
-  /// was set explicitly, so one budget bounds the whole inversion.
+  /// the MinGen searches unless `mingen.budget` was set explicitly, so
+  /// one budget bounds the whole inversion.
   Budget* budget = nullptr;
   /// Best-effort partial result on a budget trip: the reverse mapping with
   /// the dependencies derived so far, flagged `partial`. See

@@ -253,7 +253,8 @@ TEST(FaultInjectionTest, GovernedPipelinesTripUnderEveryLimitKind) {
   ASSERT_FALSE(tc_reference->failed);
 
   // MinGen + LavQuasiInverse: a LAV mapping whose two existential tgds
-  // mint a null in each prime / candidate chase.
+  // mint a null in each prime chase; MinGen charges a null for each
+  // variable of every tgd copy it renames apart.
   SchemaMapping lav = MustParseMapping(
       "P/2, S/1", "Q/2, R/2",
       "P(x,y) -> exists z: Q(x,z) & R(z,y); S(u) -> exists w: Q(u,w)");

@@ -15,9 +15,11 @@
 #include "chase/disjunctive_chase.h"
 #include "chase/target_chase.h"
 #include "core/inverse.h"
+#include "core/mingen.h"
 #include "core/quasi_inverse.h"
 #include "dependency/parser.h"
 #include "obs/journal.h"
+#include "workload/paper_catalog.h"
 
 namespace qimap {
 namespace {
@@ -269,6 +271,55 @@ TEST_F(JournalTest, QuasiInverseAttributesRulesToGenerators) {
   }
   EXPECT_EQ(rules, reverse->deps.size());
   EXPECT_TRUE(original_tgd_attributed);
+}
+
+// MinGen's generator event says why the generator exists: its bindings
+// are the cover, each psi atom with the tgd and conclusion atom it was
+// resolved against.
+TEST_F(JournalTest, MinGenGeneratorEventsCiteTheirCover) {
+  obs::Journal::Enable();
+  SchemaMapping m = catalog::Example45();
+  Result<Tgd> sigma2 = ParseTgd(
+      *m.source, *m.target, "P(x1,x1,x3) -> exists y: S(x1,x1,y) & Q(y,y)");
+  ASSERT_TRUE(sigma2.ok());
+  std::vector<Value> x = {Value::MakeVariable("x1")};
+  MinGenStats stats;
+  MinGenOptions options;
+  options.stats = &stats;
+  Result<std::vector<Conjunction>> gens = MinGen(m, sigma2->rhs, x, options);
+  ASSERT_TRUE(gens.ok());
+  ASSERT_EQ(stats.generator_event_ids.size(), gens->size());
+
+  // T(w1,x1) & R(w1,w1,w2), one of the paper's four generators.
+  Result<RelationId> t = m.source->FindRelation("T");
+  Result<RelationId> r = m.source->FindRelation("R");
+  ASSERT_TRUE(t.ok() && r.ok());
+  Value w1 = Value::MakeVariable("w1");
+  Value w2 = Value::MakeVariable("w2");
+  Conjunction expected = {{*t, {w1, x[0]}}, {*r, {w1, w1, w2}}};
+  std::vector<obs::JournalEvent> events = obs::Journal::Events();
+  size_t matched = 0;
+  for (size_t i = 0; i < gens->size(); ++i) {
+    const Conjunction& g = (*gens)[i];
+    if (g.size() != expected.size() ||
+        !IsSubConjunctionUpToRenaming(g, expected, x) ||
+        !IsSubConjunctionUpToRenaming(expected, g, x)) {
+      continue;
+    }
+    ++matched;
+    const obs::JournalEvent* event = nullptr;
+    for (const obs::JournalEvent& e : events) {
+      if (e.id == stats.generator_event_ids[i]) event = &e;
+    }
+    ASSERT_NE(event, nullptr);
+    EXPECT_EQ(event->kind, obs::JournalEventKind::kRuleEmitted);
+    EXPECT_EQ(event->pipeline, "mingen");
+    EXPECT_EQ(event->fact, ConjunctionToString(g, *m.source));
+    EXPECT_EQ(event->dependency, "S(x1,x1,y) & Q(y,y)");
+    EXPECT_EQ(event->bindings,
+              "S(x1,x1,y) <= #2 S(x4,x4,x3), Q(y,y) <= #3 Q(x1,x2)");
+  }
+  EXPECT_EQ(matched, 1u);
 }
 
 TEST_F(JournalTest, InverseAttributesRulesToPrimeInstances) {

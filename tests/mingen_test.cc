@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "base/budget.h"
 #include "core/mingen.h"
 #include "core/quasi_inverse.h"
+#include "core/sigma_star.h"
 #include "dependency/parser.h"
 #include "workload/paper_catalog.h"
 
@@ -180,6 +185,150 @@ TEST(MinGenTest, CandidateBudgetEnforced) {
       MinGen(m, sigma1.rhs, sigma1.FrontierVariables(), options);
   EXPECT_FALSE(gens.ok());
   EXPECT_EQ(gens.status().code(), StatusCode::kResourceExhausted);
+}
+
+// A budget trip hands back the specializations found so far: every one
+// is a generator, though not necessarily a minimal one.
+TEST(MinGenTest, PartialResultHoldsOnlyGenerators) {
+  SchemaMapping m = catalog::Example45();
+  Result<Tgd> sigma2 = ParseTgd(
+      *m.source, *m.target, "P(x1,x1,x3) -> exists y: S(x1,x1,y) & Q(y,y)");
+  ASSERT_TRUE(sigma2.ok());
+  std::vector<Value> x = {Var("x1")};
+  MinGenStats stats;
+  std::vector<Conjunction> partial;
+  MinGenOptions options;
+  options.max_candidates = 6;
+  options.stats = &stats;
+  options.partial_out = &partial;
+  Result<std::vector<Conjunction>> gens =
+      MinGen(m, sigma2->rhs, x, options);
+  ASSERT_FALSE(gens.ok());
+  EXPECT_EQ(gens.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(stats.partial);
+  ASSERT_FALSE(partial.empty());
+  for (const Conjunction& g : partial) {
+    Result<bool> is_generator = IsGenerator(m, g, sigma2->rhs, x);
+    ASSERT_TRUE(is_generator.ok());
+    EXPECT_TRUE(*is_generator) << ConjunctionToString(g, *m.source);
+  }
+}
+
+// The minimization pass is quadratic in the specializations, so it
+// checks the deadline too: a clock that runs out just after the last
+// specialization still ends the run, handing back every specialization.
+TEST(MinGenTest, MinimizationHonorsTheDeadline) {
+  SchemaMapping m = catalog::Example45();
+  Result<Tgd> sigma2 = ParseTgd(
+      *m.source, *m.target, "P(x1,x1,x3) -> exists y: S(x1,x1,y) & Q(y,y)");
+  ASSERT_TRUE(sigma2.ok());
+  std::vector<Value> x = {Var("x1")};
+  // A full run counts its clock reads; minimization makes the last one
+  // per specialization.
+  uint64_t reads = 0;
+  BudgetSpec counting;
+  counting.deadline_us = 1000;
+  counting.clock = [&reads] {
+    ++reads;
+    return uint64_t{0};
+  };
+  Budget counted(counting);
+  MinGenStats full;
+  MinGenOptions options;
+  options.stats = &full;
+  options.budget = &counted;
+  ASSERT_TRUE(MinGen(m, sigma2->rhs, x, options).ok());
+  ASSERT_GT(full.candidates, 1u);
+  const uint64_t before_minimization = reads - full.candidates;
+
+  // The same run on a clock that jumps past the deadline right there.
+  uint64_t late_reads = 0;
+  BudgetSpec late;
+  late.deadline_us = 1000;
+  late.clock = [&late_reads, before_minimization] {
+    return ++late_reads > before_minimization ? uint64_t{1} << 40 : 0;
+  };
+  Budget deadline(late);
+  MinGenStats stats;
+  std::vector<Conjunction> partial;
+  options.stats = &stats;
+  options.budget = &deadline;
+  options.partial_out = &partial;
+  Result<std::vector<Conjunction>> gens =
+      MinGen(m, sigma2->rhs, x, options);
+  ASSERT_FALSE(gens.ok());
+  EXPECT_EQ(gens.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(deadline.tripped(), BudgetLimit::kDeadline);
+  EXPECT_TRUE(stats.partial);
+  EXPECT_EQ(stats.candidates, full.candidates);
+  EXPECT_EQ(partial.size(), full.candidates);
+}
+
+// Source relations that no tgd mentions add no cover, so they leave the
+// search, its counters and its answer unchanged. The 1,000-step valve
+// fails any search that enumerates conjunctions over the source schema:
+// these mappings have tens of thousands of candidate conjunctions.
+TEST(MinGenTest, UnusedSourceRelationsDoNotWidenTheSearch) {
+  const char* kJoin = "P(x,y) & R(y,z) -> Q(x,z) & U(z,x)";
+  std::vector<std::string> answers;
+  std::vector<size_t> candidates;
+  std::vector<size_t> covers;
+  for (const char* source :
+       {"P/2, R/2", "P/2, R/2, S/2", "P/2, R/2, S/2, T/2"}) {
+    SCOPED_TRACE(source);
+    SchemaMapping m = MustParseMapping(source, "Q/2, U/2", kJoin);
+    std::string answer;
+    size_t run_candidates = 0;
+    size_t run_covers = 0;
+    for (const Tgd& sigma : SigmaStar(m)) {
+      MinGenStats stats;
+      MinGenOptions options;
+      options.max_candidates = 1000;
+      options.stats = &stats;
+      Result<std::vector<Conjunction>> gens =
+          MinGen(m, sigma.rhs, sigma.FrontierVariables(), options);
+      ASSERT_TRUE(gens.ok()) << gens.status().ToString();
+      for (const Conjunction& g : *gens) {
+        answer += ConjunctionToString(g, *m.source) + "\n";
+      }
+      run_candidates += stats.candidates;
+      run_covers += stats.covers;
+    }
+    answers.push_back(answer);
+    candidates.push_back(run_candidates);
+    covers.push_back(run_covers);
+  }
+  EXPECT_EQ(answers[1], answers[0]);
+  EXPECT_EQ(answers[2], answers[0]);
+  EXPECT_EQ(candidates[1], candidates[0]);
+  EXPECT_EQ(candidates[2], candidates[0]);
+  EXPECT_EQ(covers[1], covers[0]);
+  EXPECT_EQ(covers[2], covers[0]);
+
+  // A LAV mapping with a three-tgd Sigma, under the same valve.
+  SchemaMapping lav = MustParseMapping(
+      "P/3, R/3, S/3", "Q/3, U/3",
+      "P(x,y,w) -> exists z: Q(x,z,w) & U(z,y,w); R(x,y,w) -> U(x,y,w); "
+      "S(x,y,w) -> Q(x,y,y)");
+  for (const Tgd& sigma : SigmaStar(lav)) {
+    MinGenOptions options;
+    options.max_candidates = 1000;
+    Result<std::vector<Conjunction>> gens =
+        MinGen(lav, sigma.rhs, sigma.FrontierVariables(), options);
+    ASSERT_TRUE(gens.ok()) << gens.status().ToString();
+    EXPECT_FALSE(gens->empty());
+  }
+}
+
+// Generators range over variables only, so a psi (or tgd) with a constant
+// argument is rejected instead of resolved as if it were a variable.
+TEST(MinGenTest, RejectsNonVariableArguments) {
+  SchemaMapping m = catalog::Projection();  // P(x,y) -> Q(x)
+  Conjunction psi = m.tgds[0].rhs;
+  psi[0].args[0] = Value::MakeConstant("a");
+  Result<std::vector<Conjunction>> gens = MinGen(m, psi, {});
+  ASSERT_FALSE(gens.ok());
+  EXPECT_EQ(gens.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(MinGenTest, Lemma44BoundRespected) {
