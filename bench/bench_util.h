@@ -8,9 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/ledger.h"
-#include "obs/metrics.h"
-#include "obs/run_meta.h"
+#include "obs/run_record.h"
 
 namespace qimap {
 namespace bench {
@@ -43,10 +41,12 @@ inline void Verdict(bool agrees) {
 }
 
 /// Machine-readable companion of the printed report: collects named,
-/// timed phases and writes `BENCH_<name>.json` containing the phases plus
-/// a full metrics snapshot, so CI can diff counters across runs. The file
-/// lands in `QIMAP_BENCH_OUT_DIR` when that env var is set, else the
-/// working directory.
+/// timed phases and writes the bench's run record (obs/run_record.h) as
+/// `BENCH_<name>.json` — command "bench/<name>", the phases, and the
+/// metrics counters, so CI can diff counters across runs. The file lands
+/// in `QIMAP_BENCH_OUT_DIR` when that env var is set, else the working
+/// directory; under `QIMAP_LEDGER` the same record is appended to the
+/// run ledger, feeding `bench_report --history`.
 ///
 ///   bench::JsonReporter reporter("chase_scaling");
 ///   { bench::JsonReporter::ScopedPhase p(reporter, "n=64"); Run(64); }
@@ -88,79 +88,29 @@ class JsonReporter {
     std::chrono::steady_clock::time_point start_;
   };
 
-  /// Writes the report (atomically: temp + rename); false (with a stderr
-  /// diagnostic) on I/O failure.
+  /// Writes the record (atomically: temp + rename) and, under
+  /// QIMAP_LEDGER, appends it to the ledger; false (with a stderr
+  /// diagnostic) on I/O failure. `elapsed_seconds` is the phases' sum.
   bool Write() const {
-    std::string path = OutputPath();
-    bool ok = obs::WriteFileAtomic(path, ToJson());
-    if (!ok) {
-      std::fprintf(stderr, "JsonReporter: cannot write '%s'\n",
-                   path.c_str());
-    } else {
-      std::printf("  bench report: %s\n", path.c_str());
-    }
-    // QIMAP_LEDGER: the bench run also appends its telemetry record to
-    // the run ledger as "bench/<name>", feeding the longitudinal
-    // `bench_report --history` gate.
+    double total = 0.0;
+    for (const obs::RunRecord::Phase& phase : phases_) total += phase.seconds;
+    obs::RunRecord record =
+        obs::CollectRunRecord("bench/" + name_, nullptr, 0, total);
+    record.phases = phases_;
+    const char* dir = std::getenv("QIMAP_BENCH_OUT_DIR");
+    std::string path = dir != nullptr ? std::string(dir) + "/" : "";
+    path += "BENCH_" + name_ + ".json";
     const char* ledger = std::getenv("QIMAP_LEDGER");
-    if (ledger != nullptr && *ledger != '\0') {
-      obs::Ledger::Enable();
-      double total = 0.0;
-      for (const Phase& phase : phases_) total += phase.seconds;
-      obs::LedgerEntry entry =
-          obs::CollectLedgerEntry("bench/" + name_, nullptr, 0, total);
-      if (!obs::AppendToLedger(ledger, &entry)) {
-        std::fprintf(stderr, "JsonReporter: cannot append to ledger '%s'\n",
-                     ledger);
-        ok = false;
-      }
-    }
+    bool ok = obs::PublishRunRecord(&record, path,
+                                    ledger != nullptr ? ledger : "",
+                                    "JsonReporter");
+    if (ok) std::printf("  bench report: %s\n", path.c_str());
     return ok;
   }
 
-  std::string ToJson() const {
-    std::string out = "{\"bench\":\"" + Escape(name_) +
-                      "\",\"meta\":" + obs::RunMetaJson() + ",\"phases\":[";
-    for (size_t i = 0; i < phases_.size(); ++i) {
-      if (i > 0) out += ',';
-      char seconds[64];
-      std::snprintf(seconds, sizeof(seconds), "%.6f", phases_[i].seconds);
-      out += "{\"name\":\"" + Escape(phases_[i].name) +
-             "\",\"seconds\":" + seconds;
-      if (phases_[i].requires_cores > 0) {
-        out += ",\"requires_cores\":" +
-               std::to_string(phases_[i].requires_cores);
-      }
-      out += "}";
-    }
-    out += "],\"metrics\":" + obs::SnapshotMetrics().ToJson() + "}\n";
-    return out;
-  }
-
  private:
-  std::string OutputPath() const {
-    const char* dir = std::getenv("QIMAP_BENCH_OUT_DIR");
-    std::string path = dir != nullptr ? std::string(dir) + "/" : "";
-    return path + "BENCH_" + name_ + ".json";
-  }
-
-  static std::string Escape(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out;
-  }
-
-  struct Phase {
-    std::string name;
-    double seconds = 0.0;
-    unsigned requires_cores = 0;
-  };
-
   std::string name_;
-  std::vector<Phase> phases_;
+  std::vector<obs::RunRecord::Phase> phases_;
 };
 
 }  // namespace bench

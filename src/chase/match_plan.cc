@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 
@@ -726,12 +727,8 @@ std::string MatchPlan::ToText(const Schema& schema) const {
 
 std::string MatchPlan::ToJson(const Schema& schema) const {
   auto quote = [](const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    out += "\"";
+    std::string out;
+    obs::AppendJsonString(&out, s);
     return out;
   };
   std::string out = "{\"registers\":[";

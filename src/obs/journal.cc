@@ -7,8 +7,9 @@
 #include <unordered_map>
 #include <utility>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/run_meta.h"
+#include "obs/run_record.h"
 
 namespace qimap {
 namespace obs {
@@ -36,29 +37,6 @@ struct JournalState {
     return *state;
   }
 };
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
 
 void AppendIdArray(std::string* out, const char* key,
                    const std::vector<uint64_t>& ids) {
@@ -186,19 +164,19 @@ std::string JournalEvent::ToJson() const {
   std::string out = "{\"id\":" + std::to_string(id) + ",\"kind\":\"";
   out += JournalEventKindName(kind);
   out += "\",\"run\":" + std::to_string(run) + ",\"pipeline\":";
-  AppendEscaped(&out, pipeline);
+  AppendJsonString(&out, pipeline);
   out += ",\"fact\":";
-  AppendEscaped(&out, fact);
+  AppendJsonString(&out, fact);
   if (!dependency.empty()) {
     out += ",\"dep\":";
-    AppendEscaped(&out, dependency);
+    AppendJsonString(&out, dependency);
   }
   if (dep_index >= 0) {
     out += ",\"dep_index\":" + std::to_string(dep_index);
   }
   if (!bindings.empty()) {
     out += ",\"bindings\":";
-    AppendEscaped(&out, bindings);
+    AppendJsonString(&out, bindings);
   }
   AppendIdArray(&out, "parents", parents);
   AppendIdArray(&out, "nulls", nulls);
@@ -348,8 +326,6 @@ uint64_t Append(JournalEvent event) {
 
 }  // namespace internal
 
-#if !defined(QIMAP_OBS_DISABLE_PROVENANCE)
-
 uint64_t JournalRun::RecordBaseFact(const std::string& fact) {
   if (!active_) return 0;
   auto it = fact_ids_.find(fact);
@@ -460,8 +436,6 @@ uint64_t JournalRun::IdForFact(const std::string& fact) const {
   return it != fact_ids_.end() ? it->second : 0;
 }
 
-#endif  // !QIMAP_OBS_DISABLE_PROVENANCE
-
 namespace {
 
 // Builds the tree rooted at `event_id` from the id-indexed events.
@@ -494,7 +468,7 @@ DerivationNode BuildNode(
 
 void AppendTreeJson(std::string* out, const DerivationNode& node) {
   *out += "{\"fact\":";
-  AppendEscaped(out, node.event.fact);
+  AppendJsonString(out, node.event.fact);
   *out += ",\"event\":" + std::to_string(node.event.id);
   *out += ",\"kind\":\"";
   *out += JournalEventKindName(node.event.kind);
@@ -502,14 +476,14 @@ void AppendTreeJson(std::string* out, const DerivationNode& node) {
   *out += node.event.kind == JournalEventKind::kBaseFact ? "true" : "false";
   if (!node.event.dependency.empty()) {
     *out += ",\"dependency\":";
-    AppendEscaped(out, node.event.dependency);
+    AppendJsonString(out, node.event.dependency);
   }
   if (node.event.dep_index >= 0) {
     *out += ",\"dep_index\":" + std::to_string(node.event.dep_index);
   }
   if (!node.event.bindings.empty()) {
     *out += ",\"bindings\":";
-    AppendEscaped(out, node.event.bindings);
+    AppendJsonString(out, node.event.bindings);
   }
   if (node.event.disjunct >= 0) {
     *out += ",\"disjunct\":" + std::to_string(node.event.disjunct);
@@ -519,9 +493,9 @@ void AppendTreeJson(std::string* out, const DerivationNode& node) {
     for (size_t i = 0; i < node.minted_nulls.size(); ++i) {
       if (i > 0) out->push_back(',');
       *out += "{\"null\":";
-      AppendEscaped(out, node.minted_nulls[i].fact);
+      AppendJsonString(out, node.minted_nulls[i].fact);
       *out += ",\"for\":";
-      AppendEscaped(out, node.minted_nulls[i].bindings);
+      AppendJsonString(out, node.minted_nulls[i].bindings);
       out->push_back('}');
     }
     out->push_back(']');

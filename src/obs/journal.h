@@ -26,10 +26,7 @@ namespace obs {
 /// input facts.
 ///
 /// Journaling is off by default. A disabled `JournalRun` costs one
-/// relaxed atomic load per pipeline run and nothing per fact; defining
-/// `QIMAP_OBS_DISABLE_PROVENANCE` (mirroring `QIMAP_OBS_DISABLE_TRACING`)
-/// compiles even that out and turns every record call into a no-op the
-/// optimizer removes.
+/// relaxed atomic load per pipeline run and nothing per fact.
 
 /// What one journal event describes.
 enum class JournalEventKind : uint8_t {
@@ -135,44 +132,6 @@ uint64_t NextRunId();
 uint64_t Append(JournalEvent event);
 }  // namespace internal
 
-#if defined(QIMAP_OBS_DISABLE_PROVENANCE)
-
-/// Compiled-out recorder: every call is a constant no-op (mirrors
-/// QIMAP_OBS_DISABLE_TRACING). Call sites guard string rendering with
-/// `if (journal.active())`, which folds to `if (false)`.
-class JournalRun {
- public:
-  explicit JournalRun(const char*) {}
-  static constexpr bool active() { return false; }
-  uint64_t RecordBaseFact(const std::string&) { return 0; }
-  uint64_t RecordDerivedFact(const std::string&, const std::string&,
-                             int32_t, const std::string&,
-                             std::vector<uint64_t>,
-                             std::vector<uint64_t> = {}, int32_t = -1,
-                             uint64_t = 0) {
-    return 0;
-  }
-  uint64_t RecordNull(const std::string&, const std::string&,
-                      const std::string&, int32_t, uint64_t = 0) {
-    return 0;
-  }
-  uint64_t RecordMerge(const std::string&, const std::string&,
-                       const std::string&, int32_t, const std::string&) {
-    return 0;
-  }
-  uint64_t RecordRule(const std::string&, const std::string&, int32_t,
-                      const std::string&, std::vector<uint64_t>) {
-    return 0;
-  }
-  uint64_t RecordBudget(const std::string&, const std::string&,
-                        const std::string&) {
-    return 0;
-  }
-  uint64_t IdForFact(const std::string&) const { return 0; }
-};
-
-#else
-
 /// Per-run provenance recorder. Constructed at the top of a pipeline run;
 /// when the journal is disabled at runtime, `active()` is false and every
 /// record call returns 0 without touching the journal. The recorder keeps
@@ -243,8 +202,6 @@ class JournalRun {
   const char* pipeline_ = "";
   std::map<std::string, uint64_t> fact_ids_;
 };
-
-#endif  // QIMAP_OBS_DISABLE_PROVENANCE
 
 /// One node of a reconstructed derivation tree: the event plus the
 /// recursively explained parents.

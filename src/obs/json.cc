@@ -189,6 +189,9 @@ class Parser {
     while (pos_ < text_.size()) {
       char c = text_[pos_++];
       if (c == '"') return value;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return Error("unescaped control character in string");
+      }
       if (c != '\\') {
         value.string_value.push_back(c);
         continue;
@@ -300,7 +303,42 @@ Result<JsonValue> ParseJson(std::string_view text) {
   return Parser(text).Parse();
 }
 
-Result<JsonValue> ParseJsonFile(const std::string& path) {
+void AppendJsonString(std::string* out, std::string_view s) {
+  out->push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
+namespace {
+
+Result<std::string> ReadText(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return Status::NotFound("cannot open " + path);
@@ -311,8 +349,40 @@ Result<JsonValue> ParseJsonFile(const std::string& path) {
   while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
     contents.append(buffer, n);
   }
+  bool ok = std::ferror(f) == 0;
   std::fclose(f);
-  return ParseJson(contents);
+  if (!ok) return Status::Internal("cannot read " + path);
+  return contents;
+}
+
+}  // namespace
+
+Result<JsonValue> ParseJsonFile(const std::string& path) {
+  QIMAP_ASSIGN_OR_RETURN(std::string text, ReadText(path));
+  return ParseJson(text);
+}
+
+Result<std::vector<std::pair<size_t, JsonValue>>> ParseJsonLinesFile(
+    const std::string& path) {
+  QIMAP_ASSIGN_OR_RETURN(std::string text, ReadText(path));
+  std::vector<std::pair<size_t, JsonValue>> lines;
+  size_t line_no = 0;
+  size_t pos = 0;
+  while (pos < text.size()) {
+    size_t end = text.find('\n', pos);
+    if (end == std::string::npos) end = text.size();
+    std::string_view line(text.data() + pos, end - pos);
+    pos = end + 1;
+    ++line_no;
+    if (line.empty()) continue;
+    Result<JsonValue> value = ParseJson(line);
+    if (!value.ok()) {
+      return Status::InvalidArgument("line " + std::to_string(line_no) +
+                                     ": " + value.status().message());
+    }
+    lines.emplace_back(line_no, std::move(value).value());
+  }
+  return lines;
 }
 
 }  // namespace obs

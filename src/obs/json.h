@@ -12,11 +12,12 @@ namespace qimap {
 namespace obs {
 
 /// A minimal JSON DOM, just rich enough to validate the telemetry files
-/// the obs layer emits (trace-event JSON, metrics snapshots, bench
-/// reports). Not a general-purpose parser, but strict where it counts:
-/// numbers are doubles validated against the RFC 8259 grammar, strings
-/// decode every escape including \uXXXX (surrogate pairs combine and
-/// decode to UTF-8; malformed or unpaired escapes are parse errors).
+/// the obs layer emits (run records, trace-event JSON, journal and
+/// progress streams). Not a general-purpose parser, but strict where it
+/// counts: numbers are doubles validated against the RFC 8259 grammar,
+/// strings decode every escape including \uXXXX (surrogate pairs combine
+/// and decode to UTF-8; malformed or unpaired escapes are parse errors),
+/// and a raw control character inside a string is an error.
 struct JsonValue {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
@@ -41,6 +42,20 @@ Result<JsonValue> ParseJson(std::string_view text);
 
 /// Reads and parses a JSON file.
 Result<JsonValue> ParseJsonFile(const std::string& path);
+
+/// Reads a JSONL file (ledgers, journal and progress streams): one JSON
+/// document per nonempty line, each paired with its 1-based line number.
+/// Fails on an unreadable file or on the first line that does not parse,
+/// naming that line.
+Result<std::vector<std::pair<size_t, JsonValue>>> ParseJsonLinesFile(
+    const std::string& path);
+
+/// Appends `s` to `out` as a quoted JSON string: `"` and `\` are
+/// escaped, newline, tab and carriage return are written as `\n`, `\t`
+/// and `\r`, and every other byte below 0x20 as `\u00XX`. Bytes from
+/// 0x80 up pass through unchanged. The one string escaper of every JSON
+/// and JSONL writer, so no rendered string can split a JSONL line.
+void AppendJsonString(std::string* out, std::string_view s);
 
 }  // namespace obs
 }  // namespace qimap

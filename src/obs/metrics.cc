@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <bit>
-#include <cstdio>
 #include <mutex>
 
 namespace qimap {
@@ -14,7 +13,6 @@ namespace {
 // without synchronizing with writers. Registrations past the cap are
 // accepted but their updates are dropped (far above current usage).
 constexpr size_t kMaxCounters = 256;
-constexpr size_t kMaxGauges = 64;
 constexpr size_t kMaxHistograms = 64;
 constexpr size_t kHistBuckets = 64;
 
@@ -39,12 +37,9 @@ struct Shard {
 struct Registry {
   std::mutex mu;  // guards names and the shard lists, never increments
   std::vector<std::string> counter_names;
-  std::vector<std::string> gauge_names;
   std::vector<std::string> histogram_names;
   std::vector<Shard*> shards;       // every shard ever created
   std::vector<Shard*> free_shards;  // returned by exited threads
-  // Gauges are global last-write-wins values, not per-shard sums.
-  std::atomic<int64_t> gauges[kMaxGauges] = {};
 
   static Registry& Get() {
     // Leaked on purpose: metrics must outlive every static destructor.
@@ -98,37 +93,10 @@ size_t BucketIndex(uint64_t value) {
   return index < kHistBuckets ? index : kHistBuckets - 1;
 }
 
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
-
 }  // namespace
 
 MetricId RegisterCounter(const std::string& name) {
   return RegisterIn(&Registry::Get().counter_names, name);
-}
-
-MetricId RegisterGauge(const std::string& name) {
-  return RegisterIn(&Registry::Get().gauge_names, name);
 }
 
 MetricId RegisterHistogram(const std::string& name) {
@@ -138,11 +106,6 @@ MetricId RegisterHistogram(const std::string& name) {
 void CounterAdd(MetricId id, uint64_t delta) {
   if (id >= kMaxCounters) return;
   LocalShard().counters[id].fetch_add(delta, std::memory_order_relaxed);
-}
-
-void GaugeSet(MetricId id, int64_t value) {
-  if (id >= kMaxGauges) return;
-  Registry::Get().gauges[id].store(value, std::memory_order_relaxed);
 }
 
 void HistogramRecord(MetricId id, uint64_t value) {
@@ -172,10 +135,6 @@ MetricsSnapshot SnapshotMetrics() {
       total += shard->counters[i].load(std::memory_order_relaxed);
     }
     snapshot.counters[reg.counter_names[i]] = total;
-  }
-  for (size_t i = 0; i < reg.gauge_names.size() && i < kMaxGauges; ++i) {
-    snapshot.gauges[reg.gauge_names[i]] =
-        reg.gauges[i].load(std::memory_order_relaxed);
   }
   for (size_t i = 0;
        i < reg.histogram_names.size() && i < kMaxHistograms; ++i) {
@@ -238,48 +197,6 @@ void ResetMetrics() {
       }
     }
   }
-  for (size_t i = 0; i < kMaxGauges; ++i) {
-    reg.gauges[i].store(0, std::memory_order_relaxed);
-  }
-}
-
-std::string MetricsSnapshot::ToJson() const {
-  std::string out = "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    AppendJsonString(&out, name);
-    out += ": " + std::to_string(value);
-  }
-  out += "\n  },\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    AppendJsonString(&out, name);
-    out += ": " + std::to_string(value);
-  }
-  out += "\n  },\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, hist] : histograms) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    AppendJsonString(&out, name);
-    out += ": {\"count\": " + std::to_string(hist.count) +
-           ", \"sum\": " + std::to_string(hist.sum) +
-           ", \"min\": " + std::to_string(hist.min) +
-           ", \"max\": " + std::to_string(hist.max) + ", \"buckets\": [";
-    for (size_t b = 0; b < hist.buckets.size(); ++b) {
-      if (b > 0) out += ", ";
-      out += "{\"lt\": " + std::to_string(hist.buckets[b].first) +
-             ", \"count\": " + std::to_string(hist.buckets[b].second) +
-             "}";
-    }
-    out += "]}";
-  }
-  out += "\n  }\n}\n";
-  return out;
 }
 
 }  // namespace obs

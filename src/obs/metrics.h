@@ -11,8 +11,8 @@
 namespace qimap {
 namespace obs {
 
-/// A process-wide metrics registry with named counters, gauges, and
-/// log-scale latency histograms.
+/// A process-wide metrics registry with named counters and log-scale
+/// latency histograms.
 ///
 /// Design: increments go to lock-free thread-local shards (plain relaxed
 /// atomic stores owned by the writing thread) and are summed across shards
@@ -31,8 +31,6 @@ using MetricId = uint32_t;
 
 /// Registers (or looks up) a monotonic counter. Idempotent by name.
 MetricId RegisterCounter(const std::string& name);
-/// Registers (or looks up) a last-write-wins gauge.
-MetricId RegisterGauge(const std::string& name);
 /// Registers (or looks up) a power-of-two-bucket histogram. Values are
 /// unitless; latency recorders use microseconds by convention (and name
 /// the metric `*.latency_us`).
@@ -40,8 +38,6 @@ MetricId RegisterHistogram(const std::string& name);
 
 /// Adds `delta` to the counter on this thread's shard.
 void CounterAdd(MetricId id, uint64_t delta = 1);
-/// Sets the gauge (global, last write wins).
-void GaugeSet(MetricId id, int64_t value);
 /// Records one observation into the histogram's log-scale bucket.
 void HistogramRecord(MetricId id, uint64_t value);
 
@@ -57,15 +53,11 @@ struct HistogramSnapshot {
   std::vector<std::pair<uint64_t, uint64_t>> buckets;
 };
 
-/// A merged point-in-time view of every registered metric.
+/// A merged point-in-time view of every registered metric. Run records
+/// (obs/run_record.h) render it as their `counters` and `histograms`.
 struct MetricsSnapshot {
   std::map<std::string, uint64_t> counters;
-  std::map<std::string, int64_t> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
-
-  /// Renders the snapshot as a JSON object (the `--metrics-out` format;
-  /// schema in docs/observability.md).
-  std::string ToJson() const;
 };
 
 /// Merges all thread shards into a snapshot. Safe to call concurrently
@@ -86,7 +78,7 @@ size_t MetricsShardCount();
 /// Monotonically increasing count of ResetMetrics() calls (starts at 1).
 /// Caches whose hit/miss counters feed this registry key their validity
 /// on it so that counter values are a pure function of the work performed
-/// since the last reset — the determinism contract the canonical ledger
+/// since the last reset — the determinism contract the canonical run
 /// records rely on — rather than of prior windows' cache warm-up.
 uint64_t MetricsResetGeneration();
 

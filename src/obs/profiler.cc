@@ -4,41 +4,13 @@
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 
+#include "obs/json.h"
+
 namespace qimap {
 namespace obs {
-namespace {
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
-#if !defined(QIMAP_OBS_DISABLE_PROFILER)
-
 namespace {
 
 // Fixed per-shard capacity, like the metrics shards: no reallocation, so
@@ -172,7 +144,6 @@ void ProfileAddTime(uint32_t dep, uint64_t us) {
 }  // namespace internal
 
 void Profiler::Enable() {
-  if (std::getenv("QIMAP_OBS_DISABLE_PROFILER") != nullptr) return;
   Registry::Get().enabled.store(true, std::memory_order_relaxed);
 }
 
@@ -340,36 +311,32 @@ void ProfileRecordOutcomes(uint32_t dep, uint64_t triggers, uint64_t fired,
   cells.skipped.fetch_add(skipped, std::memory_order_relaxed);
 }
 
-#endif  // !QIMAP_OBS_DISABLE_PROFILER
-
 namespace {
 
 void AppendDepJson(std::string* out, const ProfileDepSnapshot& dep,
                    bool canonical) {
   const ProfileDepCounters& t = dep.totals;
-  *out += "    {\"id\": " + std::to_string(dep.id) + ", \"pipeline\": ";
+  *out += "{\"id\": " + std::to_string(dep.id) + ", \"pipeline\": ";
   AppendJsonString(out, dep.pipeline);
   *out += ", \"dependency\": ";
   AppendJsonString(out, dep.text);
   *out += ", \"body_atoms\": " + std::to_string(dep.body_atoms);
-  *out += ",\n     \"totals\": {\"searches\": " +
-          std::to_string(t.searches) +
+  *out += ", \"totals\": {\"searches\": " + std::to_string(t.searches) +
           ", \"matches\": " + std::to_string(t.matches) +
           ", \"backtracks\": " + std::to_string(t.backtracks) +
           ", \"probe_rows\": " + std::to_string(t.probe_rows) +
           ", \"scan_rows\": " + std::to_string(t.scan_rows) +
-          ",\n       \"triggers_found\": " +
-          std::to_string(t.triggers_found) +
+          ", \"triggers_found\": " + std::to_string(t.triggers_found) +
           ", \"fired\": " + std::to_string(t.fired) +
           ", \"skipped\": " + std::to_string(t.skipped) +
           ", \"nulls_minted\": " + std::to_string(t.nulls_minted) +
           ", \"facts_added\": " + std::to_string(t.facts_added) +
-          ",\n       \"rhs_searches\": " + std::to_string(t.rhs_searches) +
+          ", \"rhs_searches\": " + std::to_string(t.rhs_searches) +
           ", \"rhs_backtracks\": " + std::to_string(t.rhs_backtracks);
   if (!canonical) {
     *out += ", \"time_us\": " + std::to_string(t.time_us);
   }
-  *out += "},\n     \"atoms\": [";
+  *out += "}, \"atoms\": [";
   for (size_t a = 0; a < t.atoms.size(); ++a) {
     if (a > 0) *out += ", ";
     *out += "{\"pos\": " + std::to_string(a) +
@@ -384,55 +351,15 @@ void AppendDepJson(std::string* out, const ProfileDepSnapshot& dep,
 
 }  // namespace
 
-std::string ProfileSnapshot::ToJson(
-    bool canonical,
-    const std::vector<std::pair<std::string, std::string>>& extra) const {
-  std::string out = "{\n";
-  for (const auto& [key, value] : extra) {
-    out += "  ";
-    AppendJsonString(&out, key);
-    out += ": " + value + ",\n";
-  }
-  out += "  \"truncated\": ";
+std::string ProfileSnapshot::ToJson(bool canonical) const {
+  std::string out = "{\"truncated\": ";
   out += truncated ? "true" : "false";
-  out += ",\n  \"deps\": [";
+  out += ", \"deps\": [";
   for (size_t i = 0; i < deps.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
+    if (i > 0) out += ", ";
     AppendDepJson(&out, deps[i], canonical);
   }
-  out += "\n  ]";
-  if (!canonical) {
-    // Chrome-trace-compatible aggregate spans: one complete event per
-    // dependency, laid end to end on a per-pipeline track — a load-order
-    // picture of where chase time went, not a real timeline.
-    out += ",\n  \"traceEvents\": [";
-    std::map<std::string, uint64_t> track_ts;
-    std::map<std::string, uint32_t> track_tid;
-    bool first = true;
-    for (const ProfileDepSnapshot& dep : deps) {
-      if (dep.totals.time_us == 0) continue;
-      if (track_tid.find(dep.pipeline) == track_tid.end()) {
-        uint32_t tid = static_cast<uint32_t>(track_tid.size());
-        track_tid[dep.pipeline] = tid;
-      }
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += "    {\"name\": ";
-      AppendJsonString(&out, dep.text);
-      out += ", \"cat\": ";
-      AppendJsonString(&out, dep.pipeline);
-      out += ", \"ph\": \"X\", \"pid\": 1, \"tid\": " +
-             std::to_string(track_tid[dep.pipeline]) +
-             ", \"ts\": " + std::to_string(track_ts[dep.pipeline]) +
-             ", \"dur\": " + std::to_string(dep.totals.time_us) +
-             ", \"args\": {\"dep\": " + std::to_string(dep.id) +
-             ", \"backtracks\": " + std::to_string(dep.totals.backtracks) +
-             "}}";
-      track_ts[dep.pipeline] += dep.totals.time_us;
-    }
-    out += "\n  ]";
-  }
-  out += "\n}\n";
+  out += "]}";
   return out;
 }
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace qimap {
@@ -26,10 +25,7 @@ namespace obs {
 /// snapshots are exact.
 ///
 /// Disabled (the default) the layer costs one relaxed atomic load per
-/// probe site. Compile out entirely with -DQIMAP_OBS_DISABLE_PROFILER;
-/// the same name as an environment variable is a runtime kill switch
-/// (`Enable()` becomes a no-op), giving parity with
-/// QIMAP_OBS_DISABLE_PROVENANCE.
+/// probe site.
 
 /// Sentinel for "no dependency attributed" (scope inactive).
 inline constexpr uint32_t kProfileNoDep = 0xffffffffu;
@@ -88,28 +84,20 @@ struct ProfileSnapshot {
   std::vector<ProfileDepSnapshot> deps;
   bool truncated = false;  ///< registrations past capacity were dropped
 
-  /// Renders the profile JSON document (`--profile-out` format; schema in
-  /// docs/observability.md). `canonical` omits timings (`time_us`) and the
-  /// Chrome-trace `traceEvents` block, leaving only fields that are
-  /// byte-identical across thread counts. `extra` entries are
-  /// (key, pre-rendered JSON value) pairs spliced in ahead of "deps" —
-  /// the CLI passes "meta" and "cost_model".
-  std::string ToJson(
-      bool canonical,
-      const std::vector<std::pair<std::string, std::string>>& extra = {})
-      const;
+  /// Renders `{"truncated": ..., "deps": [...]}` on one line — the run
+  /// record's `profile` field (schema in docs/observability.md).
+  /// `canonical` omits the per-dependency `time_us`, leaving only fields
+  /// that are byte-identical across thread counts.
+  std::string ToJson(bool canonical) const;
 
   /// Renders the ranked hot-spot report (descending backtracks, then
   /// time) with a per-atom probe-vs-scan breakdown. `top` == 0 lists all.
   std::string ToText(size_t top = 0) const;
 };
 
-#if !defined(QIMAP_OBS_DISABLE_PROFILER)
-
 class Profiler {
  public:
-  /// Turns profiling on. No-op (stays disabled) when the
-  /// QIMAP_OBS_DISABLE_PROFILER environment variable is set.
+  /// Turns profiling on.
   static void Enable();
   static void Disable();
   static bool Enabled();
@@ -199,41 +187,6 @@ void ProfileRecordSkip(uint32_t dep);
 /// pruned → skipped).
 void ProfileRecordOutcomes(uint32_t dep, uint64_t triggers, uint64_t fired,
                            uint64_t skipped);
-
-#else  // QIMAP_OBS_DISABLE_PROFILER
-
-// Compiled-out profiler: signature-compatible inline no-ops so call sites
-// need no #ifdefs (kill-switch parity with the journal's
-// QIMAP_OBS_DISABLE_PROVENANCE stubs).
-class Profiler {
- public:
-  static void Enable() {}
-  static void Disable() {}
-  static bool Enabled() { return false; }
-  static void Reset() {}
-  static uint32_t RegisterDep(const std::string&, const std::string&,
-                              uint32_t) {
-    return kProfileNoDep;
-  }
-  static ProfileSnapshot Snapshot() { return ProfileSnapshot{}; }
-};
-
-class ProfiledDepScope {
- public:
-  ProfiledDepScope(uint32_t, ProfilePhase) {}
-  ProfiledDepScope(const ProfiledDepScope&) = delete;
-  ProfiledDepScope& operator=(const ProfiledDepScope&) = delete;
-};
-
-inline bool ProfileSearchActive() { return false; }
-inline void ProfileRecordSearch(uint64_t, uint64_t,
-                                const std::vector<ProfileAtomCounters>&) {}
-inline void ProfileRecordTriggers(uint32_t, uint64_t) {}
-inline void ProfileRecordFire(uint32_t, uint64_t, uint64_t) {}
-inline void ProfileRecordSkip(uint32_t) {}
-inline void ProfileRecordOutcomes(uint32_t, uint64_t, uint64_t, uint64_t) {}
-
-#endif  // QIMAP_OBS_DISABLE_PROFILER
 
 }  // namespace obs
 }  // namespace qimap

@@ -10,8 +10,9 @@
 #include <mutex>
 
 #include "base/budget.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/run_meta.h"
+#include "obs/run_record.h"
 
 namespace qimap {
 namespace obs {
@@ -63,7 +64,8 @@ void AppendUint(std::string* out, const char* key, uint64_t value,
 std::string ProgressSnapshot::ToJson(bool canonical) const {
   std::string out = "{";
   AppendUint(&out, "seq", seq, /*first=*/true);
-  out += ", \"pipeline\": \"" + pipeline + "\"";
+  out += ", \"pipeline\": ";
+  AppendJsonString(&out, pipeline);
   out += std::string(", \"final\": ") + (is_final ? "true" : "false");
   AppendUint(&out, "steps", steps);
   AppendUint(&out, "facts", facts);
@@ -120,7 +122,6 @@ std::string ProgressSnapshot::ToLine() const {
 }
 
 void Progress::Enable() {
-  if (std::getenv("QIMAP_OBS_DISABLE_PROGRESS") != nullptr) return;
   g_enabled.store(true, std::memory_order_relaxed);
 }
 

@@ -25,9 +25,6 @@ namespace obs {
 /// rendering of every heartbeat is byte-identical across `--threads`.
 ///
 /// Disabled (the default) a ProgressRun costs one branch per Step().
-/// Compile out entirely with -DQIMAP_OBS_DISABLE_PROGRESS; the same name
-/// as an environment variable is a runtime kill switch (`Enable()`
-/// becomes a no-op), matching QIMAP_OBS_DISABLE_PROFILER.
 
 /// The engine-side counters a heartbeat samples. Each pipeline fills
 /// this from its own stats struct via the sampler callback.
@@ -89,12 +86,9 @@ struct ProgressConfig {
   std::function<void(const ProgressSnapshot&)> sink;
 };
 
-#if !defined(QIMAP_OBS_DISABLE_PROGRESS)
-
 class Progress {
  public:
-  /// Turns heartbeats on. No-op (stays disabled) when the
-  /// QIMAP_OBS_DISABLE_PROGRESS environment variable is set.
+  /// Turns heartbeats on.
   static void Enable();
   /// Turns heartbeats off and closes the JSONL stream.
   static void Disable();
@@ -157,33 +151,6 @@ class ProgressRun {
   uint64_t total_estimate_ = 0;
   uint64_t start_us_ = 0;
 };
-
-#else  // QIMAP_OBS_DISABLE_PROGRESS
-
-// Compiled-out heartbeats: signature-compatible inline no-ops so call
-// sites need no #ifdefs (kill-switch parity with the profiler stubs).
-class Progress {
- public:
-  static void Enable() {}
-  static void Disable() {}
-  static bool Enabled() { return false; }
-  static void Configure(const ProgressConfig&) {}
-  static void Reset() {}
-  static void CloseStream() {}
-};
-
-class ProgressRun {
- public:
-  using Sampler = std::function<ProgressSample()>;
-  ProgressRun(const char*, Sampler, const Budget*) {}
-  ProgressRun(const ProgressRun&) = delete;
-  ProgressRun& operator=(const ProgressRun&) = delete;
-  void Step() {}
-  void SetTotalEstimate(uint64_t) {}
-  uint64_t steps() const { return 0; }
-};
-
-#endif  // QIMAP_OBS_DISABLE_PROGRESS
 
 }  // namespace obs
 }  // namespace qimap

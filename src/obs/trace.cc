@@ -4,7 +4,8 @@
 #include <cstdio>
 #include <mutex>
 
-#include "obs/run_meta.h"
+#include "obs/json.h"
+#include "obs/run_record.h"
 
 namespace qimap {
 namespace obs {
@@ -33,13 +34,6 @@ uint32_t LocalTid() {
   static std::atomic<uint32_t> next_tid{1};
   thread_local uint32_t tid = next_tid.fetch_add(1);
   return tid;
-}
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
 }
 
 }  // namespace
@@ -109,9 +103,9 @@ std::string Trace::ToJson() {
   for (size_t i = 0; i < rec.events.size(); ++i) {
     const TraceEvent& e = rec.events[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "  {\"name\": \"";
-    AppendEscaped(&out, e.name);
-    out += "\", \"cat\": \"qimap\", \"ph\": \"X\", \"ts\": " +
+    out += "  {\"name\": ";
+    AppendJsonString(&out, e.name);
+    out += ", \"cat\": \"qimap\", \"ph\": \"X\", \"ts\": " +
            std::to_string(e.ts_us) +
            ", \"dur\": " + std::to_string(e.dur_us) +
            ", \"pid\": 1, \"tid\": " + std::to_string(e.tid) + "}";

@@ -75,14 +75,8 @@ class TraceSpan {
 #define QIMAP_OBS_CONCAT_INNER(a, b) a##b
 #define QIMAP_OBS_CONCAT(a, b) QIMAP_OBS_CONCAT_INNER(a, b)
 
-// Compile out entirely with -DQIMAP_OBS_DISABLE_TRACING (the runtime
-// default is already off; this removes even the atomic load).
-#if defined(QIMAP_OBS_DISABLE_TRACING)
-#define QIMAP_TRACE_SPAN(name) ((void)0)
-#else
 #define QIMAP_TRACE_SPAN(name) \
   ::qimap::obs::TraceSpan QIMAP_OBS_CONCAT(qimap_trace_span_, __LINE__)(name)
-#endif
 
 }  // namespace obs
 }  // namespace qimap

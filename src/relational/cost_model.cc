@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "obs/json.h"
+
 namespace qimap {
 
 CostModel CostModel::FromInstance(const Instance& inst) {
@@ -42,7 +44,9 @@ std::string CostModel::ToJson() const {
   for (size_t i = 0; i < relations.size(); ++i) {
     const RelationStats& rel = relations[i];
     if (i > 0) out += ", ";
-    out += "{\"name\": \"" + rel.name + "\", ";
+    out += "{\"name\": ";
+    obs::AppendJsonString(&out, rel.name);
+    out += ", ";
     std::snprintf(buf, sizeof(buf), "\"arity\": %u, \"rows\": %" PRIu64 ", ",
                   rel.arity, rel.rows);
     out += buf;

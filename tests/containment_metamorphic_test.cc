@@ -9,7 +9,7 @@
 #include "chase/chase.h"
 #include "core/containment.h"
 #include "core/solution_space.h"
-#include "obs/ledger.h"
+#include "obs/run_record.h"
 #include "obs/metrics.h"
 #include "workload/scenario_gen.h"
 
@@ -27,7 +27,7 @@
 // chase_Sigma(I) is a Sigma'-solution for the generated source I. Every
 // strengthen counterexample is replayed through the chase to confirm it
 // really violates the added dependency. A final leg pins the canonical
-// ledger rendering of an oracle run byte-identical at 1, 2, and 8 chase
+// run-record rendering of an oracle run byte-identical at 1, 2, and 8 chase
 // threads.
 
 namespace qimap {
@@ -182,7 +182,7 @@ TEST(ContainmentMetamorphicTest, WeakeningChainsCompose) {
   }
 }
 
-// The oracle's canonical ledger record — counters, fingerprint-free run
+// The oracle's canonical run record — counters, fingerprint-free run
 // facts — must be byte-identical at 1, 2, and 8 chase threads.
 TEST(ContainmentMetamorphicTest, CanonicalTelemetryIdenticalAcrossThreads) {
   std::vector<std::string> renderings;
@@ -197,7 +197,7 @@ TEST(ContainmentMetamorphicTest, CanonicalTelemetryIdenticalAcrossThreads) {
         CheckContainment(s.mapping, weak, options);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_TRUE(report->holds);
-    obs::LedgerEntry entry = obs::CollectLedgerEntry(
+    obs::RunRecord entry = obs::CollectRunRecord(
         "contains", nullptr, 0, 0.001 * static_cast<double>(threads));
     entry.ts_us = 1000 * threads;  // timing differs; canonical omits it
     renderings.push_back(entry.ToJson(/*canonical=*/true));

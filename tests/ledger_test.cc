@@ -13,14 +13,16 @@
 #include "chase/chase.h"
 #include "dependency/parser.h"
 #include "obs/json.h"
-#include "obs/ledger.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
+#include "obs/run_record.h"
 #include "relational/instance.h"
 
-// Tests for the run ledger (obs/ledger.h): atomic JSONL appends with
-// dense seq assignment, survival of a fault-injected crash mid-write,
-// canonical records byte-identical across chase thread counts, the
-// telemetry diff, and the QIMAP_OBS_DISABLE_LEDGER kill switch.
+// Tests for the run record and its ledger (obs/run_record.h): atomic
+// JSONL appends with dense seq assignment, records that no control
+// character can split, survival of a fault-injected crash mid-write,
+// canonical records byte-identical across chase thread counts, and the
+// telemetry diff.
 
 namespace qimap {
 namespace {
@@ -54,27 +56,18 @@ std::vector<std::string> SplitLines(const std::string& text) {
   return lines;
 }
 
-class LedgerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    obs::Ledger::Reset();
-    obs::Ledger::Enable();
-  }
-  void TearDown() override { obs::Ledger::Reset(); }
-};
-
-TEST_F(LedgerTest, AppendAssignsDenseSeqAndRecordsParse) {
+TEST(LedgerTest, AppendAssignsDenseSeqAndRecordsParse) {
   std::string path = TempLedgerPath("ledger_append_test.jsonl");
   std::remove(path.c_str());
 
-  obs::LedgerEntry first =
-      obs::CollectLedgerEntry("chase", nullptr, 0, 0.25);
+  obs::RunRecord first =
+      obs::CollectRunRecord("chase", nullptr, 0, 0.25);
   first.mapping_fingerprint = 0x1234;
   ASSERT_TRUE(obs::AppendToLedger(path, &first));
   EXPECT_EQ(first.seq, 1u);
 
-  obs::LedgerEntry second =
-      obs::CollectLedgerEntry("quasi-inverse", nullptr, 1, 0.5);
+  obs::RunRecord second =
+      obs::CollectRunRecord("quasi-inverse", nullptr, 1, 0.5);
   ASSERT_TRUE(obs::AppendToLedger(path, &second));
   EXPECT_EQ(second.seq, 2u);
 
@@ -99,41 +92,41 @@ TEST_F(LedgerTest, AppendAssignsDenseSeqAndRecordsParse) {
   std::remove(path.c_str());
 }
 
-TEST_F(LedgerTest, CollectReadsTheBudgetOutcome) {
+TEST(LedgerTest, CollectReadsTheBudgetOutcome) {
   BudgetSpec spec;
   spec.max_steps = 1;
   Budget budget(spec);
   EXPECT_TRUE(budget.Tick("t").ok());
   EXPECT_FALSE(budget.Tick("t").ok());
-  obs::LedgerEntry entry =
-      obs::CollectLedgerEntry("chase", &budget, 1, 0.1);
+  obs::RunRecord entry =
+      obs::CollectRunRecord("chase", &budget, 1, 0.1);
   EXPECT_EQ(entry.budget_outcome, "steps");
   EXPECT_EQ(entry.budget_steps, 1u);
   EXPECT_EQ(entry.exit_code, 1);
 
   Budget untripped;
   EXPECT_TRUE(untripped.Tick("t").ok());
-  obs::LedgerEntry ok_entry =
-      obs::CollectLedgerEntry("chase", &untripped, 0, 0.1);
+  obs::RunRecord ok_entry =
+      obs::CollectRunRecord("chase", &untripped, 0, 0.1);
   EXPECT_EQ(ok_entry.budget_outcome, "ok");
   EXPECT_EQ(ok_entry.budget_steps, 1u);
 }
 
 // The crash-safety contract: a failed append never damages the existing
 // ledger and never leaves a torn record under the final name.
-TEST_F(LedgerTest, FaultInjectedCrashMidWriteLeavesLedgerIntact) {
+TEST(LedgerTest, FaultInjectedCrashMidWriteLeavesLedgerIntact) {
   std::string path = TempLedgerPath("ledger_crash_test.jsonl");
   std::remove(path.c_str());
 
-  obs::LedgerEntry first = obs::CollectLedgerEntry("chase", nullptr, 0, 0.1);
+  obs::RunRecord first = obs::CollectRunRecord("chase", nullptr, 0, 0.1);
   ASSERT_TRUE(obs::AppendToLedger(path, &first));
   std::string before = ReadFileOrEmpty(path);
   ASSERT_FALSE(before.empty());
 
   // The next append writes only 10 bytes of the staged temp file and
   // stops before the rename — a crash mid-write.
-  obs::Ledger::FailNextAppendForTest(10);
-  obs::LedgerEntry torn = obs::CollectLedgerEntry("chase", nullptr, 0, 0.2);
+  obs::FailNextAppendForTest(10);
+  obs::RunRecord torn = obs::CollectRunRecord("chase", nullptr, 0, 0.2);
   EXPECT_FALSE(obs::AppendToLedger(path, &torn));
 
   // The ledger under its final name is byte-identical to before the
@@ -144,7 +137,7 @@ TEST_F(LedgerTest, FaultInjectedCrashMidWriteLeavesLedgerIntact) {
   EXPECT_TRUE(obs::ParseJson(lines[0]).ok());
 
   // The next append recovers: seq picks up where the ledger really is.
-  obs::LedgerEntry second = obs::CollectLedgerEntry("chase", nullptr, 0, 0.3);
+  obs::RunRecord second = obs::CollectRunRecord("chase", nullptr, 0, 0.3);
   ASSERT_TRUE(obs::AppendToLedger(path, &second));
   EXPECT_EQ(second.seq, 2u);
   lines = SplitLines(ReadFileOrEmpty(path));
@@ -161,7 +154,7 @@ TEST_F(LedgerTest, FaultInjectedCrashMidWriteLeavesLedgerIntact) {
 // silently drops the first writer's record. The flock'd lock file
 // serializes the whole read-modify-rename, so every append survives and
 // seq stays dense in file order.
-TEST_F(LedgerTest, ConcurrentProcessAppendsLoseNoRecords) {
+TEST(LedgerTest, ConcurrentProcessAppendsLoseNoRecords) {
   std::string path = TempLedgerPath("ledger_concurrent_test.jsonl");
   std::remove(path.c_str());
   constexpr int kWriters = 2;
@@ -174,7 +167,7 @@ TEST_F(LedgerTest, ConcurrentProcessAppendsLoseNoRecords) {
       // Child: loop plain appends; the exit code reports failures.
       int failures = 0;
       for (int k = 0; k < kAppendsPerWriter; ++k) {
-        obs::LedgerEntry entry = obs::CollectLedgerEntry(
+        obs::RunRecord entry = obs::CollectRunRecord(
             w == 0 ? "writer-a" : "writer-b", nullptr, 0,
             0.001 * static_cast<double>(k + 1));
         if (!obs::AppendToLedger(path, &entry)) ++failures;
@@ -208,7 +201,7 @@ TEST_F(LedgerTest, ConcurrentProcessAppendsLoseNoRecords) {
 // The determinism contract: the canonical rendering of a ledger record —
 // which omits timing, the meta stamp, and chase.parallel.* counters — is
 // byte-identical whether the chase ran on 1, 2, or 8 threads.
-TEST_F(LedgerTest, CanonicalRecordsAreByteIdenticalAcrossThreads) {
+TEST(LedgerTest, CanonicalRecordsAreByteIdenticalAcrossThreads) {
   std::vector<std::string> renderings;
   for (size_t threads : {1u, 2u, 8u}) {
     obs::ResetMetrics();
@@ -218,7 +211,7 @@ TEST_F(LedgerTest, CanonicalRecordsAreByteIdenticalAcrossThreads) {
     ChaseOptions options;
     options.num_threads = threads;
     ASSERT_TRUE(Chase(i, m, options).ok());
-    obs::LedgerEntry entry = obs::CollectLedgerEntry(
+    obs::RunRecord entry = obs::CollectRunRecord(
         "chase", nullptr, 0, 0.001 * static_cast<double>(threads));
     entry.ts_us = 1000 * threads;  // timing differs; canonical omits it
     renderings.push_back(entry.ToJson(/*canonical=*/true));
@@ -233,6 +226,7 @@ TEST_F(LedgerTest, CanonicalRecordsAreByteIdenticalAcrossThreads) {
   EXPECT_EQ(renderings[0].find("\"meta\""), std::string::npos);
   EXPECT_EQ(renderings[0].find("ts_us"), std::string::npos);
   EXPECT_EQ(renderings[0].find("elapsed_seconds"), std::string::npos);
+  EXPECT_EQ(renderings[0].find("histograms"), std::string::npos);
 }
 
 obs::JsonValue MustParse(const std::string& text) {
@@ -241,25 +235,28 @@ obs::JsonValue MustParse(const std::string& text) {
   return std::move(parsed).value();
 }
 
-TEST_F(LedgerTest, DiffReportsCounterProfileAndOutcomeDeltas) {
-  obs::LedgerEntry a;
+TEST(LedgerTest, DiffReportsCounterProfileAndOutcomeDeltas) {
+  obs::RunRecord a;
   a.command = "chase";
-  a.counters = {{"chase.steps", 10}, {"chase.parallel.tasks", 4}};
-  obs::LedgerProfileEntry dep;
+  a.metrics.counters = {{"chase.steps", 10}, {"chase.parallel.tasks", 4}};
+  obs::ProfileDepSnapshot dep;
   dep.pipeline = "chase/standard";
-  dep.dependency = "P(x) -> Q(x)";
-  dep.searches = 5;
-  dep.fired = 3;
-  a.profile.push_back(dep);
+  dep.text = "P(x) -> Q(x)";
+  dep.body_atoms = 1;
+  dep.totals.searches = 5;
+  dep.totals.fired = 3;
+  dep.totals.atoms.resize(1);
+  a.profile.emplace();
+  a.profile->deps.push_back(dep);
 
-  obs::LedgerEntry b = a;
+  obs::RunRecord b = a;
   obs::JsonValue ja = MustParse(a.ToJson(false));
   obs::JsonValue jb = MustParse(b.ToJson(false));
   EXPECT_TRUE(obs::DiffLedgerEntries(ja, jb).empty());
 
   // A counter delta is one diff line; chase.parallel.* stays exempt.
-  b.counters["chase.steps"] = 12;
-  b.counters["chase.parallel.tasks"] = 9;
+  b.metrics.counters["chase.steps"] = 12;
+  b.metrics.counters["chase.parallel.tasks"] = 9;
   jb = MustParse(b.ToJson(false));
   std::vector<std::string> diffs = obs::DiffLedgerEntries(ja, jb);
   ASSERT_EQ(diffs.size(), 1u);
@@ -267,37 +264,69 @@ TEST_F(LedgerTest, DiffReportsCounterProfileAndOutcomeDeltas) {
 
   // Profile hot-spot drift and a budget-outcome change are both visible.
   b = a;
-  b.profile[0].searches = 50;
+  b.profile->deps[0].totals.searches = 50;
   b.budget_outcome = "steps";
   jb = MustParse(b.ToJson(false));
   diffs = obs::DiffLedgerEntries(ja, jb);
-  EXPECT_EQ(diffs.size(), 2u);
+  ASSERT_EQ(diffs.size(), 2u);
+  EXPECT_NE(diffs[1].find("chase/standard :: P(x) -> Q(x) searches"),
+            std::string::npos)
+      << diffs[1];
 
   // Different timing alone is not a delta.
   b = a;
   b.ts_us = 999999;
   b.elapsed_seconds = 42.0;
+  b.profile->deps[0].totals.time_us = 777;
   jb = MustParse(b.ToJson(false));
   EXPECT_TRUE(obs::DiffLedgerEntries(ja, jb).empty());
 }
 
-TEST_F(LedgerTest, AppendRequiresEnable) {
-  obs::Ledger::Disable();
-  std::string path = TempLedgerPath("ledger_disabled_test.jsonl");
+// Every string goes through the one JSON escaper, so a command holding a
+// newline or a tab stays on its own JSONL line and seq stays dense.
+TEST(LedgerTest, ControlCharactersCannotSplitARecord) {
+  std::string path = TempLedgerPath("ledger_control_chars_test.jsonl");
   std::remove(path.c_str());
-  obs::LedgerEntry entry = obs::CollectLedgerEntry("chase", nullptr, 0, 0.1);
-  EXPECT_FALSE(obs::AppendToLedger(path, &entry));
-  EXPECT_EQ(ReadFileOrEmpty(path), "");
+  for (const char* command : {"a\nb", "c\td"}) {
+    obs::RunRecord record = obs::CollectRunRecord(command, nullptr, 2, 0.0);
+    ASSERT_TRUE(obs::AppendToLedger(path, &record));
+  }
+  std::vector<std::string> lines = SplitLines(ReadFileOrEmpty(path));
+  ASSERT_EQ(lines.size(), 2u);
+  const char* commands[] = {"a\nb", "c\td"};
+  for (size_t k = 0; k < lines.size(); ++k) {
+    obs::JsonValue record = MustParse(lines[k]);
+    ASSERT_NE(record.Find("seq"), nullptr);
+    EXPECT_EQ(record.Find("seq")->number_value, static_cast<double>(k + 1));
+    ASSERT_NE(record.Find("command"), nullptr);
+    EXPECT_EQ(record.Find("command")->string_value, commands[k]);
+  }
+  std::remove(path.c_str());
 }
 
-TEST_F(LedgerTest, EnvironmentKillSwitchMakesEnableANoOp) {
-  obs::Ledger::Disable();
-  ASSERT_EQ(setenv("QIMAP_OBS_DISABLE_LEDGER", "1", 1), 0);
-  obs::Ledger::Enable();
-  EXPECT_FALSE(obs::Ledger::Enabled());
-  ASSERT_EQ(unsetenv("QIMAP_OBS_DISABLE_LEDGER"), 0);
-  obs::Ledger::Enable();
-  EXPECT_TRUE(obs::Ledger::Enabled());
+// The record carries a profile exactly when the profiler was on.
+TEST(LedgerTest, ProfileIsNullUnlessTheProfilerRan) {
+  obs::Profiler::Reset();
+  SchemaMapping m = MustParseMapping("P/3", "Q/2, R/2",
+                                     "P(x,y,z) -> Q(x,y) & R(y,z)");
+  Instance i = MustParseInstance(m.source, "P(a,b,c)");
+  ASSERT_TRUE(Chase(i, m).ok());
+  obs::RunRecord off = obs::CollectRunRecord("chase", nullptr, 0, 0.0);
+  EXPECT_FALSE(off.profile.has_value());
+  EXPECT_TRUE(MustParse(off.ToJson(false)).Find("profile")->type ==
+              obs::JsonValue::Type::kNull);
+
+  obs::Profiler::Enable();
+  ASSERT_TRUE(Chase(i, m).ok());
+  obs::RunRecord on = obs::CollectRunRecord("chase", nullptr, 0, 0.0);
+  obs::Profiler::Disable();
+  obs::Profiler::Reset();
+  ASSERT_TRUE(on.profile.has_value());
+  EXPECT_FALSE(on.profile->deps.empty());
+  obs::JsonValue parsed = MustParse(on.ToJson(false));
+  const obs::JsonValue* deps = parsed.Find("profile")->Find("deps");
+  ASSERT_NE(deps, nullptr);
+  EXPECT_EQ(deps->items.size(), on.profile->deps.size());
 }
 
 }  // namespace

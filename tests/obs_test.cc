@@ -8,6 +8,7 @@
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/run_record.h"
 #include "obs/trace.h"
 
 namespace qimap {
@@ -117,14 +118,6 @@ TEST(MetricsTest, CounterAddWithDelta) {
   EXPECT_EQ(obs::SnapshotMetrics().counters.at("test.delta"), 12u);
 }
 
-TEST(MetricsTest, GaugeLastWriteWins) {
-  obs::ResetMetrics();
-  obs::MetricId id = obs::RegisterGauge("test.gauge");
-  obs::GaugeSet(id, 41);
-  obs::GaugeSet(id, -3);
-  EXPECT_EQ(obs::SnapshotMetrics().gauges.at("test.gauge"), -3);
-}
-
 TEST(MetricsTest, HistogramBucketsAndStatistics) {
   obs::ResetMetrics();
   obs::MetricId id = obs::RegisterHistogram("test.hist");
@@ -147,15 +140,12 @@ TEST(MetricsTest, HistogramBucketsAndStatistics) {
 
 TEST(MetricsTest, ResetClearsEverything) {
   obs::MetricId counter = obs::RegisterCounter("test.reset_counter");
-  obs::MetricId gauge = obs::RegisterGauge("test.reset_gauge");
   obs::MetricId hist = obs::RegisterHistogram("test.reset_hist");
   obs::CounterAdd(counter, 9);
-  obs::GaugeSet(gauge, 9);
   obs::HistogramRecord(hist, 9);
   obs::ResetMetrics();
   obs::MetricsSnapshot snapshot = obs::SnapshotMetrics();
   EXPECT_EQ(snapshot.counters.at("test.reset_counter"), 0u);
-  EXPECT_EQ(snapshot.gauges.at("test.reset_gauge"), 0);
   EXPECT_EQ(snapshot.histograms.at("test.reset_hist").count, 0u);
   EXPECT_EQ(snapshot.histograms.at("test.reset_hist").min, 0u);
 }
@@ -164,8 +154,9 @@ TEST(MetricsTest, SnapshotJsonParses) {
   obs::ResetMetrics();
   obs::CounterAdd(obs::RegisterCounter("test.json_counter"), 3);
   obs::HistogramRecord(obs::RegisterHistogram("test.json_hist"), 42);
-  Result<obs::JsonValue> doc =
-      obs::ParseJson(obs::SnapshotMetrics().ToJson());
+  // The run record renders the snapshot as its counters and histograms.
+  Result<obs::JsonValue> doc = obs::ParseJson(
+      obs::CollectRunRecord("test", nullptr, 0, 0.0).ToJson(false));
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   const obs::JsonValue* counters = doc->Find("counters");
   ASSERT_NE(counters, nullptr);
@@ -306,6 +297,30 @@ TEST(JsonTest, RejectsMalformedUnicodeEscapes) {
   EXPECT_FALSE(obs::ParseJson(R"("\ud834x")").ok());   // high then text
   EXPECT_FALSE(obs::ParseJson(R"("\ud834A")").ok());  // high + non-low
   EXPECT_FALSE(obs::ParseJson(R"("\udd1e")").ok());    // lone low
+}
+
+// The one string escaper: every byte below 0x20, `"` and `\` survive a
+// round trip through AppendJsonString and ParseJson unchanged, and the
+// rendering holds no raw control character (so no JSONL line splits).
+TEST(JsonTest, EscaperRoundTripsControlCharactersQuotesAndBackslashes) {
+  std::string raw;
+  for (int c = 0x01; c < 0x20; ++c) raw.push_back(static_cast<char>(c));
+  raw += "\"\\ plain \xc3\xa9";
+  std::string rendered;
+  obs::AppendJsonString(&rendered, raw);
+  for (char c : rendered) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << rendered;
+  }
+  EXPECT_NE(rendered.find("\\n"), std::string::npos);
+  EXPECT_NE(rendered.find("\\t"), std::string::npos);
+  EXPECT_NE(rendered.find("\\r"), std::string::npos);
+  EXPECT_NE(rendered.find("\\u0001"), std::string::npos);
+  Result<obs::JsonValue> parsed = obs::ParseJson(rendered);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_TRUE(parsed->IsString());
+  EXPECT_EQ(parsed->string_value, raw);
+  // A raw control character inside a string is malformed JSON.
+  EXPECT_FALSE(obs::ParseJson("\"a\nb\"").ok());
 }
 
 TEST(JsonTest, RejectsNonStrictNumbers) {

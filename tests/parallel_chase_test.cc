@@ -15,7 +15,7 @@
 #include "core/lav_quasi_inverse.h"
 #include "dependency/parser.h"
 #include "obs/journal.h"
-#include "obs/ledger.h"
+#include "obs/run_record.h"
 #include "obs/metrics.h"
 #include "relational/instance_enum.h"
 #include "workload/random_mappings.h"
@@ -189,7 +189,7 @@ TEST(ParallelChaseTest, ResolveThreadCountReadsEnvironment) {
 // Sharded-firing determinism soak: mixed scenario families chased at
 // 1/2/4/8 threads. The chase's promise is total byte-identity — the
 // target rendering (facts and null labels), the incremental fingerprint,
-// the provenance journal, and the canonical ledger record (which carries
+// the provenance journal, and the canonical run record (which carries
 // every non-chase.parallel.* counter, so hom.* and chase.index.* totals
 // are diffed too) must not change with the thread count — while the
 // chase.parallel.shard_* metrics prove sharded firing actually engaged.
@@ -198,7 +198,7 @@ struct ShardedRun {
   uint64_t fingerprint = 0;
   uint32_t max_null_label = 0;
   std::vector<std::string> journal;
-  std::string ledger_canonical;
+  std::string record_canonical;
   uint64_t shard_batches = 0;
   uint64_t shards = 0;
 };
@@ -215,10 +215,10 @@ ShardedRun RunShardedOnce(const Scenario& scenario, size_t threads) {
   run.fingerprint = chased.Fingerprint();
   run.max_null_label = chased.MaxNullLabel();
   run.journal = NormalizedJournalLines();
-  obs::LedgerEntry entry = obs::CollectLedgerEntry(
+  obs::RunRecord entry = obs::CollectRunRecord(
       "test/sharded_soak", /*budget=*/nullptr, /*exit_code=*/0,
       /*elapsed_seconds=*/0.0);
-  run.ledger_canonical = entry.ToJson(/*canonical=*/true);
+  run.record_canonical = entry.ToJson(/*canonical=*/true);
   obs::MetricsSnapshot snapshot = obs::SnapshotMetrics();
   auto batches = snapshot.counters.find("chase.parallel.shard_batches");
   if (batches != snapshot.counters.end()) run.shard_batches = batches->second;
@@ -260,7 +260,7 @@ TEST(ParallelShardedFiringTest, ByteIdenticalAt1And2And4And8Threads) {
         EXPECT_EQ(runs[0].fingerprint, runs[i].fingerprint);
         EXPECT_EQ(runs[0].max_null_label, runs[i].max_null_label);
         EXPECT_EQ(runs[0].journal, runs[i].journal);
-        EXPECT_EQ(runs[0].ledger_canonical, runs[i].ledger_canonical);
+        EXPECT_EQ(runs[0].record_canonical, runs[i].record_canonical);
       }
       if (runs[3].shard_batches > 0) {
         ++engaged_cases;
@@ -323,7 +323,7 @@ TEST(ParallelShardedFiringTest, TransitivityTgdsByteIdenticalAt1And8Threads) {
     uint64_t fingerprint = 0;
     uint32_t max_null_label = 0;
     std::vector<std::string> journal;
-    std::string ledger_canonical;
+    std::string record_canonical;
     uint64_t shards = 0;
   };
   std::vector<Run> runs;
@@ -343,10 +343,10 @@ TEST(ParallelShardedFiringTest, TransitivityTgdsByteIdenticalAt1And8Threads) {
     run.fingerprint = chased->Fingerprint();
     run.max_null_label = chased->MaxNullLabel();
     run.journal = NormalizedJournalLines();
-    obs::LedgerEntry entry = obs::CollectLedgerEntry(
+    obs::RunRecord entry = obs::CollectRunRecord(
         "test/transitivity", /*budget=*/nullptr, /*exit_code=*/0,
         /*elapsed_seconds=*/0.0);
-    run.ledger_canonical = entry.ToJson(/*canonical=*/true);
+    run.record_canonical = entry.ToJson(/*canonical=*/true);
     obs::MetricsSnapshot snapshot = obs::SnapshotMetrics();
     auto shards = snapshot.counters.find("chase.parallel.shards");
     if (shards != snapshot.counters.end()) run.shards = shards->second;
@@ -359,7 +359,7 @@ TEST(ParallelShardedFiringTest, TransitivityTgdsByteIdenticalAt1And8Threads) {
   EXPECT_EQ(runs[0].fingerprint, runs[1].fingerprint);
   EXPECT_EQ(runs[0].max_null_label, runs[1].max_null_label);
   EXPECT_EQ(runs[0].journal, runs[1].journal);
-  EXPECT_EQ(runs[0].ledger_canonical, runs[1].ledger_canonical);
+  EXPECT_EQ(runs[0].record_canonical, runs[1].record_canonical);
   // The 8-thread run really sharded (two groups: {E,F-deps}, {U,V-deps}).
   EXPECT_EQ(runs[1].shards, 2u);
 }

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,7 +16,7 @@
 // Tests for the live progress heartbeats (obs/progress.h): deterministic
 // emission intervals under an injectable clock, canonical snapshots that
 // are byte-identical across chase thread counts, the JSONL stream shape,
-// and the QIMAP_OBS_DISABLE_PROGRESS environment kill switch.
+// and zero delta when disabled.
 
 namespace qimap {
 namespace {
@@ -221,16 +220,6 @@ TEST_F(ProgressTest, JsonlStreamHasMetaHeaderAndFinalHeartbeat) {
     if (final_flag->bool_value) saw_final = true;
   }
   EXPECT_TRUE(saw_final);
-}
-
-TEST_F(ProgressTest, EnvironmentKillSwitchMakesEnableANoOp) {
-  ASSERT_EQ(setenv("QIMAP_OBS_DISABLE_PROGRESS", "1", 1), 0);
-  obs::Progress::Enable();
-  EXPECT_FALSE(obs::Progress::Enabled());
-  ASSERT_EQ(unsetenv("QIMAP_OBS_DISABLE_PROGRESS"), 0);
-  obs::Progress::Enable();
-  EXPECT_TRUE(obs::Progress::Enabled());
-  obs::Progress::Disable();
 }
 
 // Disabled progress must not perturb the chase: same output, zero

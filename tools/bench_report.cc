@@ -1,16 +1,18 @@
-// bench_report — merges the machine-readable BENCH_<name>.json reports
-// the benchmarks write (bench/bench_util.h JsonReporter) into one
+// bench_report — merges the run records the benchmarks write
+// (BENCH_<name>.json, bench/bench_util.h JsonReporter) into one
 // BENCH_summary.json for CI to archive and diff, and optionally gates the
-// merge against a committed baseline summary.
+// merge against a committed baseline summary or the run ledger.
 //
 //   bench_report [--out FILE] [--baseline FILE --check
 //                 [--tolerance X] [--counter-tolerance Y]]
 //                [--history LEDGER.jsonl]
 //                BENCH_a.json BENCH_b.json ...
 //
-// The summary lists every bench with its phase timings and per-bench
-// metrics counters, sums all counters across the runs, and stamps the
-// run metadata:
+// A bench's record names it by its command, "bench/<name>", and carries
+// its timed `phases` and its metrics `counters`; records in the ledger
+// are read the same way. The summary lists every bench with its phase
+// timings and per-bench counters, sums all counters across the runs, and
+// stamps the run metadata:
 //
 //   {"meta":{...},"count":2,"total_seconds":3.14,
 //    "benches":[{"bench":"chase_scaling","seconds":1.2,
@@ -41,8 +43,9 @@
 // hand-committed baseline, every merged bench is gated against the
 // median of its own recent history — the last 5 "bench/<name>" records
 // of the run ledger (bench runs append one when QIMAP_LEDGER is set).
-// Same tolerance formulas as --check; a bench with no ledger history yet
-// passes, so the gate self-bootstraps as the ledger grows.
+// Same tolerance formulas and core-tagged phase exclusion as --check; a
+// bench with no ledger history yet passes, so the gate self-bootstraps
+// as the ledger grows.
 //
 // Without --out the summary lands in $QIMAP_BENCH_OUT_DIR (or the working
 // directory), mirroring where JsonReporter puts the per-bench files.
@@ -60,7 +63,7 @@
 #include <vector>
 
 #include "obs/json.h"
-#include "obs/run_meta.h"
+#include "obs/run_record.h"
 #include "arg_parse.h"
 
 namespace qimap {
@@ -105,8 +108,8 @@ unsigned AvailableCores() {
 }
 
 // Wall time the gate compares: the sum of the bench's phases that this
-// host can run meaningfully. Entries without phase detail (old ledger
-// records, hand-written baselines) fall back to the recorded total.
+// host can run meaningfully. Baseline entries without phase detail fall
+// back to the recorded total.
 double GatedSeconds(const BenchEntry& bench, unsigned cores) {
   if (bench.phases.empty()) return bench.seconds;
   double total = 0.0;
@@ -122,27 +125,29 @@ bool Fail(const char* file, const std::string& why) {
   return false;
 }
 
-bool LoadReport(const char* path, std::vector<BenchEntry>* benches,
-                std::map<std::string, double>* counters) {
-  Result<obs::JsonValue> doc = obs::ParseJsonFile(path);
-  if (!doc.ok()) return Fail(path, doc.status().ToString());
-  if (!doc->IsObject()) return Fail(path, "top level is not an object");
-  const obs::JsonValue* name = doc->Find("bench");
-  if (name == nullptr || !name->IsString() || name->string_value.empty()) {
-    return Fail(path, "missing string 'bench'");
+// Reads one bench run record — a BENCH_<name>.json file or a ledger
+// line whose command is "bench/<name>" — into `out`: the name, the
+// phases (whose sum is the bench's seconds) and the counters.
+bool ReadBenchRecord(const char* path, const obs::JsonValue& record,
+                     const std::string& where, BenchEntry* out) {
+  if (!record.IsObject()) return Fail(path, where + "not an object");
+  const obs::JsonValue* command = record.Find("command");
+  if (command == nullptr || !command->IsString() ||
+      command->string_value.rfind("bench/", 0) != 0 ||
+      command->string_value.size() == 6) {
+    return Fail(path, where + "missing string 'command' \"bench/<name>\"");
   }
-  const obs::JsonValue* phases = doc->Find("phases");
+  const obs::JsonValue* phases = record.Find("phases");
   if (phases == nullptr || !phases->IsArray()) {
-    return Fail(path, "missing 'phases' array");
+    return Fail(path, where + "missing 'phases' array");
   }
-  BenchEntry entry;
-  entry.name = name->string_value;
+  out->name = command->string_value.substr(6);
   for (const obs::JsonValue& phase : phases->items) {
     const obs::JsonValue* phase_name = phase.Find("name");
     const obs::JsonValue* seconds = phase.Find("seconds");
     if (phase_name == nullptr || !phase_name->IsString() ||
         seconds == nullptr || !seconds->IsNumber()) {
-      return Fail(path, "malformed phase entry");
+      return Fail(path, where + "malformed phase entry");
     }
     BenchPhase parsed;
     parsed.name = phase_name->string_value;
@@ -151,26 +156,31 @@ bool LoadReport(const char* path, std::vector<BenchEntry>* benches,
     if (requires_cores != nullptr) {
       if (!requires_cores->IsNumber() ||
           requires_cores->number_value < 0) {
-        return Fail(path, "malformed 'requires_cores' in phase '" +
+        return Fail(path, where + "malformed 'requires_cores' in phase '" +
                               parsed.name + "'");
       }
       parsed.requires_cores =
           static_cast<unsigned>(requires_cores->number_value);
     }
-    entry.seconds += parsed.seconds;
-    entry.phases.push_back(std::move(parsed));
+    out->seconds += parsed.seconds;
+    out->phases.push_back(std::move(parsed));
   }
-  const obs::JsonValue* metrics = doc->Find("metrics");
-  if (metrics != nullptr) {
-    const obs::JsonValue* metric_counters = metrics->Find("counters");
-    if (metric_counters != nullptr && metric_counters->IsObject()) {
-      for (const auto& [key, value] : metric_counters->members) {
-        if (!value.IsNumber()) continue;
-        entry.counters[key] = value.number_value;
-        (*counters)[key] += value.number_value;
-      }
+  const obs::JsonValue* counters = record.Find("counters");
+  if (counters != nullptr && counters->IsObject()) {
+    for (const auto& [key, value] : counters->members) {
+      if (value.IsNumber()) out->counters[key] = value.number_value;
     }
   }
+  return true;
+}
+
+bool LoadReport(const char* path, std::vector<BenchEntry>* benches,
+                std::map<std::string, double>* counters) {
+  Result<obs::JsonValue> doc = obs::ParseJsonFile(path);
+  if (!doc.ok()) return Fail(path, doc.status().ToString());
+  BenchEntry entry;
+  if (!ReadBenchRecord(path, *doc, "", &entry)) return false;
+  for (const auto& [key, value] : entry.counters) (*counters)[key] += value;
   benches->push_back(std::move(entry));
   return true;
 }
@@ -298,58 +308,25 @@ int CheckAgainstBaseline(const std::vector<BenchEntry>& benches,
   return violations;
 }
 
-// One historical run of a bench, read from the run ledger.
-struct HistoryRun {
-  double seconds = 0.0;
-  std::map<std::string, double> counters;
-};
-
-// Loads per-bench history from the JSONL run ledger: records whose
-// command is "bench/<name>" keyed by that command, in append order.
+// Loads per-bench history from the JSONL run ledger: the bench records
+// (command "bench/<name>"), keyed by bench name, in append order.
 bool LoadHistory(const char* path,
-                 std::map<std::string, std::vector<HistoryRun>>* out) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return Fail(path, "cannot read ledger");
-  std::string text;
-  char buffer[4096];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    text.append(buffer, n);
-  }
-  bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!read_ok) return Fail(path, "cannot read ledger");
-  size_t line_no = 0;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t end = text.find('\n', pos);
-    if (end == std::string::npos) end = text.size();
-    std::string line = text.substr(pos, end - pos);
-    pos = end + 1;
-    ++line_no;
-    if (line.empty()) continue;
-    Result<obs::JsonValue> record = obs::ParseJson(line);
-    if (!record.ok()) {
-      return Fail(path, "line " + std::to_string(line_no) + ": " +
-                            record.status().ToString());
-    }
-    const obs::JsonValue* command = record->Find("command");
+                 std::map<std::string, std::vector<BenchEntry>>* out) {
+  Result<std::vector<std::pair<size_t, obs::JsonValue>>> lines =
+      obs::ParseJsonLinesFile(path);
+  if (!lines.ok()) return Fail(path, lines.status().message());
+  for (const auto& [line_no, record] : *lines) {
+    const obs::JsonValue* command = record.Find("command");
     if (command == nullptr || !command->IsString() ||
         command->string_value.rfind("bench/", 0) != 0) {
       continue;  // a CLI run; only bench records feed the gate
     }
-    HistoryRun run;
-    const obs::JsonValue* elapsed = record->Find("elapsed_seconds");
-    if (elapsed != nullptr && elapsed->IsNumber()) {
-      run.seconds = elapsed->number_value;
+    BenchEntry run;
+    if (!ReadBenchRecord(path, record,
+                         "line " + std::to_string(line_no) + ": ", &run)) {
+      return false;
     }
-    const obs::JsonValue* counters = record->Find("counters");
-    if (counters != nullptr && counters->IsObject()) {
-      for (const auto& [key, value] : counters->members) {
-        if (value.IsNumber()) run.counters[key] = value.number_value;
-      }
-    }
-    (*out)[command->string_value].push_back(std::move(run));
+    (*out)[run.name].push_back(std::move(run));
   }
   return true;
 }
@@ -364,29 +341,31 @@ double Median(std::vector<double> values) {
 // with no history passes — the gate self-bootstraps as the ledger grows.
 int CheckAgainstHistory(
     const std::vector<BenchEntry>& benches,
-    const std::map<std::string, std::vector<HistoryRun>>& history,
-    double tolerance, double counter_tolerance, size_t window) {
+    const std::map<std::string, std::vector<BenchEntry>>& history,
+    double tolerance, double counter_tolerance, size_t window,
+    unsigned cores) {
   int violations = 0;
   for (const BenchEntry& bench : benches) {
-    auto it = history.find("bench/" + bench.name);
+    auto it = history.find(bench.name);
     if (it == history.end() || it->second.empty()) {
       std::printf("bench_report: history: '%s' has no ledger runs yet\n",
                   bench.name.c_str());
       continue;
     }
-    const std::vector<HistoryRun>& runs = it->second;
+    const std::vector<BenchEntry>& runs = it->second;
     size_t first = runs.size() > window ? runs.size() - window : 0;
     std::vector<double> seconds;
     for (size_t i = first; i < runs.size(); ++i) {
-      seconds.push_back(runs[i].seconds);
+      seconds.push_back(GatedSeconds(runs[i], cores));
     }
+    double gated_seconds = GatedSeconds(bench, cores);
     double median_seconds = Median(seconds);
     double time_limit = median_seconds * (1.0 + tolerance) + 0.05;
-    if (bench.seconds > time_limit) {
+    if (gated_seconds > time_limit) {
       std::fprintf(stderr,
                    "bench_report: HISTORY FAIL: '%s' took %.3fs, limit "
                    "%.3fs (median of last %zu: %.3fs)\n",
-                   bench.name.c_str(), bench.seconds, time_limit,
+                   bench.name.c_str(), gated_seconds, time_limit,
                    seconds.size(), median_seconds);
       ++violations;
     }
@@ -416,15 +395,6 @@ int CheckAgainstHistory(
   return violations;
 }
 
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
-
 void AppendNumber(std::string* out, double value) {
   char buffer[64];
   // Counters are integral; phase timings keep microsecond precision.
@@ -444,7 +414,7 @@ void AppendCounters(std::string* out,
   for (const auto& [key, value] : counters) {
     if (!first) out->push_back(',');
     first = false;
-    AppendEscaped(out, key);
+    obs::AppendJsonString(out, key);
     out->push_back(':');
     AppendNumber(out, value);
   }
@@ -463,7 +433,7 @@ std::string ToJson(const std::vector<BenchEntry>& benches,
   for (size_t i = 0; i < benches.size(); ++i) {
     if (i > 0) out.push_back(',');
     out += "{\"bench\":";
-    AppendEscaped(&out, benches[i].name);
+    obs::AppendJsonString(&out, benches[i].name);
     out += ",\"seconds\":";
     AppendNumber(&out, benches[i].seconds);
     out += ",\"phases\":[";
@@ -471,7 +441,7 @@ std::string ToJson(const std::vector<BenchEntry>& benches,
       if (k > 0) out.push_back(',');
       const BenchPhase& phase = benches[i].phases[k];
       out += "{\"name\":";
-      AppendEscaped(&out, phase.name);
+      obs::AppendJsonString(&out, phase.name);
       out += ",\"seconds\":";
       AppendNumber(&out, phase.seconds);
       if (phase.requires_cores > 0) {
@@ -577,12 +547,12 @@ int Main(int argc, char** argv) {
   }
 
   if (history_path != nullptr) {
-    std::map<std::string, std::vector<HistoryRun>> history;
+    std::map<std::string, std::vector<BenchEntry>> history;
     if (!LoadHistory(history_path, &history)) return 1;
     constexpr size_t kHistoryWindow = 5;
     int violations = CheckAgainstHistory(benches, history, tolerance,
-                                         counter_tolerance,
-                                         kHistoryWindow);
+                                         counter_tolerance, kHistoryWindow,
+                                         AvailableCores());
     if (violations > 0) {
       std::fprintf(stderr,
                    "bench_report: %d regression(s) against ledger "

@@ -51,12 +51,11 @@
 #include "dependency/parser.h"
 #include "obs/journal.h"
 #include "obs/json.h"
-#include "obs/ledger.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/progress.h"
-#include "obs/run_meta.h"
+#include "obs/run_record.h"
 #include "obs/trace.h"
 #include "relational/instance_enum.h"
 #include "workload/scenario_gen.h"
@@ -86,7 +85,7 @@ Budget* g_budget = nullptr;
 
 // Cost model of the last instance a command chased (set when profiling is
 // on): the per-relation cardinality/selectivity summary that rides along
-// in profile reports as the planner handoff.
+// in the run record as the planner handoff.
 std::optional<CostModel> g_cost_model;
 
 // Worker threads for every chase (--threads, capped; 0 defers to
@@ -134,10 +133,10 @@ const tools::ArgSpec& CliSpec() {
     spec.value_flags = {
         "source",        "target",      "tgds",        "instance",
         "reverse",       "mode",        "domain",      "max-facts",
-        "trace-out",     "metrics-out", "journal-out", "fact",
+        "trace-out",     "record-out",  "journal-out", "fact",
         "format",        "explain-out", "threads",     "deadline-ms",
         "max-memory-mb", "max-nulls",   "max-steps",   "delta",
-        "profile-out",   "progress-out", "progress-interval", "ledger",
+        "progress-out",  "progress-interval", "ledger",
         "case",          "contained-in", "plan-out"};
     spec.bool_flags = {"verbose", "version", "help", "incremental",
                        "profile", "progress", "quiet", "plan"};
@@ -187,17 +186,17 @@ int Usage() {
       "           --format tree|json  stdout rendering (default tree)\n"
       "           --explain-out FILE  write the derivation trees as JSON\n"
       "profiling: --profile           per-dependency hot-spot report on "
-      "stdout\n"
-      "             (ranked by backtracks, with a per-atom probe-vs-scan "
-      "breakdown;\n"
-      "              `analyze --profile --instance ...` also prints a cost-"
-      "model summary)\n"
-      "           --profile-out FILE  write the profile as JSON (meta + "
-      "deps + traceEvents\n"
-      "             + cost_model when an instance was chased)\n"
-      "telemetry: --trace-out FILE    write a Chrome trace-event JSON "
+      "stdout, and the\n"
+      "             run record's profile (ranked by backtracks, with a "
+      "per-atom\n"
+      "             probe-vs-scan breakdown; `analyze --profile --instance "
+      "...` also\n"
+      "             prints and records a cost-model summary)\n"
+      "telemetry: --record-out FILE   write the run record as JSON "
+      "(meta, counters,\n"
+      "             histograms, budget, fingerprints, profile, cost_model)\n"
+      "           --trace-out FILE    write a Chrome trace-event JSON "
       "file\n"
-      "           --metrics-out FILE  write a metrics snapshot as JSON\n"
       "           --journal-out FILE  write the provenance journal as "
       "JSONL\n"
       "           --verbose           debug logging on stderr\n"
@@ -208,7 +207,7 @@ int Usage() {
       "           --progress-out FILE  stream heartbeats as JSONL\n"
       "           --progress-interval N  steps between heartbeats "
       "(default 4096)\n"
-      "ledger:    --ledger FILE       append this run's telemetry to the "
+      "ledger:    --ledger FILE       append this run's record to the "
       "JSONL run\n"
       "             ledger (QIMAP_LEDGER env sets a default path)\n"
       "           report list [--ledger FILE] [--command C] "
@@ -542,14 +541,6 @@ int RunAnalyze(const Args& args, const SchemaMapping& m) {
       QIMAP_ASSIGN_OR_RETURN_CLI(
           stats_source, ParseInstance(m.source, args.Get("instance")));
     }
-    auto escape = [](const std::string& s) {
-      std::string out;
-      for (char c : s) {
-        if (c == '"' || c == '\\') out += '\\';
-        out += c;
-      }
-      return out;
-    };
     std::string json = "{\n  \"plans\": [";
     for (size_t d = 0; d < m.tgds.size(); ++d) {
       const Tgd& tgd = m.tgds[d];
@@ -559,8 +550,9 @@ int RunAnalyze(const Args& args, const SchemaMapping& m) {
       std::printf("plan for %s:\n%s", text.c_str(),
                   plan.ToText(*m.source).c_str());
       json += d == 0 ? "\n    " : ",\n    ";
-      json += "{\"dependency\": \"" + escape(text) +
-              "\", \"plan\": " + plan.ToJson(*m.source) + "}";
+      json += "{\"dependency\": ";
+      obs::AppendJsonString(&json, text);
+      json += ", \"plan\": " + plan.ToJson(*m.source) + "}";
     }
     json += "\n  ]\n}\n";
     const char* plan_out = args.Get("plan-out");
@@ -630,34 +622,6 @@ std::string RecordString(const obs::JsonValue& rec, const char* key) {
   return v != nullptr && v->IsString() ? v->string_value : std::string();
 }
 
-// Loads and parses the JSONL ledger at `path`; exits via return code on
-// error. Every line must be a complete JSON object.
-int LoadLedgerRecords(const char* path, std::vector<obs::JsonValue>* out) {
-  std::string content;
-  if (!ReadWholeFile(path, &content)) {
-    std::fprintf(stderr, "qimap_cli: cannot read ledger '%s'\n", path);
-    return 1;
-  }
-  size_t pos = 0;
-  int lineno = 0;
-  while (pos < content.size()) {
-    size_t nl = content.find('\n', pos);
-    if (nl == std::string::npos) nl = content.size();
-    std::string line = content.substr(pos, nl - pos);
-    pos = nl + 1;
-    ++lineno;
-    if (line.empty()) continue;
-    Result<obs::JsonValue> parsed = obs::ParseJson(line);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "qimap_cli: %s:%d: %s\n", path, lineno,
-                   parsed.status().ToString().c_str());
-      return 1;
-    }
-    out->push_back(std::move(parsed).value());
-  }
-  return 0;
-}
-
 // `report list` / `report diff`: the ledger-backed longitudinal view.
 // Runs before any mapping flags are required — report takes no mapping.
 int RunReport(int argc, char** argv) {
@@ -690,9 +654,15 @@ int RunReport(int argc, char** argv) {
                  "QIMAP_LEDGER environment variable)\n");
     return 2;
   }
+  Result<std::vector<std::pair<size_t, obs::JsonValue>>> lines =
+      obs::ParseJsonLinesFile(path);
+  if (!lines.ok()) {
+    std::fprintf(stderr, "qimap_cli: %s: %s\n", path,
+                 lines.status().message().c_str());
+    return 1;
+  }
   std::vector<obs::JsonValue> records;
-  int load = LoadLedgerRecords(path, &records);
-  if (load != 0) return load;
+  for (auto& line : *lines) records.push_back(std::move(line.second));
 
   if (action == "list") {
     const char* want_command = args.Get("command");
@@ -900,21 +870,19 @@ int Main(int argc, char** argv) {
     obs::Progress::Enable();
   }
 
-  // Run ledger: --ledger (or the QIMAP_LEDGER environment variable) makes
-  // this run append its telemetry record on every exit path.
+  // The run record: --record-out writes it, --ledger (or the QIMAP_LEDGER
+  // environment variable) appends the same object to the run ledger, on
+  // every exit path.
+  const char* record_out = args.Get("record-out", "");
   const char* ledger_path = args.Get("ledger");
   if (ledger_path == nullptr) ledger_path = std::getenv("QIMAP_LEDGER");
-  bool ledger_on = ledger_path != nullptr && *ledger_path != '\0';
-  if (ledger_on) obs::Ledger::Enable();
+  if (ledger_path == nullptr) ledger_path = "";
+  bool record_on = *record_out != '\0' || *ledger_path != '\0';
   auto run_start = std::chrono::steady_clock::now();
 
   const char* trace_out = args.Get("trace-out");
-  const char* metrics_out = args.Get("metrics-out");
   const char* journal_out = args.Get("journal-out");
-  const char* profile_out = args.Get("profile-out");
-  if (args.Has("profile") || profile_out != nullptr) {
-    obs::Profiler::Enable();
-  }
+  if (args.Has("profile")) obs::Profiler::Enable();
   if (trace_out != nullptr) obs::Trace::Enable();
   if (journal_out != nullptr) {
     // Spill-to-JSONL: a full ring flushes to the file mid-run; the final
@@ -939,8 +907,8 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", mapping.status().ToString().c_str());
       code = 2;
     } else {
-      if (ledger_on) {
-        // The ledger keys cross-run comparisons on what was run on what:
+      if (record_on) {
+        // The record keys cross-run comparisons on what was run on what:
         // the mapping fingerprint and (when given) the source instance's.
         mapping_fp = DependencyFingerprint(mapping->tgds, *mapping->source,
                                            *mapping->target);
@@ -976,30 +944,6 @@ int Main(int argc, char** argv) {
                  trace_out);
     if (code == 0) code = 1;
   }
-  if (profile_out != nullptr) {
-    std::vector<std::pair<std::string, std::string>> extra;
-    extra.emplace_back("meta", obs::RunMetaJson());
-    if (g_cost_model.has_value()) {
-      extra.emplace_back("cost_model", g_cost_model->ToJson());
-    }
-    std::string json = obs::Profiler::Snapshot().ToJson(false, extra);
-    if (!obs::WriteFileAtomic(profile_out, json)) {
-      std::fprintf(stderr, "qimap_cli: cannot write profile to '%s'\n",
-                   profile_out);
-      if (code == 0) code = 1;
-    }
-  }
-  if (metrics_out != nullptr) {
-    // Splice the run-metadata stamp in as the first key of the snapshot
-    // object, then publish atomically.
-    std::string json = obs::SnapshotMetrics().ToJson();
-    json = "{\n  \"meta\": " + obs::RunMetaJson() + "," + json.substr(1);
-    if (!obs::WriteFileAtomic(metrics_out, json)) {
-      std::fprintf(stderr, "qimap_cli: cannot write metrics to '%s'\n",
-                   metrics_out);
-      if (code == 0) code = 1;
-    }
-  }
   if (journal_out != nullptr) {
     bool ok = obs::Journal::Flush();
     // Closing the spill renames `<file>.tmp` into place; until then the
@@ -1014,25 +958,25 @@ int Main(int argc, char** argv) {
   // Flush the heartbeat stream so the final snapshot is on disk.
   obs::Progress::CloseStream();
 
-  // The ledger record is appended last, after every telemetry file, so it
-  // summarizes the run exactly as the other artifacts saw it (including
-  // a failing exit code).
-  if (ledger_on) {
+  // The record is collected once, after every other telemetry file, so it
+  // summarizes the run exactly as those artifacts saw it (including a
+  // failing exit code); the file and the ledger line are the same object.
+  if (record_on) {
     double elapsed_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       run_start)
             .count();
-    obs::LedgerEntry entry = obs::CollectLedgerEntry(
+    obs::RunRecord record = obs::CollectRunRecord(
         args.command, g_budget, code, elapsed_seconds);
-    entry.mapping_fingerprint = mapping_fp;
-    entry.source_fingerprint = source_fp;
+    record.mapping_fingerprint = mapping_fp;
+    record.source_fingerprint = source_fp;
     if (g_cost_model.has_value()) {
-      entry.cost_model_json = g_cost_model->ToJson();
+      record.cost_model_json = g_cost_model->ToJson();
     }
-    if (!obs::AppendToLedger(ledger_path, &entry)) {
-      std::fprintf(stderr, "qimap_cli: cannot append to ledger '%s'\n",
-                   ledger_path);
-      if (code == 0) code = 1;
+    if (!obs::PublishRunRecord(&record, record_out, ledger_path,
+                               "qimap_cli") &&
+        code == 0) {
+      code = 1;
     }
   }
   return code;

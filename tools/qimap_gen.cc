@@ -21,9 +21,8 @@
 
 #include "base/version.h"
 #include "chase/chase_checkpoint.h"
-#include "obs/ledger.h"
 #include "obs/metrics.h"
-#include "obs/run_meta.h"
+#include "obs/run_record.h"
 #include "workload/scenario_gen.h"
 #include "arg_parse.h"
 
@@ -49,9 +48,9 @@ int Usage() {
       "(default 4)\n"
       "         --existentials N    max existential vars (default 2; "
       "full/GAV pin 0)\n"
-      "telemetry: --metrics-out FILE  write a metrics snapshot as JSON\n"
-      "           --ledger FILE       append this run to the JSONL run "
-      "ledger\n"
+      "telemetry: --record-out FILE   write the run record as JSON\n"
+      "           --ledger FILE       append the same record to the JSONL "
+      "run ledger\n"
       "             (QIMAP_LEDGER env sets a default path)\n"
       "           --quiet             suppress the per-file lines\n"
       "Flags accept both --key value and --key=value.\n");
@@ -66,7 +65,7 @@ const tools::ArgSpec& GenSpec() {
                         "tgds",         "body-atoms", "fan-out",
                         "arity",        "density",  "source-relations",
                         "target-relations", "existentials",
-                        "metrics-out",  "ledger"};
+                        "record-out",   "ledger"};
     spec.bool_flags = {"quiet", "help", "version"};
     return spec;
   }();
@@ -166,12 +165,12 @@ int Main(int argc, char** argv) {
   config.num_target_relations = static_cast<size_t>(target_relations);
   config.max_existential_vars = static_cast<size_t>(existentials);
 
-  // Run ledger: --ledger (or QIMAP_LEDGER) makes this run append its
-  // record, same contract as qimap_cli and bench_report.
+  // The run record: --record-out writes it, --ledger (or QIMAP_LEDGER)
+  // appends the same object, same contract as qimap_cli.
+  const char* record_out = args.Get("record-out", "");
   const char* ledger_path = args.Get("ledger");
   if (ledger_path == nullptr) ledger_path = std::getenv("QIMAP_LEDGER");
-  bool ledger_on = ledger_path != nullptr && *ledger_path != '\0';
-  if (ledger_on) obs::Ledger::Enable();
+  if (ledger_path == nullptr) ledger_path = "";
   auto run_start = std::chrono::steady_clock::now();
 
   static const obs::MetricId kCases = obs::RegisterCounter("gen.cases");
@@ -192,7 +191,7 @@ int Main(int argc, char** argv) {
     Scenario scenario =
         GenerateScenario(config, case_seed, static_cast<size_t>(facts));
     if (k == 0) {
-      // The ledger keys on the first case: enough to pair a generation
+      // The record keys on the first case: enough to pair a generation
       // run with the consumer runs that chase its files.
       mapping_fp = DependencyFingerprint(scenario.mapping.tgds,
                                          *scenario.mapping.source,
@@ -223,30 +222,19 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(count), out_dir);
   }
 
-  const char* metrics_out = args.Get("metrics-out");
-  if (metrics_out != nullptr) {
-    std::string json = obs::SnapshotMetrics().ToJson();
-    json = "{\n  \"meta\": " + obs::RunMetaJson() + "," + json.substr(1);
-    if (!obs::WriteFileAtomic(metrics_out, json)) {
-      std::fprintf(stderr, "qimap_gen: cannot write metrics to '%s'\n",
-                   metrics_out);
-      if (code == 0) code = 1;
-    }
-  }
-
-  if (ledger_on) {
+  if (*record_out != '\0' || *ledger_path != '\0') {
     double elapsed_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       run_start)
             .count();
-    obs::LedgerEntry entry =
-        obs::CollectLedgerEntry("gen", nullptr, code, elapsed_seconds);
-    entry.mapping_fingerprint = mapping_fp;
-    entry.source_fingerprint = source_fp;
-    if (!obs::AppendToLedger(ledger_path, &entry)) {
-      std::fprintf(stderr, "qimap_gen: cannot append to ledger '%s'\n",
-                   ledger_path);
-      if (code == 0) code = 1;
+    obs::RunRecord record =
+        obs::CollectRunRecord("gen", nullptr, code, elapsed_seconds);
+    record.mapping_fingerprint = mapping_fp;
+    record.source_fingerprint = source_fp;
+    if (!obs::PublishRunRecord(&record, record_out, ledger_path,
+                               "qimap_gen") &&
+        code == 0) {
+      code = 1;
     }
   }
   return code;
