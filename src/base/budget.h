@@ -29,7 +29,7 @@ namespace qimap {
 /// A budget trips at most once and is sticky: the first limit violation
 /// records which limit tripped and every later check returns the same
 /// structured status (`ResourceExhausted`, or `Cancelled` for the token),
-/// so a multi-threaded wave winds down deterministically instead of
+/// so a multi-threaded fan-out winds down deterministically instead of
 /// racing to report different limits. Engines translate a trip into a
 /// best-effort partial result flagged `partial = true` plus a `budget`
 /// journal event and `budget.*` metrics (obs/budget_obs.h).

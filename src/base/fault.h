@@ -12,9 +12,8 @@ namespace qimap {
 /// Deterministic fault-injection sites inside the chase and inversion
 /// pipelines. A `FaultPlan` names one site and an ordinal; the Nth time
 /// execution passes that site the attached `Budget` trips (or cancels its
-/// token), letting tests drive exhaustion and mid-parallel-wave
-/// cancellation paths on demand instead of hoping a tight limit lands in
-/// the right place.
+/// token), letting tests drive exhaustion and mid-run cancellation paths
+/// on demand instead of hoping a tight limit lands in the right place.
 enum class FaultSite : uint8_t {
   kNone = 0,
   /// A memory-accounting checkpoint: every `Budget::ChargeMemory` call
@@ -22,8 +21,8 @@ enum class FaultSite : uint8_t {
   kAllocCheckpoint,
   /// One per dependency whose trigger batch is consumed by a chase round.
   kTriggerBatch,
-  /// One per task handed to the thread pool during trigger collection or
-  /// a disjunctive wave.
+  /// One per task handed to the thread pool during trigger collection
+  /// (one per dependency body).
   kPoolTask,
 };
 

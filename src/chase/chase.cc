@@ -16,34 +16,13 @@
 #include "obs/trace.h"
 #include "relational/cost_model.h"
 #include "relational/homomorphism.h"
-#include "relational/instance_core.h"
 
 namespace qimap {
 namespace {
 
-const char* VariantName(ChaseVariant variant) {
-  switch (variant) {
-    case ChaseVariant::kStandard:
-      return "standard chase";
-    case ChaseVariant::kOblivious:
-      return "oblivious chase";
-    case ChaseVariant::kCore:
-      return "core chase";
-  }
-  return "chase";
-}
-
-const char* VariantSpanName(ChaseVariant variant) {
-  switch (variant) {
-    case ChaseVariant::kStandard:
-      return "chase/standard";
-    case ChaseVariant::kOblivious:
-      return "chase/oblivious";
-    case ChaseVariant::kCore:
-      return "chase/core";
-  }
-  return "chase/unknown";
-}
+// The pipeline name of every journal run, profiler entry, heartbeat
+// stream and trace span of the chase.
+constexpr const char* kPipeline = "chase/standard";
 
 // Mirrors one run's totals into the process-wide metrics registry.
 void FlushChaseMetrics(const ChaseStats& st) {
@@ -121,24 +100,21 @@ bool SchemasAlias(const SchemaPtr& a, const SchemaPtr& b) {
 
 }  // namespace
 
-Result<Instance> ChaseWithTgds(const Instance& source_inst,
-                               const std::vector<Tgd>& tgds,
-                               SchemaPtr target_schema,
-                               const ChaseOptions& options,
-                               ChaseStats* stats) {
+Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
+                       const ChaseOptions& options, ChaseStats* stats) {
   static const obs::MetricId kLatency =
       obs::RegisterHistogram("chase.latency_us");
   obs::ScopedLatency latency(kLatency);
-  QIMAP_TRACE_SPAN(VariantSpanName(options.variant));
-  obs::JournalRun journal(VariantSpanName(options.variant));
+  QIMAP_TRACE_SPAN(kPipeline);
+  obs::JournalRun journal(kPipeline);
 
-  Instance target_inst(std::move(target_schema));
+  const std::vector<Tgd>& tgds = m.tgds;
+  Instance target_inst(m.target);
   uint32_t null_base = options.first_null_label != 0
                            ? options.first_null_label
                            : source_inst.MaxNullLabel() + 1;
   uint32_t next_null = null_base;
-  RunBudget guard(VariantName(options.variant), options.max_steps,
-                  options.budget);
+  RunBudget guard("standard chase", options.max_steps, options.budget);
   ChaseStats local_stats;
   ChaseStats& st = stats != nullptr ? *stats : local_stats;
   st = ChaseStats{};
@@ -149,7 +125,7 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
   // is the CostModel product bound; trigger collection refines it to the
   // exact merged-batch count below.
   obs::ProgressRun progress(
-      VariantSpanName(options.variant),
+      kPipeline,
       [&st]() {
         obs::ProgressSample sample;
         sample.facts = st.facts_added;
@@ -167,8 +143,8 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
   // Incremental resume: a checkpoint matches when it was cut from a
   // prefix of this source instance (proved by the prefix fingerprint —
   // storage is insert-only, so "the prefix is unchanged" means "the
-  // instance only grew"), under the same dependencies and variant. A
-  // non-matching checkpoint is simply re-recorded below.
+  // instance only grew"), under the same dependencies. A non-matching
+  // checkpoint is simply re-recorded below.
   ChaseCheckpoint* ckpt = options.incremental;
   const bool record = ckpt != nullptr;
   uint64_t dep_fp = 0;
@@ -176,8 +152,7 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
   if (record) {
     dep_fp = DependencyFingerprint(tgds, *source_inst.schema(),
                                    *target_inst.schema());
-    resume = ckpt->valid && ckpt->variant == options.variant &&
-             ckpt->dependency_fingerprint == dep_fp &&
+    resume = ckpt->valid && ckpt->dependency_fingerprint == dep_fp &&
              ckpt->triggers.size() == tgds.size() &&
              source_inst.IsValidEpoch(ckpt->source_epoch) &&
              source_inst.PrefixFingerprint(ckpt->source_epoch) ==
@@ -200,14 +175,14 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
   // Profiling: register every dependency here, on the serial setup path,
   // so ids are deterministic regardless of thread count. Registration is
   // keyed by (pipeline, rendered text), so repeated chases of the same
-  // mapping (e.g. MinGen's generator tests) aggregate into one entry.
+  // mapping (e.g. CheckRoundTrip's re-chases) aggregate into one entry.
   std::vector<uint32_t> prof_deps;
   const bool profiled = obs::Profiler::Enabled();
   if (profiled) {
     prof_deps.reserve(tgds.size());
     for (const Tgd& tgd : tgds) {
       prof_deps.push_back(obs::Profiler::RegisterDep(
-          VariantSpanName(options.variant),
+          kPipeline,
           TgdToString(tgd, *source_inst.schema(), *target_inst.schema()),
           static_cast<uint32_t>(tgd.lhs.size())));
     }
@@ -282,8 +257,8 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
   }
   if (obs::Progress::Enabled() && overflow.ok()) {
     uint64_t exact_total = 0;
-    for (const std::vector<MergedTrigger>& m : merged) {
-      exact_total += m.size();
+    for (const std::vector<MergedTrigger>& sequence : merged) {
+      exact_total += sequence.size();
     }
     progress.SetTotalEstimate(exact_total);
   }
@@ -359,13 +334,11 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
   // search counters diverge from a serial run's truncated counters).
   std::vector<std::vector<uint8_t>> shard_outcomes;
   bool sharded = false;
-  if (overflow.ok() && !resume && !record &&
-      options.variant != ChaseVariant::kOblivious &&
-      options.budget == nullptr && options.partial_out == nullptr &&
-      pool.num_threads() >= 2) {
+  if (overflow.ok() && !resume && !record && options.budget == nullptr &&
+      options.partial_out == nullptr && pool.num_threads() >= 2) {
     size_t total_triggers = 0;
-    for (const std::vector<MergedTrigger>& m : merged) {
-      total_triggers += m.size();
+    for (const std::vector<MergedTrigger>& sequence : merged) {
+      total_triggers += sequence.size();
     }
     ShardPlan plan = PlanFiringShards(
         tgds, target_inst.schema()->size(),
@@ -471,38 +444,33 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
       if (fast && mt.prov != Provenance::kNew) {
         // The stored result already contains this trigger's effect, and
         // `out_records` already holds its recycled record.
-        if (options.variant != ChaseVariant::kOblivious) {
-          ++st.checks_skipped;
-        }
+        ++st.checks_skipped;
         continue;
       }
       // Standard-chase applicability: skip when some extension of h
-      // already maps the rhs into the target instance. The oblivious
-      // variant fires unconditionally; replayed triggers resolve from
-      // their recorded outcome when the replay discipline allows.
+      // already maps the rhs into the target instance. Replayed triggers
+      // resolve from their recorded outcome when the replay discipline
+      // allows.
       bool fire = true;
-      if (options.variant != ChaseVariant::kOblivious) {
-        if (sharded) {
-          // Pass 1 already ran this trigger's satisfaction search on its
-          // shard's private instance; replay the outcome.
-          fire = shard_outcomes[dep_index][trig_index] != 0;
-        } else if (mt.prov == Provenance::kOldSkipped && !diverged) {
-          fire = false;
-          ++st.checks_skipped;
-        } else if (mt.prov == Provenance::kOldFired && !diverged &&
-                   !TouchesRhs(tgd, touched)) {
-          fire = true;
-          ++st.checks_skipped;
-        } else {
-          fire = !HasHomomorphism(tgd.rhs, target_inst, h, rhs_options);
-        }
-        if (!fire) {
-          ++st.satisfaction_hits;
-          obs::ProfileRecordSkip(prof_dep);
-          if (mt.prov == Provenance::kOldFired) diverged = true;
-          if (record) out_records[dep_index].push_back({h, false});
-          continue;
-        }
+      if (sharded) {
+        // Pass 1 already ran this trigger's satisfaction search on its
+        // shard's private instance; replay the outcome.
+        fire = shard_outcomes[dep_index][trig_index] != 0;
+      } else if (mt.prov == Provenance::kOldSkipped && !diverged) {
+        fire = false;
+        ++st.checks_skipped;
+      } else if (mt.prov == Provenance::kOldFired && !diverged &&
+                 !TouchesRhs(tgd, touched)) {
+        ++st.checks_skipped;
+      } else {
+        fire = !HasHomomorphism(tgd.rhs, target_inst, h, rhs_options);
+      }
+      if (!fire) {
+        ++st.satisfaction_hits;
+        obs::ProfileRecordSkip(prof_dep);
+        if (mt.prov == Provenance::kOldFired) diverged = true;
+        if (record) out_records[dep_index].push_back({h, false});
+        continue;
       }
       // Fire: instantiate the rhs, using fresh nulls for the existential
       // variables.
@@ -583,7 +551,6 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
   }
   if (record) {
     ckpt->valid = true;
-    ckpt->variant = options.variant;
     ckpt->source_epoch = source_inst.RowCounts();
     ckpt->source_fingerprint = source_inst.Fingerprint();
     ckpt->dependency_fingerprint = dep_fp;
@@ -591,18 +558,9 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
     ckpt->next_null = next_null;
     ckpt->triggers = std::move(out_records);
     ckpt->totals = st;
-    ckpt->result = target_inst;  // pre-core; the core is recomputed below
-  }
-  if (options.variant == ChaseVariant::kCore) {
-    QIMAP_TRACE_SPAN("chase/core_minimize");
-    return ComputeCore(target_inst);
+    ckpt->result = target_inst;
   }
   return target_inst;
-}
-
-Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
-                       const ChaseOptions& options, ChaseStats* stats) {
-  return ChaseWithTgds(source_inst, m.tgds, m.target, options, stats);
 }
 
 Instance MustChase(const Instance& source_inst, const SchemaMapping& m,

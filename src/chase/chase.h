@@ -13,25 +13,8 @@ class Budget;            // base/budget.h
 struct ChaseCheckpoint;  // chase/chase_checkpoint.h
 struct CostModel;        // relational/cost_model.h
 
-/// Which chase variant to run. All variants produce universal solutions
-/// and are pairwise homomorphically equivalent; they differ in size and
-/// cost.
-enum class ChaseVariant {
-  /// The standard (restricted) chase: a trigger fires only when its rhs
-  /// is not already witnessed. The default.
-  kStandard,
-  /// The oblivious chase: every trigger fires once, unconditionally.
-  /// Cheaper per step (no satisfaction check) but the result can be much
-  /// larger.
-  kOblivious,
-  /// The standard chase followed by core minimization: the smallest
-  /// universal solution (Fagin-Kolaitis-Miller-Popa, the paper's [4]).
-  kCore,
-};
-
 /// Options for the chase.
 struct ChaseOptions {
-  ChaseVariant variant = ChaseVariant::kStandard;
   /// Label of the first fresh null; 0 means "one above the largest null
   /// label in the input instance" (prevents collisions when chasing
   /// instances that already contain nulls).
@@ -90,8 +73,7 @@ struct ChaseStats {
   size_t steps = 0;
   /// Triggers that fired (facts were instantiated).
   size_t triggers_fired = 0;
-  /// Standard-chase triggers skipped because the rhs was already
-  /// witnessed (always 0 for the oblivious variant).
+  /// Triggers skipped because the rhs was already witnessed.
   size_t satisfaction_hits = 0;
   /// Fresh nulls minted for existential variables.
   size_t nulls_minted = 0;
@@ -114,8 +96,7 @@ struct ChaseStats {
   /// Recorded triggers replayed from the checkpoint.
   size_t replayed_triggers = 0;
   /// Replayed triggers resolved from their recorded outcome alone — no
-  /// satisfaction search was run (always 0 for the oblivious variant,
-  /// which never searches).
+  /// satisfaction search was run.
   size_t checks_skipped = 0;
 };
 
@@ -126,18 +107,11 @@ struct ChaseStats {
 ///
 /// The source instance may contain nulls or variables (canonical
 /// instances); they are treated as ordinary values, as in the paper's
-/// chase of `I_beta`.
+/// chase of `I_beta`. The smallest universal solution is
+/// `ComputeCore(*Chase(...))` (relational/instance_core.h).
 Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
                        const ChaseOptions& options = {},
                        ChaseStats* stats = nullptr);
-
-/// Chase with an explicit dependency list and target schema; used on
-/// canonical instances during generator search (Section 4).
-Result<Instance> ChaseWithTgds(const Instance& source_inst,
-                               const std::vector<Tgd>& tgds,
-                               SchemaPtr target_schema,
-                               const ChaseOptions& options = {},
-                               ChaseStats* stats = nullptr);
 
 /// Like Chase but aborts on error (tests/examples/benchmarks).
 Instance MustChase(const Instance& source_inst, const SchemaMapping& m,

@@ -27,17 +27,14 @@ namespace qimap {
 ///
 /// The struct is an in/out parameter: pass a default-constructed (or
 /// stale) checkpoint to record a run, pass it back unchanged to resume.
-/// A checkpoint that does not match the current source instance, the
-/// dependency set, or the chase variant is ignored and re-recorded, so
-/// callers never need to invalidate by hand. A budget trip or other
-/// error invalidates the checkpoint (`valid = false`).
+/// A checkpoint that does not match the current source instance or the
+/// dependency set is ignored and re-recorded, so callers never need to
+/// invalidate by hand. A budget trip or other error invalidates the
+/// checkpoint (`valid = false`).
 struct ChaseCheckpoint {
   /// False until a run completes successfully with this checkpoint
   /// installed; false again after a failed run.
   bool valid = false;
-  /// Variant of the recorded run; a resume under a different variant
-  /// falls back to a full (re-recorded) chase.
-  ChaseVariant variant = ChaseVariant::kStandard;
   /// Per-relation distinct-row counts of the source instance when the
   /// checkpoint was cut (`Instance::RowCounts`). The delta facts are
   /// exactly `rows(r)[source_epoch[r]..]`.
@@ -68,10 +65,9 @@ struct ChaseCheckpoint {
   /// Outcome records, indexed by dependency.
   std::vector<std::vector<TriggerRecord>> triggers;
 
-  /// The chased target instance (for `kCore`, the pre-minimization
-  /// instance — the core is recomputed per run). Appended-only resumes
-  /// extend this in place (O(delta)); interleaved resumes replay the
-  /// records instead (no trigger search, no satisfaction search).
+  /// The chased target instance. Appended-only resumes extend this in
+  /// place (O(delta)); interleaved resumes replay the records instead (no
+  /// trigger search, no satisfaction search).
   std::optional<Instance> result;
   /// Cumulative stats equivalent to a full chase of the epoch instance;
   /// lets an extended resume report full-run-identical stats.

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <optional>
 #include <set>
 #include <string>
@@ -94,9 +95,7 @@ Result<std::vector<Instance>> DisjunctiveChase(
   QIMAP_TRACE_SPAN("chase/disjunctive");
   obs::JournalRun journal("chase/disjunctive");
 
-  uint32_t next_null = options.first_null_label != 0
-                           ? options.first_null_label
-                           : target_inst.MaxNullLabel() + 1;
+  uint32_t next_null = target_inst.MaxNullLabel() + 1;
   DisjunctiveChaseStats local_stats;
   DisjunctiveChaseStats& st = stats != nullptr ? *stats : local_stats;
   st = DisjunctiveChaseStats{};
@@ -152,9 +151,10 @@ Result<std::vector<Instance>> DisjunctiveChase(
   }
 
   // Dependency lhs are over the (fixed) target schema, so every node
-  // shares the same per-dependency match lists — collect them once, in
-  // parallel across dependencies, with the side conditions applied.
-  ThreadPool pool(ResolveThreadCount(options.num_threads));
+  // shares the same per-dependency match lists — collect them once, with
+  // the side conditions applied. A one-thread pool collects them inline,
+  // in dependency order.
+  ThreadPool serial(1);
   std::vector<const Conjunction*> bodies;
   std::vector<HomSearchOptions> body_options;
   bodies.reserve(m.deps.size());
@@ -162,13 +162,11 @@ Result<std::vector<Instance>> DisjunctiveChase(
   for (const DisjunctiveTgd& dep : m.deps) {
     bodies.push_back(&dep.lhs);
     HomSearchOptions lhs_options;
-    lhs_options.use_index = options.use_index;
     lhs_options.must_be_constant = dep.constant_vars;
     lhs_options.inequalities = dep.inequalities;
     body_options.push_back(std::move(lhs_options));
   }
-  // Profiling: register the disjunctive dependencies serially so ids are
-  // deterministic at any thread count.
+  // Profiling: register the disjunctive dependencies up front, in order.
   std::vector<uint32_t> prof_deps(m.deps.size(), obs::kProfileNoDep);
   const bool profiled = obs::Profiler::Enabled();
   if (profiled) {
@@ -181,11 +179,10 @@ Result<std::vector<Instance>> DisjunctiveChase(
   }
   // One rhs-search option set shared by every node's satisfaction checks.
   HomSearchOptions rhs_options;
-  rhs_options.use_index = options.use_index;
   std::vector<std::vector<Assignment>> dep_matches;
   {
     Result<std::vector<std::vector<Assignment>>> collected =
-        FindTriggerBatches(bodies, body_options, target_inst, pool,
+        FindTriggerBatches(bodies, body_options, target_inst, serial,
                            options.budget, nullptr,
                            profiled ? &prof_deps : nullptr);
     if (!collected.ok()) return trip(collected.status());
@@ -197,133 +194,104 @@ Result<std::vector<Instance>> DisjunctiveChase(
   // is node 1; every branched child gets the next id).
   uint64_t next_node = 2;
 
-  // Level-synchronous exploration. A FIFO worklist visits the tree in
-  // exactly the order waves do (children always append after every
-  // already-queued node), so examining a whole wave's nodes in parallel
-  // and then expanding them serially in wave order reproduces the serial
-  // traversal byte for byte — leaves, null labels, and journal records
-  // included. The parallel part touches only per-node state; all shared
-  // mutation happens in the serial expansion below.
-  std::vector<Instance> wave;
-  wave.emplace_back(m.to);  // the root's source part is empty
+  // Breadth-first exploration over a FIFO worklist: children append after
+  // every already-queued node, so the tree is expanded level by level and
+  // node ids, null labels, leaves and journal records follow that order.
+  std::deque<Instance> worklist;
+  worklist.emplace_back(m.to);  // the root's source part is empty
   ++st.nodes;
-  while (!wave.empty()) {
-    // Cooperative cancellation point between levels: a cancel (or
-    // deadline) lands here before the next wave is examined.
-    Status level = guard.Check();
-    if (!level.ok()) return trip(std::move(level));
-    std::vector<std::optional<ApplicableStep>> steps(wave.size());
-    std::vector<Status> task_statuses(wave.size());
-    CountParallelFanout(pool, wave.size());
-    pool.ParallelFor(
-        wave.size(),
-        [&](size_t i) {
-          task_statuses[i] = guard.OnPoolTask();
-          if (!task_statuses[i].ok()) return;
-          steps[i] = FindApplicableStep(dep_matches, wave[i], m,
-                                        rhs_options, prof_deps);
-        },
-        guard.cancellation());
-    // Bail on any failed or skipped task BEFORE consuming the slots: a
-    // cancelled wave leaves untouched nullopt entries that must not be
-    // misread as leaves. Lowest failing index wins (deterministic), and
-    // the trailing Check() catches waves the pool cut short.
-    for (Status& task : task_statuses) {
-      if (!task.ok()) return trip(std::move(task));
-    }
-    Status wave_check = guard.Check();
-    if (!wave_check.ok()) return trip(std::move(wave_check));
-    std::vector<Instance> next_wave;
-    for (size_t node = 0; node < wave.size(); ++node) {
-      Instance current = std::move(wave[node]);
-      std::optional<ApplicableStep>& step = steps[node];
-      if (!step.has_value()) {
-        if (seen_leaves.insert(current).second) {
-          leaves.push_back(std::move(current));
-          ++st.leaves;
-          if (leaves.size() > options.max_leaves) {
-            Status status = Status::ResourceExhausted(
-                "disjunctive chase exceeded max_leaves (" +
-                std::to_string(options.max_leaves) + " leaves)");
-            // Not a shared-budget trip, but still a bounded-resource
-            // exit: hand back the leaves collected so far.
-            st.partial = true;
-            if (options.partial_out != nullptr) {
-              *options.partial_out = std::move(leaves);
-            }
-            return status;
+  while (!worklist.empty()) {
+    // Cooperative cancellation point: a cancel (or deadline) lands here,
+    // between nodes, before the next one is examined.
+    Status check = guard.Check();
+    if (!check.ok()) return trip(std::move(check));
+    Instance current = std::move(worklist.front());
+    worklist.pop_front();
+    std::optional<ApplicableStep> step =
+        FindApplicableStep(dep_matches, current, m, rhs_options, prof_deps);
+    if (!step.has_value()) {
+      if (seen_leaves.insert(current).second) {
+        leaves.push_back(std::move(current));
+        ++st.leaves;
+        if (leaves.size() > options.max_leaves) {
+          Status status = Status::ResourceExhausted(
+              "disjunctive chase exceeded max_leaves (" +
+              std::to_string(options.max_leaves) + " leaves)");
+          // Not a shared-budget trip, but still a bounded-resource exit:
+          // hand back the leaves collected so far.
+          st.partial = true;
+          if (options.partial_out != nullptr) {
+            *options.partial_out = std::move(leaves);
           }
-        } else {
-          ++st.dedup_dropped;
+          return status;
         }
-        continue;
+      } else {
+        ++st.dedup_dropped;
       }
+      continue;
+    }
+    {
+      Status tick = guard.Tick();
+      if (!tick.ok()) return trip(std::move(tick));
+    }
+    progress.Step();
+    // Branch: one child per disjunct (Definition 6.3).
+    const DisjunctiveTgd& dep = *step->dep;
+    std::vector<uint64_t> parent_ids;
+    if (journal.active()) {
+      for (const Atom& atom :
+           ApplyAssignmentToConjunction(dep.lhs, step->match)) {
+        parent_ids.push_back(
+            journal.RecordBaseFact(AtomToString(atom, *m.from)));
+      }
+    }
+    for (size_t i = 0; i < dep.disjuncts.size(); ++i) {
+      // A branched child duplicates the parent's instance; charge the
+      // approximate copy so the memory budget tracks tree growth, the
+      // dominant cost of a disjunctive blowup.
       {
-        Status tick = guard.Tick();
-        if (!tick.ok()) return trip(std::move(tick));
+        Status charge = guard.ChargeMemory(
+            (current.NumFacts() + 1) * ApproxFactBytes(2, sizeof(Value)));
+        if (!charge.ok()) return trip(std::move(charge));
       }
-      progress.Step();
-      // Branch: one child per disjunct (Definition 6.3).
-      const DisjunctiveTgd& dep = *step->dep;
-      std::vector<uint64_t> parent_ids;
-      if (journal.active()) {
-        for (const Atom& atom :
-             ApplyAssignmentToConjunction(dep.lhs, step->match)) {
-          parent_ids.push_back(
-              journal.RecordBaseFact(AtomToString(atom, *m.from)));
+      Instance child = current;
+      uint64_t child_node = next_node++;
+      std::vector<uint64_t> null_ids;
+      size_t fresh_nulls = 0;
+      Assignment extended = step->match;
+      for (const Value& y : dep.ExistentialVariablesOf(i)) {
+        Value fresh = Value::MakeNull(next_null++);
+        extended.emplace(y, fresh);
+        ++st.nulls_minted;
+        ++fresh_nulls;
+        if (journal.active()) {
+          null_ids.push_back(journal.RecordNull(
+              fresh.ToString(), y.ToString(), dep_texts[step->dep_index],
+              static_cast<int32_t>(step->dep_index), child_node));
         }
       }
-      for (size_t i = 0; i < dep.disjuncts.size(); ++i) {
-        // A branched child duplicates the parent's instance; charge the
-        // approximate copy so the memory budget tracks tree growth, the
-        // dominant cost of a disjunctive blowup.
-        {
-          Status charge = guard.ChargeMemory(
-              (current.NumFacts() + 1) *
-              ApproxFactBytes(2, sizeof(Value)));
-          if (!charge.ok()) return trip(std::move(charge));
-        }
-        Instance child = current;
-        uint64_t child_node = next_node++;
-        std::vector<uint64_t> null_ids;
-        size_t fresh_nulls = 0;
-        Assignment extended = step->match;
-        for (const Value& y : dep.ExistentialVariablesOf(i)) {
-          Value fresh = Value::MakeNull(next_null++);
-          extended.emplace(y, fresh);
-          ++st.nulls_minted;
-          ++fresh_nulls;
-          if (journal.active()) {
-            null_ids.push_back(journal.RecordNull(
-                fresh.ToString(), y.ToString(),
-                dep_texts[step->dep_index],
-                static_cast<int32_t>(step->dep_index), child_node));
-          }
-        }
-        if (fresh_nulls > 0) {
-          Status charge = guard.ChargeNulls(fresh_nulls);
-          if (!charge.ok()) return trip(std::move(charge));
-        }
-        for (const Atom& atom :
-             ApplyAssignmentToConjunction(dep.disjuncts[i], extended)) {
-          Status status = child.AddFact(atom.relation, atom.args);
-          if (!status.ok()) return status;
-          if (journal.active()) {
-            journal.RecordDerivedFact(
-                AtomToString(atom, *m.to), dep_texts[step->dep_index],
-                static_cast<int32_t>(step->dep_index),
-                AssignmentToString(step->match), parent_ids, null_ids,
-                static_cast<int32_t>(i), child_node);
-          }
-        }
-        obs::ProfileRecordFire(prof_deps[step->dep_index], fresh_nulls,
-                               dep.disjuncts[i].size());
-        next_wave.push_back(std::move(child));
-        ++st.nodes;
-        ++st.branches;
+      if (fresh_nulls > 0) {
+        Status charge = guard.ChargeNulls(fresh_nulls);
+        if (!charge.ok()) return trip(std::move(charge));
       }
+      for (const Atom& atom :
+           ApplyAssignmentToConjunction(dep.disjuncts[i], extended)) {
+        Status status = child.AddFact(atom.relation, atom.args);
+        if (!status.ok()) return status;
+        if (journal.active()) {
+          journal.RecordDerivedFact(
+              AtomToString(atom, *m.to), dep_texts[step->dep_index],
+              static_cast<int32_t>(step->dep_index),
+              AssignmentToString(step->match), parent_ids, null_ids,
+              static_cast<int32_t>(i), child_node);
+        }
+      }
+      obs::ProfileRecordFire(prof_deps[step->dep_index], fresh_nulls,
+                             dep.disjuncts[i].size());
+      worklist.push_back(std::move(child));
+      ++st.nodes;
+      ++st.branches;
     }
-    wave = std::move(next_wave);
   }
   return leaves;
 }

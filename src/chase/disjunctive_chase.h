@@ -17,23 +17,10 @@ struct DisjunctiveChaseOptions {
   size_t max_leaves = 1u << 14;
   /// Upper bound on the number of chase steps over the whole tree.
   size_t max_steps = 1u << 20;
-  /// Label of the first fresh null; 0 means "one above the largest null
-  /// label of the input target instance".
-  uint32_t first_null_label = 0;
-  /// Index-first trigger finding (see ChaseOptions::use_index).
-  bool use_index = true;
-  /// Worker threads for the per-node applicable-step search. The chase
-  /// tree is explored level-synchronously: each wave's nodes are examined
-  /// in parallel (the searches read only the fixed target instance and
-  /// the node's own source instance), then branched serially in wave
-  /// order, so leaves, null labels, and journal order are identical for
-  /// every thread count. 1 (default) runs fully inline; 0 reads
-  /// `QIMAP_CHASE_THREADS` (defaulting to 1).
-  size_t num_threads = 1;
-  /// Shared resource governor (see ChaseOptions::budget). The wave loop
-  /// checks it between levels, every pool task checks in with it, and
-  /// each branched child charges its approximate copy cost — the places
-  /// a cancelled or exhausted exploration winds down.
+  /// Shared resource governor (see ChaseOptions::budget). The exploration
+  /// checks it before each node, and each branched child charges its
+  /// approximate copy cost — the places a cancelled or exhausted
+  /// exploration winds down.
   Budget* budget = nullptr;
   /// Best-effort partial result on a budget trip: the leaves completed
   /// so far (in-flight internal nodes are discarded). See
@@ -66,8 +53,10 @@ struct DisjunctiveChaseStats {
 /// disjunctive tgds (Definitions 6.2-6.4). The target instance is fixed
 /// (dependency lhs are over the target schema); each leaf of the chase
 /// tree is a source instance. Returns the set `V = chase_Sigma'(U)` of
-/// leaves. Always terminates for target-to-source dependencies (there is
-/// no recursion); the option limits guard against combinatorial blowup.
+/// leaves, in breadth-first order of the tree. Fresh nulls are labeled
+/// from one above the largest null label of `target_inst`. Always
+/// terminates for target-to-source dependencies (there is no recursion);
+/// the option limits guard against combinatorial blowup.
 Result<std::vector<Instance>> DisjunctiveChase(
     const Instance& target_inst, const ReverseMapping& m,
     const DisjunctiveChaseOptions& options = {},

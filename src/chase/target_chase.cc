@@ -94,14 +94,10 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
   obs::JournalRun journal("chase/target");
 
   ChaseOptions st_options;
-  st_options.first_null_label = options.first_null_label;
-  st_options.use_index = options.use_index;
-  st_options.num_threads = options.num_threads;
   st_options.budget = options.budget;
   // A budget trip inside the s-t phase journals and reports itself; the
   // caller's partial_out then carries the s-t prefix.
   st_options.partial_out = options.partial_out;
-  st_options.incremental = options.incremental;
   QIMAP_ASSIGN_OR_RETURN(Instance target_inst,
                          Chase(source_inst, m, st_options));
   uint32_t next_null =
@@ -183,10 +179,7 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
       },
       options.budget);
 
-  // One search-option set for the whole fixpoint: index and plan toggles
-  // apply to both trigger collection and rhs satisfaction searches.
   HomSearchOptions search_options;
-  search_options.use_index = options.use_index;
   // Each target tgd's existential variables, computed once per run
   // instead of once per fire.
   std::vector<std::vector<Value>> existentials;

@@ -11,32 +11,16 @@ namespace qimap {
 
 /// Options for the chase with target constraints.
 struct TargetChaseOptions {
-  uint32_t first_null_label = 0;
-  /// Bound on the total number of chase steps. Target tgds may recurse;
+  /// Bound on the number of fixpoint steps. Target tgds may recurse;
   /// unlike the s-t chase this can genuinely diverge unless the target
   /// tgds are weakly acyclic (core/weak_acyclicity.h).
   size_t max_steps = 1u << 16;
-  /// Index-first trigger finding (see ChaseOptions::use_index); applies
-  /// to the inner s-t chase and to the fixpoint's egd/tgd trigger search.
-  bool use_index = true;
-  /// Worker threads for the inner s-t chase's trigger collection (see
-  /// ChaseOptions::num_threads). The fixpoint loop itself is inherently
-  /// serial: each step rewrites the instance the next trigger search
-  /// reads.
-  size_t num_threads = 1;
   /// Shared resource governor (see ChaseOptions::budget); also handed to
   /// the inner s-t chase so one budget bounds the whole exchange.
   Budget* budget = nullptr;
   /// Best-effort partial solution on a budget trip (the target instance
   /// closed so far); see ChaseOptions::partial_out.
   Instance* partial_out = nullptr;
-  /// Incremental resume for the inner s-t chase only (see
-  /// ChaseOptions::incremental): the s-t phase records/resumes through
-  /// this checkpoint, then the egd/tgd fixpoint re-runs — it rewrites
-  /// its instance in place, so there is no per-step state to replay, and
-  /// it is deterministic on the s-t output, keeping the overall result
-  /// byte-identical to a full re-chase. nullptr disables.
-  ChaseCheckpoint* incremental = nullptr;
 };
 
 /// Per-run statistics of the target-constraint fixpoint loop (same

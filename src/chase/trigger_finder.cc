@@ -29,6 +29,19 @@ bool UnifyAtomRow(const Atom& atom, const Instance& inst, uint32_t row,
   return true;
 }
 
+// Mirrors one parallel fan-out of `tasks` independent work items into the
+// `chase.parallel.batches` / `chase.parallel.tasks` counters. No-op for a
+// single-thread pool, so serial runs report all-zero parallel counters.
+void CountParallelFanout(const ThreadPool& pool, size_t tasks) {
+  if (pool.num_threads() < 2 || tasks < 2) return;
+  static const obs::MetricId kBatches =
+      obs::RegisterCounter("chase.parallel.batches");
+  static const obs::MetricId kTasks =
+      obs::RegisterCounter("chase.parallel.tasks");
+  obs::CounterAdd(kBatches);
+  obs::CounterAdd(kTasks, tasks);
+}
+
 }  // namespace
 
 std::vector<Assignment> FindTriggers(const Conjunction& body,
@@ -108,16 +121,6 @@ Result<std::vector<std::vector<Assignment>>> FindTriggerBatches(
     }
   }
   return batches;
-}
-
-void CountParallelFanout(const ThreadPool& pool, size_t tasks) {
-  if (pool.num_threads() < 2 || tasks < 2) return;
-  static const obs::MetricId kBatches =
-      obs::RegisterCounter("chase.parallel.batches");
-  static const obs::MetricId kTasks =
-      obs::RegisterCounter("chase.parallel.tasks");
-  obs::CounterAdd(kBatches);
-  obs::CounterAdd(kTasks, tasks);
 }
 
 }  // namespace qimap

@@ -11,7 +11,7 @@
 
 namespace qimap {
 
-/// Trigger finding shared by every chase variant: collects all lhs matches
+/// Trigger finding shared by the chase engines: collects all lhs matches
 /// of a dependency body against an instance and canonically sorts them.
 ///
 /// The sort is the engines' determinism anchor. Index-first matching (and
@@ -57,7 +57,7 @@ std::vector<Assignment> FindDeltaTriggers(const Conjunction& body,
 ///
 /// When `budget` is non-null, each pool task first checks in with
 /// `Budget::OnPoolTask` (cancellation, deadline, injected pool-task
-/// faults), the token is handed to `ParallelFor` so a cancelled wave
+/// faults), the token is handed to `ParallelFor` so a cancelled fan-out
 /// stops dispatching, and each collected body passes the
 /// `Budget::OnTriggerBatch` fault site. Returns the budget's structured
 /// status (lowest failing body index wins, so the error is deterministic
@@ -78,12 +78,6 @@ Result<std::vector<std::vector<Assignment>>> FindTriggerBatches(
     ThreadPool& pool, Budget* budget = nullptr,
     const std::vector<uint32_t>* delta_epoch = nullptr,
     const std::vector<uint32_t>* profile_deps = nullptr);
-
-/// Mirrors one parallel fan-out of `tasks` independent work items into the
-/// `chase.parallel.batches` / `chase.parallel.tasks` counters. No-op for a
-/// single-thread pool, so serial runs report all-zero parallel counters
-/// (what the telemetry_check --parallel leg keys on).
-void CountParallelFanout(const ThreadPool& pool, size_t tasks);
 
 }  // namespace qimap
 

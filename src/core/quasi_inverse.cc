@@ -175,16 +175,12 @@ Result<ReverseMapping> QuasiInverse(const SchemaMapping& m,
       }
     }
 
-    // Route the MinGen stats through a local struct when the caller did
-    // not ask for them: the generator event ids attribute this rule.
-    MinGenOptions mingen_options = options.mingen;
-    MinGenStats local_mingen_stats;
-    if (mingen_options.stats == nullptr) {
-      mingen_options.stats = &local_mingen_stats;
-    }
-    if (mingen_options.budget == nullptr) {
-      mingen_options.budget = options.budget;
-    }
+    // The MinGen stats carry the generator event ids that attribute this
+    // rule in the journal.
+    MinGenStats mingen_stats;
+    MinGenOptions mingen_options;
+    mingen_options.stats = &mingen_stats;
+    mingen_options.budget = options.budget;
     Result<std::vector<Conjunction>> found =
         MinGen(m, sigma.rhs, x, mingen_options);
     if (!found.ok()) {
@@ -224,7 +220,7 @@ Result<ReverseMapping> QuasiInverse(const SchemaMapping& m,
         journal.RecordRule(DisjunctiveTgdToString(dep, *m.target, *m.source),
                            TgdToString(sigma, *m.source, *m.target),
                            static_cast<int32_t>(si), x_text,
-                           mingen_options.stats->generator_event_ids);
+                           mingen_stats.generator_event_ids);
       }
       reverse.deps.push_back(std::move(dep));
       obs::CounterAdd(kRules);

@@ -11,7 +11,6 @@ class Budget;  // base/budget.h
 
 /// Options for the QuasiInverse algorithm.
 struct QuasiInverseOptions {
-  MinGenOptions mingen;
   /// Emit the `Constant(x)` conjuncts. Theorem 4.6: for mappings specified
   /// by full s-t tgds they are unnecessary, so callers may disable them.
   bool include_constant_predicates = true;
@@ -19,8 +18,7 @@ struct QuasiInverseOptions {
   /// disjunct (the paper's remark at the end of Example 4.5).
   bool prune_subsumed_disjuncts = true;
   /// Shared resource governor (see ChaseOptions::budget); also handed to
-  /// the MinGen searches unless `mingen.budget` was set explicitly, so
-  /// one budget bounds the whole inversion.
+  /// every MinGen search, so one budget bounds the whole inversion.
   Budget* budget = nullptr;
   /// Best-effort partial result on a budget trip: the reverse mapping with
   /// the dependencies derived so far, flagged `partial`. See

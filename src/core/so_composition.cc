@@ -256,9 +256,7 @@ Value EvalTerm(const Term& term, const Assignment& h,
 Result<Instance> SoChase(const Instance& source_inst, const SoMapping& m,
                          const SoChaseOptions& options) {
   Instance target_inst(m.target);
-  uint32_t next_null = options.first_null_label != 0
-                           ? options.first_null_label
-                           : source_inst.MaxNullLabel() + 1;
+  uint32_t next_null = source_inst.MaxNullLabel() + 1;
   std::map<std::string, Value> term_values;
   size_t steps = 0;
   Status failure = Status::OK();

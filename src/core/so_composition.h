@@ -29,16 +29,15 @@ Result<SoMapping> ComposeSo(const SchemaMapping& m12,
 
 /// Options for the SO chase.
 struct SoChaseOptions {
-  /// Label of the first fresh Skolem null; 0 means "above the input's".
-  uint32_t first_null_label = 0;
   size_t max_steps = 1u << 20;
 };
 
 /// Chases a source instance with an SO tgd under the free (term-algebra)
 /// interpretation of the function symbols: each distinct ground Skolem
-/// term denotes a distinct fresh labeled null. For SO tgds produced by
-/// Skolemize or ComposeSo this yields a universal solution of the
-/// specified mapping ([5]).
+/// term denotes a distinct fresh labeled null, labeled from one above the
+/// input's largest null label. For SO tgds produced by Skolemize or
+/// ComposeSo this yields a universal solution of the specified mapping
+/// ([5]).
 Result<Instance> SoChase(const Instance& source_inst, const SoMapping& m,
                          const SoChaseOptions& options = {});
 

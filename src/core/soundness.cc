@@ -9,7 +9,9 @@ Result<RoundTrip> CheckRoundTrip(const SchemaMapping& m,
                                  const ReverseMapping& m_prime,
                                  const Instance& ground,
                                  const DisjunctiveChaseOptions& options) {
-  QIMAP_ASSIGN_OR_RETURN(Instance universal, Chase(ground, m));
+  ChaseOptions forward;
+  forward.budget = options.budget;
+  QIMAP_ASSIGN_OR_RETURN(Instance universal, Chase(ground, m, forward));
   QIMAP_ASSIGN_OR_RETURN(std::vector<Instance> recovered,
                          DisjunctiveChase(universal, m_prime, options));
 
@@ -20,6 +22,7 @@ Result<RoundTrip> CheckRoundTrip(const SchemaMapping& m,
     // Fresh nulls of the re-chase must not collide with the nulls already
     // present in V (which came from U and from the disjunctive chase).
     ChaseOptions chase_options;
+    chase_options.budget = options.budget;
     chase_options.first_null_label =
         std::max(trip.recovered[i].MaxNullLabel(),
                  trip.universal.MaxNullLabel()) +

@@ -37,6 +37,10 @@ struct RoundTrip {
 /// `m` on it. Theorem 6.7 predicts `sound` for every quasi-inverse in the
 /// disjunctive-tgd language with inequalities among constants; Theorem 6.8
 /// predicts `faithful` for the output of algorithm QuasiInverse.
+///
+/// `options` configures the disjunctive chase; its `budget` also governs
+/// the forward chase and every re-chase, so one budget bounds the whole
+/// round trip.
 Result<RoundTrip> CheckRoundTrip(
     const SchemaMapping& m, const ReverseMapping& m_prime,
     const Instance& ground,

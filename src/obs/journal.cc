@@ -278,23 +278,6 @@ std::vector<JournalEvent> Journal::Events() {
   return {state.events.begin(), state.events.end()};
 }
 
-std::string Journal::ToJsonl() {
-  JournalState& state = JournalState::Get();
-  std::lock_guard<std::mutex> lock(state.mu);
-  std::string out;
-  for (const JournalEvent& event : state.events) {
-    out += event.ToJson();
-    out.push_back('\n');
-  }
-  return out;
-}
-
-bool Journal::WriteJsonl(const std::string& path) {
-  // Run-metadata header first, then the events; temp + rename so readers
-  // never observe a partially written journal.
-  return WriteFileAtomic(path, MetaHeaderLine() + ToJsonl());
-}
-
 namespace internal {
 
 bool JournalEnabled() { return Journal::Enabled(); }

@@ -119,11 +119,6 @@ class Journal {
   static uint64_t NumSpilled();
   /// Copies the buffered events, oldest first.
   static std::vector<JournalEvent> Events();
-  /// Renders the buffered events as JSONL (one event per line).
-  static std::string ToJsonl();
-  /// Writes ToJsonl() to `path`; false on I/O failure. Independent of the
-  /// spill file.
-  static bool WriteJsonl(const std::string& path);
 };
 
 namespace internal {

@@ -181,8 +181,7 @@ void EmitProgress(const ProgressSnapshot& snap) {
   {
     std::lock_guard<std::mutex> lock(g_mu);
     sink = g_config.sink;
-    to_stderr =
-        g_config.stderr_line && (g_config.force_tty || StderrIsTty());
+    to_stderr = g_config.stderr_line && StderrIsTty();
     if (!g_config.jsonl_path.empty() && !g_stream_failed) {
       if (g_stream == nullptr) {
         g_stream = std::fopen(g_config.jsonl_path.c_str(), "wb");

@@ -73,10 +73,9 @@ struct ProgressConfig {
   /// Steps between heartbeats. The final snapshot is emitted regardless.
   uint64_t interval = 4096;
   /// Render a live status line to stderr. Self-suppresses when stderr is
-  /// not a TTY (ctest / piped output stays clean) unless `force_tty` or
-  /// the QIMAP_PROGRESS_FORCE_TTY environment variable overrides.
+  /// not a TTY (ctest / piped output stays clean) unless the
+  /// QIMAP_PROGRESS_FORCE_TTY environment variable overrides.
   bool stderr_line = false;
-  bool force_tty = false;
   /// JSONL heartbeat stream path; opened (truncated) on the first emit
   /// with a `{"meta": ...}` header line. Empty = no stream.
   std::string jsonl_path;

@@ -4,6 +4,7 @@
 #include "core/solution_space.h"
 #include "dependency/parser.h"
 #include "relational/homomorphism.h"
+#include "relational/instance_core.h"
 
 namespace qimap {
 namespace {
@@ -131,36 +132,18 @@ TEST(ChaseTest, ChaseOfChaseIdempotentUpToHomEquivalence) {
 }
 
 
-TEST(ChaseVariantTest, ObliviousSupersetsStandard) {
-  SchemaMapping m = MustParseMapping(
-    "P/1, W/2", "Q/2", "W(x,y) -> Q(x,y); P(x) -> exists y: Q(x,y)");
-  Instance src = MustParseInstance(m.source, "W(a,b), P(a)");
-  ChaseOptions oblivious;
-  oblivious.variant = ChaseVariant::kOblivious;
-  Result<Instance> fired_all = Chase(src, m, oblivious);
-  ASSERT_TRUE(fired_all.ok());
-  Instance standard = MustChase(src, m);
-  // The oblivious chase fires the already-witnessed trigger too.
-  EXPECT_GT(fired_all->NumFacts(), standard.NumFacts());
-  EXPECT_TRUE(standard.IsSubsetOf(*fired_all));
-  EXPECT_TRUE(HomomorphicallyEquivalent(*fired_all, standard));
-}
-
-TEST(ChaseVariantTest, CoreVariantIsSmallestUniversalSolution) {
+TEST(ChaseTest, CoreOfChaseIsSmallestUniversalSolution) {
   SchemaMapping m = MustParseMapping(
     "P/1, W/2", "Q/2", "W(x,y) -> Q(x,y); P(x) -> exists y: Q(x,y)");
   // Process the existential rule first so a redundant null appears.
   std::swap(m.tgds[0], m.tgds[1]);
   Instance src = MustParseInstance(m.source, "W(a,b), P(a)");
   Instance standard = MustChase(src, m);
-  ChaseOptions core_options;
-  core_options.variant = ChaseVariant::kCore;
-  Result<Instance> core = Chase(src, m, core_options);
-  ASSERT_TRUE(core.ok());
-  EXPECT_EQ(core->ToString(), "Q(a,b)");
-  EXPECT_LT(core->NumFacts(), standard.NumFacts());
-  EXPECT_TRUE(HomomorphicallyEquivalent(*core, standard));
-  EXPECT_TRUE(IsSolution(m, src, *core));
+  Instance core = ComputeCore(standard);
+  EXPECT_EQ(core.ToString(), "Q(a,b)");
+  EXPECT_LT(core.NumFacts(), standard.NumFacts());
+  EXPECT_TRUE(HomomorphicallyEquivalent(core, standard));
+  EXPECT_TRUE(IsSolution(m, src, core));
 }
 
 TEST(ChaseStatsTest, DecompositionCountsTriggersAndFacts) {
@@ -193,38 +176,6 @@ TEST(ChaseStatsTest, SatisfiedExistentialCountsAsHit) {
   EXPECT_EQ(stats.satisfaction_hits, 1u);
   EXPECT_EQ(stats.nulls_minted, 0u);
   EXPECT_EQ(stats.facts_added, 1u);
-}
-
-TEST(ChaseStatsTest, ObliviousFiresEveryTrigger) {
-  SchemaMapping m = MustParseMapping(
-      "P/1, W/2", "Q/2", "W(x,y) -> Q(x,y); P(x) -> exists y: Q(x,y)");
-  Instance src = MustParseInstance(m.source, "W(a,b), P(a)");
-  ChaseOptions options;
-  options.variant = ChaseVariant::kOblivious;
-  ChaseStats stats;
-  Result<Instance> result = Chase(src, m, options, &stats);
-  ASSERT_TRUE(result.ok());
-  // The oblivious chase never checks satisfaction: both triggers fire and
-  // the existential mints a null even though Q(a,b) already witnesses it.
-  EXPECT_EQ(stats.triggers_fired, 2u);
-  EXPECT_EQ(stats.satisfaction_hits, 0u);
-  EXPECT_EQ(stats.nulls_minted, 1u);
-}
-
-TEST(ChaseVariantTest, AllVariantsHomEquivalent) {
-  SchemaMapping m = MustParseMapping(
-      "P/2", "Q/2", "P(x,y) -> exists z: Q(x,z) & Q(z,y)");
-  Instance src = MustParseInstance(m.source, "P(a,b), P(b,a), P(a,a)");
-  Instance standard = MustChase(src, m);
-  for (ChaseVariant variant :
-       {ChaseVariant::kOblivious, ChaseVariant::kCore}) {
-    ChaseOptions options;
-    options.variant = variant;
-    Result<Instance> result = Chase(src, m, options);
-    ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(HomomorphicallyEquivalent(*result, standard));
-    EXPECT_TRUE(IsSolution(m, src, *result));
-  }
 }
 
 }  // namespace

@@ -27,7 +27,7 @@ namespace {
 // make the outputs byte-identical, not merely homomorphically equivalent;
 // the test asserts the strong property first (it catches more) and the
 // paper-level property second (it is the semantic contract).
-void RunCase(const CaseShape& shape, uint64_t seed, ChaseVariant variant) {
+void RunCase(const CaseShape& shape, uint64_t seed) {
   Rng rng(seed);
   SchemaMapping m = RandomMapping(&rng, shape.config);
   std::vector<Value> domain = MakeDomain({"a", "b", "c", "d"});
@@ -35,10 +35,8 @@ void RunCase(const CaseShape& shape, uint64_t seed, ChaseVariant variant) {
       RandomGroundInstance(m.source, domain, /*num_facts=*/6, &rng);
 
   ChaseOptions indexed;
-  indexed.variant = variant;
   indexed.use_index = true;
   ChaseOptions naive;
-  naive.variant = variant;
   naive.use_index = false;
 
   Result<Instance> with_index = Chase(source, m, indexed);
@@ -55,31 +53,15 @@ void RunCase(const CaseShape& shape, uint64_t seed, ChaseVariant variant) {
 }
 
 TEST(DifferentialChaseTest, IndexedMatchesNaiveAcross200SeededCases) {
-  // 4 shapes x 50 seeds = 200 cases, standard chase.
+  // 4 shapes x 50 seeds = 200 cases.
   size_t cases = 0;
   for (const CaseShape& shape : StandardShapes()) {
     for (uint64_t seed = 1; seed <= 50; ++seed) {
-      RunCase(shape, seed * 7919 + 17, ChaseVariant::kStandard);
+      RunCase(shape, seed * 7919 + 17);
       ++cases;
     }
   }
   EXPECT_EQ(cases, 200u);
-}
-
-TEST(DifferentialChaseTest, ObliviousVariantAgreesToo) {
-  for (const CaseShape& shape : StandardShapes()) {
-    for (uint64_t seed = 1; seed <= 10; ++seed) {
-      RunCase(shape, seed * 104729 + 3, ChaseVariant::kOblivious);
-    }
-  }
-}
-
-TEST(DifferentialChaseTest, CoreVariantAgreesToo) {
-  for (const CaseShape& shape : StandardShapes()) {
-    for (uint64_t seed = 1; seed <= 5; ++seed) {
-      RunCase(shape, seed * 1299709 + 11, ChaseVariant::kCore);
-    }
-  }
 }
 
 // The naive oracle also pins down the homomorphism layer itself: both

@@ -83,18 +83,6 @@ TEST(SoChaseOptionsTest, StepLimitEnforced) {
   EXPECT_EQ(chased.status().code(), StatusCode::kResourceExhausted);
 }
 
-TEST(SoChaseOptionsTest, FirstNullLabelRespected) {
-  SchemaMapping m =
-      MustParseMapping("S/1", "T/2", "S(x) -> exists u: T(x,u)");
-  SoMapping so = Skolemize(m);
-  Instance i = MustParseInstance(m.source, "S(a)");
-  SoChaseOptions options;
-  options.first_null_label = 500;
-  Result<Instance> chased = SoChase(i, so, options);
-  ASSERT_TRUE(chased.ok());
-  EXPECT_EQ(chased->Facts()[0].tuple[1], Value::MakeNull(500));
-}
-
 TEST(CompositionBudgetTest, ReverseOracleBudgetEnforced) {
   // A chase with many nulls against a tiny assignment budget.
   SchemaMapping m =

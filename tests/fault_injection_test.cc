@@ -25,16 +25,17 @@
 #include "random_testing.h"
 
 // Seeded exhaustion soak: 100 randomized mappings run under tight,
-// rotating budgets and deterministic fault plans, across 1/2/8 worker
-// threads. Every governed failure must be a clean structured status
-// (ResourceExhausted, or Cancelled for the token), flag the run partial,
-// and hand back a best-effort prefix; rerunning the same case with the
-// limits lifted must be byte-identical to the ungoverned reference —
-// attaching a budget may stop the work early but must never change it.
+// rotating budgets and deterministic fault plans, the standard chase
+// across 1/2/8 worker threads. Every governed failure must be a clean
+// structured status (ResourceExhausted, or Cancelled for the token), flag
+// the run partial, and hand back a best-effort prefix; rerunning the same
+// case with the limits lifted must be byte-identical to the ungoverned
+// reference — attaching a budget may stop the work early but must never
+// change it.
 //
-// The "Parallel" test names put the threaded legs under the tsan preset,
-// where a racy wind-down (a cancelled wave still writing shared state)
-// would surface as a data race.
+// The "Parallel" test names put the soaks under the tsan preset, where a
+// racy wind-down (a cancelled fan-out still writing shared state) would
+// surface as a data race.
 
 namespace qimap {
 namespace {
@@ -113,16 +114,10 @@ TEST(FaultInjectionTest, GovernedChaseSoakAcrossThreadsParallel) {
     SchemaMapping m = RandomMapping(&rng, config);
     Instance source =
         RandomGroundInstance(m.source, domain, /*num_facts=*/6, &rng);
-    // Rotate the chase variant too, so the standard, oblivious, and core
-    // paths all see every limit kind over the 70 seeds.
-    ChaseVariant variant = static_cast<ChaseVariant>(seed % 3);
     SCOPED_TRACE("seed=" + std::to_string(seed) +
-                 " variant=" + std::to_string(seed % 3) +
                  " source: " + source.ToString());
 
-    ChaseOptions reference_options;
-    reference_options.variant = variant;
-    Result<Instance> reference = Chase(source, m, reference_options);
+    Result<Instance> reference = Chase(source, m);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
@@ -131,7 +126,6 @@ TEST(FaultInjectionTest, GovernedChaseSoakAcrossThreadsParallel) {
       std::atomic<uint64_t> fake_now{0};
       Budget tight(TightSpec(seed, &token, &fake_now));
       ChaseOptions governed;
-      governed.variant = variant;
       governed.num_threads = threads;
       governed.budget = &tight;
       Instance partial(m.target);
@@ -145,11 +139,7 @@ TEST(FaultInjectionTest, GovernedChaseSoakAcrossThreadsParallel) {
       } else {
         ExpectCleanBudgetFailure(run.status(), tight);
         EXPECT_TRUE(stats.partial);
-        if (variant != ChaseVariant::kCore) {
-          // The pre-minimization prefix can exceed the minimized core, so
-          // the size bound only holds for the monotone variants.
-          EXPECT_LE(partial.NumFacts(), reference->NumFacts());
-        }
+        EXPECT_LE(partial.NumFacts(), reference->NumFacts());
       }
 
       // Differential oracle: lifting the limits reproduces the
@@ -157,7 +147,6 @@ TEST(FaultInjectionTest, GovernedChaseSoakAcrossThreadsParallel) {
       Cancellation lifted_token;
       Budget lifted(LiftedSpec(&lifted_token));
       ChaseOptions rerun_options;
-      rerun_options.variant = variant;
       rerun_options.num_threads = threads;
       rerun_options.budget = &lifted;
       Result<Instance> rerun = Chase(source, m, rerun_options);
@@ -188,43 +177,38 @@ TEST(FaultInjectionTest, GovernedDisjunctiveChaseSoakParallel) {
         DisjunctiveChase(*target, *reverse);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      Cancellation token;
-      std::atomic<uint64_t> fake_now{0};
-      Budget tight(TightSpec(seed, &token, &fake_now));
-      DisjunctiveChaseOptions governed;
-      governed.num_threads = threads;
-      governed.budget = &tight;
-      std::vector<Instance> partial;
-      governed.partial_out = &partial;
-      DisjunctiveChaseStats stats;
-      Result<std::vector<Instance>> run =
-          DisjunctiveChase(*target, *reverse, governed, &stats);
-      if (run.ok()) {
-        ASSERT_EQ(run->size(), reference->size());
-        for (size_t i = 0; i < run->size(); ++i) {
-          EXPECT_EQ((*run)[i].ToString(), (*reference)[i].ToString());
-        }
-      } else {
-        ExpectCleanBudgetFailure(run.status(), tight);
-        EXPECT_TRUE(stats.partial);
-        EXPECT_LE(partial.size(), reference->size());
-        ++governed_trips;
+    Cancellation token;
+    std::atomic<uint64_t> fake_now{0};
+    Budget tight(TightSpec(seed, &token, &fake_now));
+    DisjunctiveChaseOptions governed;
+    governed.budget = &tight;
+    std::vector<Instance> partial;
+    governed.partial_out = &partial;
+    DisjunctiveChaseStats stats;
+    Result<std::vector<Instance>> run =
+        DisjunctiveChase(*target, *reverse, governed, &stats);
+    if (run.ok()) {
+      ASSERT_EQ(run->size(), reference->size());
+      for (size_t i = 0; i < run->size(); ++i) {
+        EXPECT_EQ((*run)[i].ToString(), (*reference)[i].ToString());
       }
+    } else {
+      ExpectCleanBudgetFailure(run.status(), tight);
+      EXPECT_TRUE(stats.partial);
+      EXPECT_LE(partial.size(), reference->size());
+      ++governed_trips;
+    }
 
-      DisjunctiveChaseOptions rerun_options;
-      rerun_options.num_threads = threads;
-      Cancellation lifted_token;
-      Budget lifted(LiftedSpec(&lifted_token));
-      rerun_options.budget = &lifted;
-      Result<std::vector<Instance>> rerun =
-          DisjunctiveChase(*target, *reverse, rerun_options);
-      ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
-      ASSERT_EQ(rerun->size(), reference->size());
-      for (size_t i = 0; i < rerun->size(); ++i) {
-        EXPECT_EQ((*rerun)[i].ToString(), (*reference)[i].ToString());
-      }
+    DisjunctiveChaseOptions rerun_options;
+    Cancellation lifted_token;
+    Budget lifted(LiftedSpec(&lifted_token));
+    rerun_options.budget = &lifted;
+    Result<std::vector<Instance>> rerun =
+        DisjunctiveChase(*target, *reverse, rerun_options);
+    ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+    ASSERT_EQ(rerun->size(), reference->size());
+    for (size_t i = 0; i < rerun->size(); ++i) {
+      EXPECT_EQ((*rerun)[i].ToString(), (*reference)[i].ToString());
     }
   }
   // The rotation must actually exercise the exhaustion path, not just

@@ -28,8 +28,7 @@ namespace {
 
 // One seeded case: a random mapping, a random growth schedule over a
 // random fact pool, and a checkpoint threaded through every round.
-void RunCase(const CaseShape& shape, uint64_t seed, ChaseVariant variant,
-             size_t num_threads) {
+void RunCase(const CaseShape& shape, uint64_t seed, size_t num_threads) {
   Rng rng(seed);
   SchemaMapping m = RandomMapping(&rng, shape.config);
   std::vector<Value> domain = MakeDomain({"a", "b", "c", "d"});
@@ -48,11 +47,9 @@ void RunCase(const CaseShape& shape, uint64_t seed, ChaseVariant variant,
 
   ChaseCheckpoint checkpoint;
   ChaseOptions incremental;
-  incremental.variant = variant;
   incremental.num_threads = num_threads;
   incremental.incremental = &checkpoint;
   ChaseOptions fresh;
-  fresh.variant = variant;
   fresh.num_threads = num_threads;
 
   // Record the base chase, then resume through 3 append rounds.
@@ -90,28 +87,12 @@ TEST(IncrementalChaseTest, ResumeMatchesFullRechaseAcross108SeededCases) {
   for (const CaseShape& shape : StandardShapes()) {
     for (uint64_t seed = 1; seed <= 9; ++seed) {
       for (size_t threads : {1u, 2u, 8u}) {
-        RunCase(shape, seed * 7919 + 257, ChaseVariant::kStandard, threads);
+        RunCase(shape, seed * 7919 + 257, threads);
         ++cases;
       }
     }
   }
   EXPECT_EQ(cases, 108u);
-}
-
-TEST(IncrementalChaseTest, ObliviousVariantAgreesToo) {
-  for (const CaseShape& shape : StandardShapes()) {
-    for (uint64_t seed = 1; seed <= 4; ++seed) {
-      RunCase(shape, seed * 104729 + 3, ChaseVariant::kOblivious, 2);
-    }
-  }
-}
-
-TEST(IncrementalChaseTest, CoreVariantAgreesToo) {
-  for (const CaseShape& shape : StandardShapes()) {
-    for (uint64_t seed = 1; seed <= 3; ++seed) {
-      RunCase(shape, seed * 1299709 + 11, ChaseVariant::kCore, 2);
-    }
-  }
 }
 
 SchemaMapping TwoHopMapping() {

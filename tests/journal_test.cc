@@ -400,14 +400,14 @@ TEST_F(JournalTest, CancelledDisjunctiveWaveEndsWithBudgetEvent) {
   ReverseMapping reverse = MustQuasiInverse(m);
   Instance target = MustParseInstance(m.target, "Q(a,b), R(b,c), Q(d,b)");
 
-  // Trigger collection runs one pool task per dependency and the root
-  // wave one more; cancelling on the task after those lands inside the
-  // second wave — after the root's expansion journaled derived facts.
+  // Every branched child charges its copy once. Cancelling on the second
+  // charge lands mid-tree: the root's child and the second level's child
+  // have journaled their nulls and facts, and the exploration stops at
+  // the check before the next node.
   Cancellation token;
   BudgetSpec spec;
   spec.cancellation = &token;
-  Result<FaultPlan> plan = FaultPlan::Parse(
-      "task:" + std::to_string(reverse.deps.size() + 2) + ":cancel");
+  Result<FaultPlan> plan = FaultPlan::Parse("alloc:2:cancel");
   ASSERT_TRUE(plan.ok());
   spec.fault_plan = *plan;
   Budget budget(spec);
@@ -427,6 +427,14 @@ TEST_F(JournalTest, CancelledDisjunctiveWaveEndsWithBudgetEvent) {
 
   std::vector<obs::JournalEvent> events = obs::Journal::Events();
   ASSERT_FALSE(events.empty());
+  // Exactly the two charged children journaled facts before the cancel.
+  std::set<uint64_t> child_nodes;
+  for (const obs::JournalEvent& event : events) {
+    if (event.kind == obs::JournalEventKind::kDerivedFact) {
+      child_nodes.insert(event.node);
+    }
+  }
+  EXPECT_EQ(child_nodes.size(), 2u);
   // The budget trip is the last thing a governed run journals.
   const obs::JournalEvent& last = events.back();
   EXPECT_EQ(last.kind, obs::JournalEventKind::kBudgetTrip);
@@ -458,7 +466,10 @@ TEST_F(JournalTest, JsonlRenderingOmitsEmptyFields) {
   obs::JournalRun run("test");
   uint64_t base = run.RecordBaseFact("P(a)");
   run.RecordDerivedFact("Q(a)", "P(x) -> Q(x)", 0, "x=a", {base});
-  std::string jsonl = obs::Journal::ToJsonl();
+  std::string jsonl;
+  for (const obs::JournalEvent& event : obs::Journal::Events()) {
+    jsonl += event.ToJson() + "\n";
+  }
   // The base-fact line has no dep/bindings/parents members at all.
   EXPECT_NE(jsonl.find("\"kind\":\"base\",\"run\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"fact\":\"P(a)\"}"), std::string::npos);

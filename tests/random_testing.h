@@ -2,14 +2,18 @@
 #define QIMAP_TESTS_RANDOM_TESTING_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "obs/journal.h"
 #include "workload/random_mappings.h"
 
 // Shared shapes for the randomized tests. Most seeded suites sweep the
 // same four mapping classes (LAV / full / GAV-style / mixed) or start
 // from the same small two-relation configuration; keeping the knobs here
-// means a generator change retunes every suite in one place.
+// means a generator change retunes every suite in one place. The journal
+// renderer below is what the determinism suites diff.
 
 namespace qimap {
 
@@ -70,6 +74,25 @@ inline RandomMappingConfig JoinedBodyConfig(size_t max_lhs_atoms = 2) {
   RandomMappingConfig config;
   config.max_lhs_atoms = max_lhs_atoms;
   return config;
+}
+
+/// Renders the buffered journal with event ids rebased to 1 and the run
+/// number zeroed, so two identical runs compare equal despite the
+/// process-wide counters growing between them.
+inline std::vector<std::string> NormalizedJournalLines() {
+  std::vector<obs::JournalEvent> events = obs::Journal::Events();
+  if (events.empty()) return {};
+  uint64_t base = events.front().id - 1;
+  std::vector<std::string> lines;
+  lines.reserve(events.size());
+  for (obs::JournalEvent event : events) {
+    event.id -= base;
+    event.run = 0;
+    for (uint64_t& parent : event.parents) parent -= base;
+    for (uint64_t& null_id : event.nulls) null_id -= base;
+    lines.push_back(event.ToJson());
+  }
+  return lines;
 }
 
 }  // namespace qimap

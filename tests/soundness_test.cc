@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "base/budget.h"
 #include "core/lav_quasi_inverse.h"
 #include "core/quasi_inverse.h"
 #include "core/soundness.h"
@@ -96,6 +99,40 @@ TEST(SoundnessTest, QuasiInverseAlgorithmOutputsAreFaithful) {
     EXPECT_TRUE(trip.sound) << text;
     EXPECT_TRUE(trip.faithful) << text;
   }
+}
+
+// One budget bounds the whole round trip: the forward chase, the
+// disjunctive chase and every re-chase tick the same step count.
+TEST(SoundnessTest, BudgetBoundsEveryChaseOfTheRoundTrip) {
+  SchemaMapping m = catalog::Decomposition();
+  ReverseMapping rev =
+      MustParseReverseMapping(m, "Q(x,y) & R(y,z) -> P(x,y,z)");
+  Instance i = MustParseInstance(m.source, "P(a,b,c), P(d,b,e)");
+
+  // The forward chase has two triggers; one step trips it.
+  Budget one_step(BudgetSpec::StepsOnly(1));
+  DisjunctiveChaseOptions options;
+  options.budget = &one_step;
+  Result<RoundTrip> tripped = CheckRoundTrip(m, rev, i, options);
+  ASSERT_FALSE(tripped.ok());
+  EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(one_step.tripped(), BudgetLimit::kSteps);
+
+  // A budget one step short of the whole round trip trips in the last
+  // re-chase.
+  Budget ample(BudgetSpec::StepsOnly(1u << 20));
+  options.budget = &ample;
+  ASSERT_TRUE(CheckRoundTrip(m, rev, i, options).ok());
+  ASSERT_GT(ample.steps(), 1u);
+  Budget short_by_one(BudgetSpec::StepsOnly(ample.steps() - 1));
+  options.budget = &short_by_one;
+  std::vector<Instance> partial;
+  options.partial_out = &partial;
+  Result<RoundTrip> rechase_tripped = CheckRoundTrip(m, rev, i, options);
+  ASSERT_FALSE(rechase_tripped.ok());
+  EXPECT_EQ(short_by_one.tripped(), BudgetLimit::kSteps);
+  // The disjunctive chase had finished, so its leaves are not partial.
+  EXPECT_TRUE(partial.empty());
 }
 
 TEST(SoundnessTest, UnsoundReverseMappingDetected) {

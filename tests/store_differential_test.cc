@@ -7,6 +7,7 @@
 #include "obs/journal.h"
 #include "relational/instance.h"
 #include "workload/scenario_gen.h"
+#include "random_testing.h"
 
 // Store-differential property layer for the columnar instance and the
 // compiled match planner: every scenario family x body topology the
@@ -27,25 +28,6 @@
 
 namespace qimap {
 namespace {
-
-// Renders the buffered journal with event ids rebased to 1 and the run
-// number dropped, so two identical runs compare equal despite the
-// process-wide counters growing between them.
-std::vector<std::string> NormalizedJournalLines() {
-  std::vector<obs::JournalEvent> events = obs::Journal::Events();
-  if (events.empty()) return {};
-  uint64_t base = events.front().id - 1;
-  std::vector<std::string> lines;
-  lines.reserve(events.size());
-  for (obs::JournalEvent event : events) {
-    event.id -= base;
-    event.run = 0;
-    for (uint64_t& parent : event.parents) parent -= base;
-    for (uint64_t& null_id : event.nulls) null_id -= base;
-    lines.push_back(event.ToJson());
-  }
-  return lines;
-}
 
 struct ChaseOutput {
   std::string facts;

@@ -429,7 +429,17 @@ int RunRoundTrip(const Args& args, const SchemaMapping& m) {
                              ParseReverseMapping(m, reverse_text));
   QIMAP_ASSIGN_OR_RETURN_CLI(Instance i,
                              ParseInstance(m.source, instance_text));
-  QIMAP_ASSIGN_OR_RETURN_CLI(RoundTrip trip, CheckRoundTrip(m, rev, i));
+  DisjunctiveChaseOptions options;
+  options.budget = g_budget;
+  std::vector<Instance> partial;
+  if (g_budget != nullptr) options.partial_out = &partial;
+  Result<RoundTrip> checked = CheckRoundTrip(m, rev, i, options);
+  if (!checked.ok()) {
+    std::fprintf(stderr, "%s\n", checked.status().ToString().c_str());
+    PrintBudgetSummary("recovered leaves", partial.size());
+    return 1;
+  }
+  const RoundTrip& trip = *checked;
   std::printf("U  = %s\n", trip.universal.ToString().c_str());
   for (size_t k = 0; k < trip.recovered.size(); ++k) {
     std::printf("V%zu = %s\n", k + 1, trip.recovered[k].ToString().c_str());
@@ -677,9 +687,14 @@ int RunReport(int argc, char** argv) {
       std::string outcome =
           budget != nullptr ? RecordString(*budget, "outcome") : "";
       const obs::JsonValue* elapsed = rec.Find("elapsed_seconds");
+      // Escaped as in JSON (without the quotes), so a control character
+      // in the command cannot split the row.
+      std::string shown_command;
+      obs::AppendJsonString(&shown_command, command);
+      shown_command = shown_command.substr(1, shown_command.size() - 2);
       std::printf("%4" PRIu64 "  %-18s exit=%-2" PRIu64 " budget=%-9s "
                   "%8.3fs  map=%s\n",
-                  RecordNumber(rec, "seq"), command.c_str(),
+                  RecordNumber(rec, "seq"), shown_command.c_str(),
                   RecordNumber(rec, "exit_code"), outcome.c_str(),
                   elapsed != nullptr ? elapsed->number_value : 0.0,
                   fp.c_str());
