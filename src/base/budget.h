@@ -32,7 +32,8 @@ namespace qimap {
 /// so a multi-threaded fan-out winds down deterministically instead of
 /// racing to report different limits. Engines translate a trip into a
 /// best-effort partial result flagged `partial = true` plus a `budget`
-/// journal event and `budget.*` metrics (obs/budget_obs.h).
+/// journal event and `budget.*` metrics (`obs::PipelineRun::Trip`,
+/// obs/pipeline_run.h).
 
 /// Which resource limit tripped a Budget.
 enum class BudgetLimit : uint8_t {
@@ -228,18 +229,6 @@ class RunBudget {
     }
     return status;
   }
-  /// Fault sites and cancellation live on the shared budget only.
-  Status OnTriggerBatch() {
-    return shared_ != nullptr ? shared_->OnTriggerBatch(what_)
-                              : Status::OK();
-  }
-  Status OnPoolTask() {
-    return shared_ != nullptr ? shared_->OnPoolTask(what_) : Status::OK();
-  }
-  Cancellation* cancellation() const {
-    return shared_ != nullptr ? shared_->cancellation() : nullptr;
-  }
-
   /// Steps this run performed (local count, shared-budget agnostic).
   size_t steps() const { return local_.steps(); }
   BudgetLimit tripped() const {

@@ -8,21 +8,17 @@
 #include "chase/chase_checkpoint.h"
 #include "chase/shard_plan.h"
 #include "chase/trigger_finder.h"
-#include "obs/budget_obs.h"
-#include "obs/journal.h"
 #include "obs/metrics.h"
+#include "obs/pipeline_run.h"
 #include "obs/profiler.h"
-#include "obs/progress.h"
-#include "obs/trace.h"
 #include "relational/cost_model.h"
 #include "relational/homomorphism.h"
 
 namespace qimap {
 namespace {
 
-// The pipeline name of every journal run, profiler entry, heartbeat
-// stream and trace span of the chase.
-constexpr const char* kPipeline = "chase/standard";
+constexpr obs::PipelineSpec kRun = {"chase/standard", "chase/standard",
+                                    "standard chase"};
 
 // Mirrors one run's totals into the process-wide metrics registry.
 void FlushChaseMetrics(const ChaseStats& st) {
@@ -102,11 +98,22 @@ bool SchemasAlias(const SchemaPtr& a, const SchemaPtr& b) {
 
 Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
                        const ChaseOptions& options, ChaseStats* stats) {
-  static const obs::MetricId kLatency =
-      obs::RegisterHistogram("chase.latency_us");
-  obs::ScopedLatency latency(kLatency);
-  QIMAP_TRACE_SPAN(kPipeline);
-  obs::JournalRun journal(kPipeline);
+  ChaseStats local_stats;
+  ChaseStats& st = stats != nullptr ? *stats : local_stats;
+  st = ChaseStats{};
+  // Heartbeats: sampled from `st` on the serial fire loop only, so every
+  // snapshot is a deterministic function of the input. The initial total
+  // is the CostModel product bound; trigger collection refines it to the
+  // exact merged-batch count below.
+  obs::PipelineRun run(kRun, options.max_steps, options.budget, [&st]() {
+    obs::ProgressSample sample;
+    sample.facts = st.facts_added;
+    sample.nulls = st.nulls_minted;
+    sample.fired = st.triggers_fired;
+    sample.skipped = st.satisfaction_hits;
+    return sample;
+  });
+  auto& journal = run.journal();
 
   const std::vector<Tgd>& tgds = m.tgds;
   Instance target_inst(m.target);
@@ -114,29 +121,9 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
                            ? options.first_null_label
                            : source_inst.MaxNullLabel() + 1;
   uint32_t next_null = null_base;
-  RunBudget guard("standard chase", options.max_steps, options.budget);
-  ChaseStats local_stats;
-  ChaseStats& st = stats != nullptr ? *stats : local_stats;
-  st = ChaseStats{};
   Status overflow = Status::OK();
-
-  // Heartbeats: sampled from `st` on the serial fire loop only, so every
-  // snapshot is a deterministic function of the input. The initial total
-  // is the CostModel product bound; trigger collection refines it to the
-  // exact merged-batch count below.
-  obs::ProgressRun progress(
-      kPipeline,
-      [&st]() {
-        obs::ProgressSample sample;
-        sample.facts = st.facts_added;
-        sample.nulls = st.nulls_minted;
-        sample.fired = st.triggers_fired;
-        sample.skipped = st.satisfaction_hits;
-        return sample;
-      },
-      options.budget);
   if (obs::Progress::Enabled()) {
-    progress.SetTotalEstimate(
+    run.SetTotalEstimate(
         EstimateChaseSteps(CostModel::FromInstance(source_inst), tgds));
   }
 
@@ -181,8 +168,7 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
   if (profiled) {
     prof_deps.reserve(tgds.size());
     for (const Tgd& tgd : tgds) {
-      prof_deps.push_back(obs::Profiler::RegisterDep(
-          kPipeline,
+      prof_deps.push_back(run.RegisterDep(
           TgdToString(tgd, *source_inst.schema(), *target_inst.schema()),
           static_cast<uint32_t>(tgd.lhs.size())));
     }
@@ -260,7 +246,7 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
     for (const std::vector<MergedTrigger>& sequence : merged) {
       exact_total += sequence.size();
     }
-    progress.SetTotalEstimate(exact_total);
+    run.SetTotalEstimate(exact_total);
   }
 
   // Append-only fast path: when every delta trigger sorts after every
@@ -435,12 +421,11 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
          ++trig_index) {
       const MergedTrigger& mt = merged[dep_index][trig_index];
       const Assignment& h = *mt.h;
-      Status tick = guard.Tick();
+      Status tick = run.Tick();
       if (!tick.ok()) {
         overflow = std::move(tick);
         break;
       }
-      progress.Step();
       if (fast && mt.prov != Provenance::kNew) {
         // The stored result already contains this trigger's effect, and
         // `out_records` already holds its recycled record.
@@ -497,14 +482,13 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
         }
       }
       if (fresh_nulls > 0) {
-        overflow = guard.ChargeNulls(fresh_nulls);
+        overflow = run.ChargeNulls(fresh_nulls);
         if (!overflow.ok()) break;
       }
       size_t facts_this_fire = 0;
       for (Atom& atom : ApplyAssignmentToConjunction(tgd.rhs, extended)) {
         overflow =
-            guard.ChargeMemory(ApproxFactBytes(atom.args.size(),
-                                               sizeof(Value)));
+            run.ChargeMemory(ApproxFactBytes(atom.args.size(), sizeof(Value)));
         if (!overflow.ok()) break;
         std::string fact_text;
         if (journal.active()) {
@@ -533,16 +517,15 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
       if (!overflow.ok()) break;
     }
   }
-  st.steps = guard.steps();
-  st.partial = !overflow.ok() && guard.exhausted();
+  st.steps = run.steps();
+  st.partial = !overflow.ok() && run.exhausted();
   FlushChaseMetrics(st);
   if (!overflow.ok()) {
     if (record) ckpt->valid = false;
     if (st.partial) {
       // Budget trip: journal the limit, mirror it into budget.*, and hand
       // back the instance built so far as a best-effort partial result.
-      obs::ReportBudgetTrip(journal, guard, overflow,
-                            options.partial_out != nullptr);
+      run.Trip(overflow, options.partial_out != nullptr);
       if (options.partial_out != nullptr) {
         *options.partial_out = std::move(target_inst);
       }

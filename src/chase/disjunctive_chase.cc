@@ -11,16 +11,16 @@
 #include "base/budget.h"
 #include "base/thread_pool.h"
 #include "chase/trigger_finder.h"
-#include "obs/budget_obs.h"
-#include "obs/journal.h"
 #include "obs/metrics.h"
+#include "obs/pipeline_run.h"
 #include "obs/profiler.h"
-#include "obs/progress.h"
-#include "obs/trace.h"
 #include "relational/homomorphism.h"
 
 namespace qimap {
 namespace {
+
+constexpr obs::PipelineSpec kRun = {"chase/disjunctive", "chase/disjunctive",
+                                    "disjunctive chase"};
 
 // Mirrors one run's totals into the process-wide metrics registry.
 void FlushDisjunctiveChaseMetrics(const DisjunctiveChaseStats& st) {
@@ -89,49 +89,38 @@ std::optional<ApplicableStep> FindApplicableStep(
 Result<std::vector<Instance>> DisjunctiveChase(
     const Instance& target_inst, const ReverseMapping& m,
     const DisjunctiveChaseOptions& options, DisjunctiveChaseStats* stats) {
-  static const obs::MetricId kLatency =
-      obs::RegisterHistogram("dchase.latency_us");
-  obs::ScopedLatency latency(kLatency);
-  QIMAP_TRACE_SPAN("chase/disjunctive");
-  obs::JournalRun journal("chase/disjunctive");
-
-  uint32_t next_null = target_inst.MaxNullLabel() + 1;
   DisjunctiveChaseStats local_stats;
   DisjunctiveChaseStats& st = stats != nullptr ? *stats : local_stats;
   st = DisjunctiveChaseStats{};
-  RunBudget guard("disjunctive chase", options.max_steps, options.budget);
-  // Flush whatever was counted on every exit path, including errors.
-  struct Flusher {
-    DisjunctiveChaseStats* st;
-    RunBudget* guard;
-    ~Flusher() {
-      st->steps = guard->steps();
-      FlushDisjunctiveChaseMetrics(*st);
-    }
-  } flusher{&st, &guard};
-
   // Heartbeats over the tree expansion. The node/leaf counts stand in
   // for fired/skipped: what a long disjunctive run needs surfaced is how
   // fast the tree grows versus how much dedup holds it down.
-  obs::ProgressRun progress(
-      "chase/disjunctive",
-      [&st]() {
-        obs::ProgressSample sample;
-        sample.facts = st.nodes;
-        sample.nulls = st.nulls_minted;
-        sample.fired = st.branches;
-        sample.skipped = st.dedup_dropped;
-        return sample;
-      },
-      options.budget);
+  obs::PipelineRun run(kRun, options.max_steps, options.budget, [&st]() {
+    obs::ProgressSample sample;
+    sample.facts = st.nodes;
+    sample.nulls = st.nulls_minted;
+    sample.fired = st.branches;
+    sample.skipped = st.dedup_dropped;
+    return sample;
+  });
+  auto& journal = run.journal();
+  // Flush whatever was counted on every exit path, including errors.
+  struct Flusher {
+    DisjunctiveChaseStats* st;
+    obs::PipelineRun* run;
+    ~Flusher() {
+      st->steps = run->steps();
+      FlushDisjunctiveChaseMetrics(*st);
+    }
+  } flusher{&st, &run};
 
+  uint32_t next_null = target_inst.MaxNullLabel() + 1;
   std::vector<Instance> leaves;
   // Ends the exploration on a budget trip: journal + budget.* metrics,
   // then the leaves completed so far as the best-effort partial result.
   auto trip = [&](Status status) -> Status {
     st.partial = true;
-    obs::ReportBudgetTrip(journal, guard, status,
-                          options.partial_out != nullptr);
+    run.Trip(status, options.partial_out != nullptr);
     if (options.partial_out != nullptr) {
       *options.partial_out = std::move(leaves);
     }
@@ -171,8 +160,7 @@ Result<std::vector<Instance>> DisjunctiveChase(
   const bool profiled = obs::Profiler::Enabled();
   if (profiled) {
     for (size_t d = 0; d < m.deps.size(); ++d) {
-      prof_deps[d] = obs::Profiler::RegisterDep(
-          "chase/disjunctive",
+      prof_deps[d] = run.RegisterDep(
           DisjunctiveTgdToString(m.deps[d], *m.from, *m.to),
           static_cast<uint32_t>(m.deps[d].lhs.size()));
     }
@@ -203,7 +191,7 @@ Result<std::vector<Instance>> DisjunctiveChase(
   while (!worklist.empty()) {
     // Cooperative cancellation point: a cancel (or deadline) lands here,
     // between nodes, before the next one is examined.
-    Status check = guard.Check();
+    Status check = run.Check();
     if (!check.ok()) return trip(std::move(check));
     Instance current = std::move(worklist.front());
     worklist.pop_front();
@@ -231,10 +219,9 @@ Result<std::vector<Instance>> DisjunctiveChase(
       continue;
     }
     {
-      Status tick = guard.Tick();
+      Status tick = run.Tick();
       if (!tick.ok()) return trip(std::move(tick));
     }
-    progress.Step();
     // Branch: one child per disjunct (Definition 6.3).
     const DisjunctiveTgd& dep = *step->dep;
     std::vector<uint64_t> parent_ids;
@@ -250,7 +237,7 @@ Result<std::vector<Instance>> DisjunctiveChase(
       // approximate copy so the memory budget tracks tree growth, the
       // dominant cost of a disjunctive blowup.
       {
-        Status charge = guard.ChargeMemory(
+        Status charge = run.ChargeMemory(
             (current.NumFacts() + 1) * ApproxFactBytes(2, sizeof(Value)));
         if (!charge.ok()) return trip(std::move(charge));
       }
@@ -271,7 +258,7 @@ Result<std::vector<Instance>> DisjunctiveChase(
         }
       }
       if (fresh_nulls > 0) {
-        Status charge = guard.ChargeNulls(fresh_nulls);
+        Status charge = run.ChargeNulls(fresh_nulls);
         if (!charge.ok()) return trip(std::move(charge));
       }
       for (const Atom& atom :

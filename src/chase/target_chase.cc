@@ -6,16 +6,17 @@
 
 #include "base/budget.h"
 #include "chase/trigger_finder.h"
-#include "obs/budget_obs.h"
-#include "obs/journal.h"
 #include "obs/metrics.h"
+#include "obs/pipeline_run.h"
 #include "obs/profiler.h"
-#include "obs/progress.h"
-#include "obs/trace.h"
 #include "relational/homomorphism.h"
 
 namespace qimap {
 namespace {
+
+constexpr obs::PipelineSpec kRun = {"chase/target", "chase/target",
+                                    "target chase",
+                                    "(are the target tgds weakly acyclic?)"};
 
 // Mirrors one run's totals into the process-wide metrics registry.
 void FlushTargetChaseMetrics(const TargetChaseStats& st) {
@@ -87,42 +88,46 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
     const Instance& source_inst, const SchemaMapping& m,
     const TargetConstraints& constraints,
     const TargetChaseOptions& options) {
-  static const obs::MetricId kLatency =
-      obs::RegisterHistogram("tchase.latency_us");
-  obs::ScopedLatency latency(kLatency);
-  QIMAP_TRACE_SPAN("chase/target");
-  obs::JournalRun journal("chase/target");
+  TargetChaseStats st;
+  Instance target_inst(m.target);
+  // Heartbeats for the fixpoint phase (the s-t phase below emits its
+  // own). No total estimate: target-constraint fixpoints have no cheap
+  // upper bound short of weak-acyclicity analysis.
+  obs::PipelineRun run(kRun, options.max_steps, options.budget,
+                       [&st, &target_inst]() {
+                         obs::ProgressSample sample;
+                         sample.facts = target_inst.NumFacts();
+                         sample.nulls = st.nulls_minted;
+                         sample.fired = st.tgd_fires + st.egd_merges;
+                         return sample;
+                       });
+  auto& journal = run.journal();
 
   ChaseOptions st_options;
   st_options.budget = options.budget;
   // A budget trip inside the s-t phase journals and reports itself; the
   // caller's partial_out then carries the s-t prefix.
   st_options.partial_out = options.partial_out;
-  QIMAP_ASSIGN_OR_RETURN(Instance target_inst,
-                         Chase(source_inst, m, st_options));
+  QIMAP_ASSIGN_OR_RETURN(target_inst, Chase(source_inst, m, st_options));
   uint32_t next_null =
       std::max(target_inst.MaxNullLabel(), source_inst.MaxNullLabel()) + 1;
 
   TargetChaseResult result{Instance(m.target), false, 0, {}};
-  RunBudget guard("target chase", options.max_steps, options.budget,
-                  "(are the target tgds weakly acyclic?)");
-  TargetChaseStats st;
   // Flush whatever was counted on every exit path, including errors.
   struct Flusher {
     TargetChaseStats* st;
-    RunBudget* guard;
+    obs::PipelineRun* run;
     ~Flusher() {
-      st->steps = guard->steps();
+      st->steps = run->steps();
       FlushTargetChaseMetrics(*st);
     }
-  } flusher{&st, &guard};
+  } flusher{&st, &run};
 
   // Ends the fixpoint on a budget trip: journal + budget.* metrics, then
   // the instance closed so far as the best-effort partial solution.
   auto trip = [&](Status status) -> Status {
     st.partial = true;
-    obs::ReportBudgetTrip(journal, guard, status,
-                          options.partial_out != nullptr);
+    run.Trip(status, options.partial_out != nullptr);
     if (options.partial_out != nullptr) {
       *options.partial_out = std::move(target_inst);
     }
@@ -153,31 +158,16 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
                                    obs::kProfileNoDep);
   if (obs::Profiler::Enabled()) {
     for (size_t ei = 0; ei < constraints.egds.size(); ++ei) {
-      prof_egds[ei] = obs::Profiler::RegisterDep(
-          "chase/target", EgdToString(constraints.egds[ei], *m.target),
+      prof_egds[ei] = run.RegisterDep(
+          EgdToString(constraints.egds[ei], *m.target),
           static_cast<uint32_t>(constraints.egds[ei].lhs.size()));
     }
     for (size_t ti = 0; ti < constraints.tgds.size(); ++ti) {
-      prof_ttgds[ti] = obs::Profiler::RegisterDep(
-          "chase/target",
+      prof_ttgds[ti] = run.RegisterDep(
           TgdToString(constraints.tgds[ti], *m.target, *m.target),
           static_cast<uint32_t>(constraints.tgds[ti].lhs.size()));
     }
   }
-
-  // Heartbeats for the fixpoint phase (the s-t phase above emitted its
-  // own). No total estimate: target-constraint fixpoints have no cheap
-  // upper bound short of weak-acyclicity analysis.
-  obs::ProgressRun progress(
-      "chase/target",
-      [&st, &target_inst]() {
-        obs::ProgressSample sample;
-        sample.facts = target_inst.NumFacts();
-        sample.nulls = st.nulls_minted;
-        sample.fired = st.tgd_fires + st.egd_merges;
-        return sample;
-      },
-      options.budget);
 
   HomSearchOptions search_options;
   // Each target tgd's existential variables, computed once per run
@@ -191,9 +181,8 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
   // Fixpoint loop: egds first (cheap, and merging can satisfy tgds),
   // then target tgds.
   while (true) {
-    Status tick = guard.Tick();
+    Status tick = run.Tick();
     if (!tick.ok()) return trip(std::move(tick));
-    progress.Step();
     bool fired = false;
     for (size_t ei = 0; ei < constraints.egds.size(); ++ei) {
       const Egd& egd = constraints.egds[ei];
@@ -213,8 +202,8 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
         }
         result.failed = true;
         result.solution = std::move(target_inst);
-        result.steps = guard.steps();
-        st.steps = guard.steps();
+        result.steps = run.steps();
+        st.steps = run.steps();
         result.stats = st;
         return result;
       }
@@ -277,11 +266,11 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
         }
       }
       if (fresh_nulls > 0) {
-        Status charge = guard.ChargeNulls(fresh_nulls);
+        Status charge = run.ChargeNulls(fresh_nulls);
         if (!charge.ok()) return trip(std::move(charge));
       }
       for (Atom& atom : ApplyAssignmentToConjunction(tgd.rhs, extended)) {
-        Status charge = guard.ChargeMemory(
+        Status charge = run.ChargeMemory(
             ApproxFactBytes(atom.args.size(), sizeof(Value)));
         if (!charge.ok()) return trip(std::move(charge));
         std::string fact_text;
@@ -304,8 +293,8 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
     if (!fired) break;
   }
   result.solution = std::move(target_inst);
-  result.steps = guard.steps();
-  st.steps = guard.steps();
+  result.steps = run.steps();
+  st.steps = run.steps();
   result.stats = st;
   return result;
 }

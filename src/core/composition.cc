@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "chase/chase.h"
@@ -14,11 +15,26 @@ Result<bool> InComposition(const SchemaMapping& m,
                            const ReverseMapping& m_prime,
                            const Instance& i1, const Instance& i2,
                            const CompositionOptions& options) {
+  return SomeNullCollapseSatisfies(
+      m, i1, i2, options.max_assignments,
+      [&](const Instance& j) { return SatisfiesAllReverse(j, i2, m_prime); },
+      [](size_t pool, size_t nulls) {
+        return Status::ResourceExhausted(
+            "composition oracle: too many null assignments (" +
+            std::to_string(pool) + "^" + std::to_string(nulls) + ")");
+      });
+}
+
+Result<bool> SomeNullCollapseSatisfies(
+    const SchemaMapping& m, const Instance& i1, const Instance& i2,
+    size_t max_assignments,
+    const std::function<bool(const Instance&)>& satisfies,
+    const std::function<Status(size_t pool, size_t nulls)>& too_many) {
   QIMAP_ASSIGN_OR_RETURN(Instance universal, Chase(i1, m));
 
   // Fast path: the universal solution itself (its nulls are already
   // distinct fresh values outside both active domains).
-  if (SatisfiesAllReverse(universal, i2, m_prime)) return true;
+  if (satisfies(universal)) return true;
 
   // Collect the nulls of the universal solution.
   std::vector<Value> nulls;
@@ -47,11 +63,8 @@ Result<bool> InComposition(const SchemaMapping& m,
   double estimate = 1.0;
   for (size_t i = 0; i < nulls.size(); ++i) {
     estimate *= static_cast<double>(pool.size());
-    if (estimate > static_cast<double>(options.max_assignments)) {
-      return Status::ResourceExhausted(
-          "composition oracle: too many null assignments (" +
-          std::to_string(pool.size()) + "^" +
-          std::to_string(nulls.size()) + ")");
+    if (estimate > static_cast<double>(max_assignments)) {
+      return too_many(pool.size(), nulls.size());
     }
   }
 
@@ -62,8 +75,7 @@ Result<bool> InComposition(const SchemaMapping& m,
     for (size_t i = 0; i < nulls.size(); ++i) {
       h.emplace(nulls[i], pool[idx[i]]);
     }
-    Instance image = ApplyAssignmentToInstance(universal, h);
-    if (SatisfiesAllReverse(image, i2, m_prime)) return true;
+    if (satisfies(ApplyAssignmentToInstance(universal, h))) return true;
     size_t pos = 0;
     while (pos < idx.size()) {
       if (++idx[pos] < pool.size()) break;

@@ -1,6 +1,9 @@
 #ifndef QIMAP_CORE_COMPOSITION_H_
 #define QIMAP_CORE_COMPOSITION_H_
 
+#include <cstddef>
+#include <functional>
+
 #include "base/status.h"
 #include "dependency/schema_mapping.h"
 #include "relational/instance.h"
@@ -29,6 +32,19 @@ Result<bool> InComposition(const SchemaMapping& m,
                            const ReverseMapping& m_prime,
                            const Instance& i1, const Instance& i2,
                            const CompositionOptions& options = {});
+
+/// The null-collapse search behind both composition-membership oracles
+/// (`InComposition` and `InForwardComposition`): chases `i1` with `m` and
+/// asks whether `satisfies` holds for the universal solution or for one
+/// of its collapses, the images under every map from its `k` nulls into
+/// `adom(i1) ∪ adom(i2) ∪ {k fresh nulls}`. When `|pool|^k` would exceed
+/// `max_assignments`, returns `too_many(|pool|, k)` instead of
+/// enumerating.
+Result<bool> SomeNullCollapseSatisfies(
+    const SchemaMapping& m, const Instance& i1, const Instance& i2,
+    size_t max_assignments,
+    const std::function<bool(const Instance&)>& satisfies,
+    const std::function<Status(size_t pool, size_t nulls)>& too_many);
 
 }  // namespace qimap
 

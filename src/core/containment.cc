@@ -5,17 +5,17 @@
 #include <utility>
 
 #include "chase/chase.h"
-#include "obs/budget_obs.h"
-#include "obs/journal.h"
 #include "obs/metrics.h"
+#include "obs/pipeline_run.h"
 #include "obs/profiler.h"
-#include "obs/progress.h"
-#include "obs/trace.h"
 #include "relational/atom.h"
 #include "relational/homomorphism.h"
 
 namespace qimap {
 namespace {
+
+constexpr obs::PipelineSpec kRun = {"containment/run", "containment",
+                                    "Containment"};
 
 // Freezes the lhs variables of a conclusion dependency to fresh, pairwise
 // distinct constants. Chasing the frozen canonical instance (instead of
@@ -57,8 +57,6 @@ std::string ContainmentReport::Summary() const {
 Result<ContainmentReport> CheckContainment(const SchemaMapping& sub,
                                            const SchemaMapping& super,
                                            const ContainmentOptions& options) {
-  static const obs::MetricId kLatency =
-      obs::RegisterHistogram("containment.latency_us");
   static const obs::MetricId kRuns =
       obs::RegisterCounter("containment.runs");
   static const obs::MetricId kChecked =
@@ -69,9 +67,16 @@ Result<ContainmentReport> CheckContainment(const SchemaMapping& sub,
       obs::RegisterCounter("containment.syntactic_hits");
   static const obs::MetricId kViolations =
       obs::RegisterCounter("containment.violations");
-  obs::ScopedLatency latency(kLatency);
-  QIMAP_TRACE_SPAN("containment/run");
-  obs::JournalRun journal("containment");
+  ContainmentReport report;
+  report.holds = true;
+  // Heartbeats: one step per conclusion dependency decided; the inner
+  // chases emit their own runs.
+  obs::PipelineRun run(kRun, 0, options.budget, [&report]() {
+    obs::ProgressSample sample;
+    sample.fired = report.verdicts.size();
+    return sample;
+  });
+  auto& journal = run.journal();
   obs::CounterAdd(kRuns);
 
   if (!SameSchema(sub.source, super.source) ||
@@ -80,15 +85,10 @@ Result<ContainmentReport> CheckContainment(const SchemaMapping& sub,
         "CheckContainment requires mappings over the same schemas");
   }
 
-  ContainmentReport report;
-  report.holds = true;
-
-  RunBudget guard("Containment", 0, options.budget);
   // Ends the check on a budget trip: journal + budget.* metrics, then the
   // verdicts reached so far as the best-effort partial result.
   auto trip = [&](Status status) -> Status {
-    obs::ReportBudgetTrip(journal, guard, status,
-                          options.partial_out != nullptr);
+    run.Trip(status, options.partial_out != nullptr);
     report.partial = true;
     if (options.partial_out != nullptr) {
       *options.partial_out = std::move(report);
@@ -99,17 +99,6 @@ Result<ContainmentReport> CheckContainment(const SchemaMapping& sub,
   chase_options.budget = options.budget;
   chase_options.num_threads = options.num_threads;
 
-  // Heartbeats: one step per conclusion dependency decided; the inner
-  // chases emit their own runs.
-  obs::ProgressRun progress(
-      "containment",
-      [&report]() {
-        obs::ProgressSample sample;
-        sample.fired = report.verdicts.size();
-        return sample;
-      },
-      options.budget);
-
   for (size_t index = 0; index < super.tgds.size(); ++index) {
     const Tgd& sigma = super.tgds[index];
     std::string sigma_text = TgdToString(sigma, *super.source, *super.target);
@@ -117,15 +106,13 @@ Result<ContainmentReport> CheckContainment(const SchemaMapping& sub,
     // frozen canonical instance attributes its own dependencies on top.
     uint32_t prof_dep = obs::kProfileNoDep;
     if (obs::Profiler::Enabled()) {
-      prof_dep = obs::Profiler::RegisterDep("containment", sigma_text,
-                                            sigma.lhs.size());
+      prof_dep = run.RegisterDep(sigma_text, sigma.lhs.size());
     }
     obs::ProfiledDepScope prof_scope(prof_dep, obs::ProfilePhase::kFire);
     {
-      Status tick = guard.Tick();
+      Status tick = run.Tick();
       if (!tick.ok()) return trip(std::move(tick));
     }
-    progress.Step();
     obs::CounterAdd(kChecked);
 
     ContainmentVerdict verdict;
@@ -155,7 +142,7 @@ Result<ContainmentReport> CheckContainment(const SchemaMapping& sub,
         // hands the caller the verdicts reached before the budget ran
         // out.
         Status status = chase.status();
-        if (guard.exhausted() ||
+        if (run.exhausted() ||
             status.code() == StatusCode::kResourceExhausted ||
             status.code() == StatusCode::kCancelled) {
           return trip(std::move(status));

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "chase/chase.h"
+#include "core/composition.h"
 #include "dependency/satisfaction.h"
 #include "relational/homomorphism.h"
 
@@ -107,74 +107,18 @@ void PrettifyCopyVariables(Tgd* tgd) {
   }
 }
 
-Conjunction ApplySubstitution(const Conjunction& conj,
-                              const Assignment& substitution) {
-  Conjunction out;
-  out.reserve(conj.size());
-  for (const Atom& atom : conj) {
-    Atom mapped = atom;
-    for (Value& v : mapped.args) v = Resolve(substitution, v);
-    out.push_back(std::move(mapped));
-  }
-  return out;
-}
-
 }  // namespace
 
 Result<bool> InForwardComposition(
     const SchemaMapping& m12, const SchemaMapping& m23, const Instance& i,
     const Instance& k, const ForwardCompositionOptions& options) {
-  QIMAP_ASSIGN_OR_RETURN(Instance universal, Chase(i, m12));
-
-  if (SatisfiesAll(universal, k, m23)) return true;
-
-  std::vector<Value> nulls;
-  for (const Value& v : universal.ActiveDomain()) {
-    if (v.IsNull()) nulls.push_back(v);
-  }
-  if (nulls.empty()) return false;
-
-  std::vector<Value> pool;
-  {
-    std::set<Value> seen;
-    for (const Instance* inst : {&i, &k}) {
-      for (const Value& v : inst->ActiveDomain()) {
-        if (seen.insert(v).second) pool.push_back(v);
-      }
-    }
-    uint32_t base =
-        std::max(universal.MaxNullLabel(), k.MaxNullLabel()) + 1;
-    for (size_t n = 0; n < nulls.size(); ++n) {
-      pool.push_back(Value::MakeNull(base + static_cast<uint32_t>(n)));
-    }
-  }
-
-  double estimate = 1.0;
-  for (size_t n = 0; n < nulls.size(); ++n) {
-    estimate *= static_cast<double>(pool.size());
-    if (estimate > static_cast<double>(options.max_assignments)) {
-      return Status::ResourceExhausted(
-          "forward composition oracle: too many null assignments");
-    }
-  }
-
-  std::vector<size_t> idx(nulls.size(), 0);
-  while (true) {
-    Assignment h;
-    for (size_t n = 0; n < nulls.size(); ++n) {
-      h.emplace(nulls[n], pool[idx[n]]);
-    }
-    Instance image = ApplyAssignmentToInstance(universal, h);
-    if (SatisfiesAll(image, k, m23)) return true;
-    size_t pos = 0;
-    while (pos < idx.size()) {
-      if (++idx[pos] < pool.size()) break;
-      idx[pos] = 0;
-      ++pos;
-    }
-    if (pos == idx.size()) break;
-  }
-  return false;
+  return SomeNullCollapseSatisfies(
+      m12, i, k, options.max_assignments,
+      [&](const Instance& j) { return SatisfiesAll(j, k, m23); },
+      [](size_t, size_t) {
+        return Status::ResourceExhausted(
+            "forward composition oracle: too many null assignments");
+      });
 }
 
 Result<SchemaMapping> ComposeFullFirst(const SchemaMapping& m12,
@@ -240,7 +184,8 @@ Result<SchemaMapping> ComposeFullFirst(const SchemaMapping& m12,
             unifier.BuildSubstitution(all_vars, preferred);
         Tgd tgd;
         for (const Tgd& copy : copies) {
-          Conjunction lhs = ApplySubstitution(copy.lhs, substitution);
+          Conjunction lhs =
+              ApplyAssignmentToConjunction(copy.lhs, substitution);
           for (Atom& atom : lhs) {
             if (std::find(tgd.lhs.begin(), tgd.lhs.end(), atom) ==
                 tgd.lhs.end()) {
@@ -248,7 +193,7 @@ Result<SchemaMapping> ComposeFullFirst(const SchemaMapping& m12,
             }
           }
         }
-        tgd.rhs = ApplySubstitution(sigma23.rhs, substitution);
+        tgd.rhs = ApplyAssignmentToConjunction(sigma23.rhs, substitution);
         PrettifyCopyVariables(&tgd);
         if (std::find(composed.tgds.begin(), composed.tgds.end(), tgd) ==
             composed.tgds.end()) {

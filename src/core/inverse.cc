@@ -9,15 +9,14 @@
 #include "base/budget.h"
 #include "chase/chase.h"
 #include "core/sigma_star.h"
-#include "obs/budget_obs.h"
-#include "obs/journal.h"
 #include "obs/metrics.h"
+#include "obs/pipeline_run.h"
 #include "obs/profiler.h"
-#include "obs/progress.h"
-#include "obs/trace.h"
 
 namespace qimap {
 namespace {
+
+constexpr obs::PipelineSpec kRun = {"inverse/run", "inverse", "Inverse"};
 
 // The all-distinct prime atom R(x1, ..., xm).
 Atom DistinctPrimeAtom(const Schema& schema, RelationId r) {
@@ -67,28 +66,28 @@ std::vector<Atom> PrimeAtoms(const Schema& schema, RelationId r) {
 
 Result<ReverseMapping> InverseAlgorithm(const SchemaMapping& m,
                                         const InverseOptions& options) {
-  static const obs::MetricId kLatency =
-      obs::RegisterHistogram("inv.latency_us");
   static const obs::MetricId kRuns = obs::RegisterCounter("inv.runs");
   static const obs::MetricId kPrimes =
       obs::RegisterCounter("inv.prime_instances");
   static const obs::MetricId kRules =
       obs::RegisterCounter("inv.rules_emitted");
-  obs::ScopedLatency latency(kLatency);
-  QIMAP_TRACE_SPAN("inverse/run");
-  obs::JournalRun journal("inverse");
-  obs::CounterAdd(kRuns);
-
   ReverseMapping reverse;
   reverse.from = m.target;
   reverse.to = m.source;
+  // Heartbeats: one step per prime instance inverted; the inner chases
+  // emit their own runs.
+  obs::PipelineRun run(kRun, 0, options.budget, [&reverse]() {
+    obs::ProgressSample sample;
+    sample.fired = reverse.deps.size();
+    return sample;
+  });
+  auto& journal = run.journal();
+  obs::CounterAdd(kRuns);
 
-  RunBudget guard("Inverse", 0, options.budget);
   // Ends the inversion on a budget trip: journal + budget.* metrics, then
   // the dependencies derived so far as the best-effort partial result.
   auto trip = [&](Status status) -> Status {
-    obs::ReportBudgetTrip(journal, guard, status,
-                          options.partial_out != nullptr);
+    run.Trip(status, options.partial_out != nullptr);
     reverse.partial = true;
     if (options.partial_out != nullptr) {
       *options.partial_out = std::move(reverse);
@@ -97,8 +96,8 @@ Result<ReverseMapping> InverseAlgorithm(const SchemaMapping& m,
   };
   // The inner chases journal and report their own trips; `trip` then
   // hands the caller the rules derived before the budget ran out.
-  auto chase_overflow = [&guard](const Status& status) {
-    return guard.exhausted() ||
+  auto chase_overflow = [&run](const Status& status) {
+    return run.exhausted() ||
            status.code() == StatusCode::kResourceExhausted ||
            status.code() == StatusCode::kCancelled;
   };
@@ -121,17 +120,6 @@ Result<ReverseMapping> InverseAlgorithm(const SchemaMapping& m,
   ChaseOptions chase_options;
   chase_options.budget = options.budget;
 
-  // Heartbeats: one step per prime instance inverted; the inner chases
-  // emit their own runs.
-  obs::ProgressRun progress(
-      "inverse",
-      [&reverse]() {
-        obs::ProgressSample sample;
-        sample.fired = reverse.deps.size();
-        return sample;
-      },
-      options.budget);
-
   // Steps 2-4: one full tgd per prime instance.
   for (RelationId r = 0; r < m.source->size(); ++r) {
     for (const Atom& alpha : PrimeAtoms(*m.source, r)) {
@@ -139,16 +127,14 @@ Result<ReverseMapping> InverseAlgorithm(const SchemaMapping& m,
       // canonical instance attributes its own dependencies on top.
       uint32_t prof_dep = obs::kProfileNoDep;
       if (obs::Profiler::Enabled()) {
-        prof_dep = obs::Profiler::RegisterDep(
-            "inverse", AtomToString(alpha, *m.source), 1);
+        prof_dep = run.RegisterDep(AtomToString(alpha, *m.source), 1);
       }
       obs::ProfiledDepScope prof_scope(prof_dep,
                                        obs::ProfilePhase::kFire);
       {
-        Status tick = guard.Tick();
+        Status tick = run.Tick();
         if (!tick.ok()) return trip(std::move(tick));
       }
-      progress.Step();
       obs::CounterAdd(kPrimes);
       Instance canonical = CanonicalInstance({alpha}, m.source);
       Result<Instance> prime_chase = Chase(canonical, m, chase_options);

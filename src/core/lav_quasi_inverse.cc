@@ -10,44 +10,48 @@
 #include "base/budget.h"
 #include "chase/chase.h"
 #include "core/inverse.h"
-#include "obs/budget_obs.h"
-#include "obs/journal.h"
 #include "obs/metrics.h"
+#include "obs/pipeline_run.h"
 #include "obs/profiler.h"
-#include "obs/progress.h"
-#include "obs/trace.h"
 #include "relational/atom.h"
 
 namespace qimap {
+namespace {
+
+constexpr obs::PipelineSpec kRun = {"lav_quasi_inverse/run",
+                                    "lav_quasi_inverse", "LavQuasiInverse"};
+
+}  // namespace
 
 Result<ReverseMapping> LavQuasiInverse(
     const SchemaMapping& m, const LavQuasiInverseOptions& options) {
-  static const obs::MetricId kLatency =
-      obs::RegisterHistogram("lavqinv.latency_us");
   static const obs::MetricId kRuns = obs::RegisterCounter("lavqinv.runs");
   static const obs::MetricId kPrimes =
       obs::RegisterCounter("lavqinv.prime_instances");
   static const obs::MetricId kRules =
       obs::RegisterCounter("lavqinv.rules_emitted");
-  obs::ScopedLatency latency(kLatency);
-  QIMAP_TRACE_SPAN("lav_quasi_inverse/run");
-  obs::JournalRun journal("lav_quasi_inverse");
+  ReverseMapping reverse;
+  reverse.from = m.target;
+  reverse.to = m.source;
+  // Heartbeats: one step per prime instance inverted; the inner chases
+  // emit their own runs.
+  obs::PipelineRun run(kRun, 0, options.budget, [&reverse]() {
+    obs::ProgressSample sample;
+    sample.fired = reverse.deps.size();
+    return sample;
+  });
+  auto& journal = run.journal();
   obs::CounterAdd(kRuns);
 
   if (!m.IsLav()) {
     return Status::FailedPrecondition(
         "LavQuasiInverse requires a LAV schema mapping");
   }
-  ReverseMapping reverse;
-  reverse.from = m.target;
-  reverse.to = m.source;
 
-  RunBudget guard("LavQuasiInverse", 0, options.budget);
   // Ends the inversion on a budget trip: journal + budget.* metrics, then
   // the dependencies derived so far as the best-effort partial result.
   auto trip = [&](Status status) -> Status {
-    obs::ReportBudgetTrip(journal, guard, status,
-                          options.partial_out != nullptr);
+    run.Trip(status, options.partial_out != nullptr);
     reverse.partial = true;
     if (options.partial_out != nullptr) {
       *options.partial_out = std::move(reverse);
@@ -56,17 +60,6 @@ Result<ReverseMapping> LavQuasiInverse(
   };
   ChaseOptions chase_options;
   chase_options.budget = options.budget;
-
-  // Heartbeats: one step per prime instance inverted; the inner chases
-  // emit their own runs.
-  obs::ProgressRun progress(
-      "lav_quasi_inverse",
-      [&reverse]() {
-        obs::ProgressSample sample;
-        sample.fired = reverse.deps.size();
-        return sample;
-      },
-      options.budget);
 
   // One dependency per prime instance, as in algorithm Inverse (Section 5)
   // but without the constant-propagation requirement: variables of the
@@ -81,16 +74,14 @@ Result<ReverseMapping> LavQuasiInverse(
       // canonical instance attributes its own dependencies on top.
       uint32_t prof_dep = obs::kProfileNoDep;
       if (obs::Profiler::Enabled()) {
-        prof_dep = obs::Profiler::RegisterDep(
-            "lav_quasi_inverse", AtomToString(alpha, *m.source), 1);
+        prof_dep = run.RegisterDep(AtomToString(alpha, *m.source), 1);
       }
       obs::ProfiledDepScope prof_scope(prof_dep,
                                        obs::ProfilePhase::kFire);
       {
-        Status tick = guard.Tick();
+        Status tick = run.Tick();
         if (!tick.ok()) return trip(std::move(tick));
       }
-      progress.Step();
       obs::CounterAdd(kPrimes);
       Instance canonical = CanonicalInstance({alpha}, m.source);
       Result<Instance> prime_chase = Chase(canonical, m, chase_options);
@@ -98,7 +89,7 @@ Result<ReverseMapping> LavQuasiInverse(
         // The inner chase journals and reports its own trip; `trip` then
         // hands the caller the rules derived before the budget ran out.
         Status status = prime_chase.status();
-        if (guard.exhausted() ||
+        if (run.exhausted() ||
             status.code() == StatusCode::kResourceExhausted ||
             status.code() == StatusCode::kCancelled) {
           return trip(std::move(status));

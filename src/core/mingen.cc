@@ -10,16 +10,16 @@
 #include "base/budget.h"
 #include "chase/chase.h"
 #include "core/sigma_star.h"
-#include "obs/budget_obs.h"
-#include "obs/journal.h"
 #include "obs/metrics.h"
+#include "obs/pipeline_run.h"
 #include "obs/profiler.h"
-#include "obs/progress.h"
-#include "obs/trace.h"
 #include "relational/homomorphism.h"
 
 namespace qimap {
 namespace {
+
+constexpr obs::PipelineSpec kRun = {"mingen/search", "mingen", "MinGen",
+                                    "(raise MinGenOptions::max_candidates)"};
 
 // Mirrors one run's totals into the process-wide metrics registry.
 void FlushMinGenMetrics(const MinGenStats& st) {
@@ -395,24 +395,30 @@ Result<std::vector<Conjunction>> MinGen(const SchemaMapping& m,
                                         const Conjunction& psi,
                                         const std::vector<Value>& x,
                                         const MinGenOptions& options) {
-  static const obs::MetricId kLatency =
-      obs::RegisterHistogram("mingen.latency_us");
-  obs::ScopedLatency latency(kLatency);
-  QIMAP_TRACE_SPAN("mingen/search");
+  MinGenStats local_stats;
+  MinGenStats& st = options.stats != nullptr ? *options.stats : local_stats;
+  st = MinGenStats{};
+  // The candidate valve doubles as the run's local step limit; the shared
+  // budget adds deadline/memory/null/cancellation governance on top.
+  // Heartbeats over the search; the step valve is the natural total (the
+  // run cannot outlast it).
+  obs::PipelineRun run(kRun, options.max_candidates, options.budget, [&st]() {
+    obs::ProgressSample sample;
+    sample.facts = st.covers;
+    sample.fired = st.generators;
+    sample.skipped = st.dominated_pruned;
+    return sample;
+  });
 
   // Profiling: one entry per search unit (the conjunction being
   // inverted), carrying the search's wall time and outcomes.
   uint32_t prof_dep = obs::kProfileNoDep;
   if (obs::Profiler::Enabled()) {
-    prof_dep = obs::Profiler::RegisterDep(
-        "mingen", ConjunctionToString(psi, *m.target),
-        static_cast<uint32_t>(psi.size()));
+    prof_dep = run.RegisterDep(ConjunctionToString(psi, *m.target),
+                               static_cast<uint32_t>(psi.size()));
   }
   obs::ProfiledDepScope prof_scope(prof_dep, obs::ProfilePhase::kCollect);
 
-  MinGenStats local_stats;
-  MinGenStats& st = options.stats != nullptr ? *options.stats : local_stats;
-  st = MinGenStats{};
   // Flush whatever was counted on every exit path, including errors. The
   // profiler entry reuses the same stats: specializations examined land
   // in triggers_found, minimal generators in fired, pruned ones in
@@ -437,39 +443,16 @@ Result<std::vector<Conjunction>> MinGen(const SchemaMapping& m,
         "MinGen: psi and the tgds must range over variables");
   }
 
-  // The candidate valve doubles as the run's local step limit; the shared
-  // budget adds deadline/memory/null/cancellation governance on top.
-  RunBudget guard("MinGen", options.max_candidates, options.budget,
-                  "(raise MinGenOptions::max_candidates)");
-  // Heartbeats over the search; the step valve is the natural total (the
-  // run cannot outlast it).
-  obs::ProgressRun progress(
-      "mingen",
-      [&st]() {
-        obs::ProgressSample sample;
-        sample.facts = st.covers;
-        sample.fired = st.generators;
-        sample.skipped = st.dominated_pruned;
-        return sample;
-      },
-      options.budget);
-  progress.SetTotalEstimate(options.max_candidates);
-  auto step = [&]() -> Status {
-    Status tick = guard.Tick();
-    if (tick.ok()) progress.Step();
-    return tick;
-  };
+  run.SetTotalEstimate(options.max_candidates);
 
   std::vector<Specialization> found;
   // Ends the search on a budget trip: journal + budget.* metrics, then
   // the specializations found so far (generators, unminimized) as the
   // partial result. The rule events of a tripped run are never emitted,
-  // so the ad-hoc journal run only ever carries this budget event.
+  // so its journal run only ever carries this budget event.
   auto trip = [&](Status status) -> Status {
     st.partial = true;
-    obs::JournalRun trip_journal("mingen");
-    obs::ReportBudgetTrip(trip_journal, guard, status,
-                          options.partial_out != nullptr);
+    run.Trip(status, options.partial_out != nullptr);
     if (options.partial_out != nullptr) {
       options.partial_out->clear();
       for (Specialization& s : found) {
@@ -487,13 +470,13 @@ Result<std::vector<Conjunction>> MinGen(const SchemaMapping& m,
   std::vector<CodedAtom> rewriting;
   std::vector<uint32_t> theta;
   auto visit = [&](const std::vector<uint32_t>& subst) -> Status {
-    QIMAP_RETURN_IF_ERROR(step());
+    QIMAP_RETURN_IF_ERROR(run.Tick());
     ++st.candidates;
     Specialization s;
     s.coded = Specialize(rewriting, subst, num_x);
     s.cover = covers.size() - 1;
     for (const CodedAtom& atom : s.coded) {
-      QIMAP_RETURN_IF_ERROR(guard.ChargeMemory(
+      QIMAP_RETURN_IF_ERROR(run.ChargeMemory(
           ApproxFactBytes(atom.args.size(), sizeof(Value))));
       Atom out{atom.relation, {}};
       for (uint32_t code : atom.args) {
@@ -532,9 +515,9 @@ Result<std::vector<Conjunction>> MinGen(const SchemaMapping& m,
       if (std::count(atom_radix.begin(), atom_radix.end(), 0u) > 0) continue;
       std::vector<Resolvent> cover(n);
       do {
-        Status status = step();
+        Status status = run.Tick();
         if (status.ok()) {
-          status = guard.ChargeNulls(resolver.CopyVariables(block_tgd));
+          status = run.ChargeNulls(resolver.CopyVariables(block_tgd));
         }
         if (!status.ok()) return trip(std::move(status));
         for (size_t i = 0; i < n; ++i) {
@@ -572,7 +555,7 @@ Result<std::vector<Conjunction>> MinGen(const SchemaMapping& m,
   std::vector<Specialization*> minimal;
   for (Specialization& s : found) {
     {
-      Status check = guard.Check();
+      Status check = run.Check();
       if (!check.ok()) return trip(std::move(check));
     }
     bool dominated = false;
@@ -594,7 +577,7 @@ Result<std::vector<Conjunction>> MinGen(const SchemaMapping& m,
   // bindings: "psi atom <= #tgd conclusion atom" per psi atom. The ids
   // flow back through the stats so QuasiInverse can parent its emitted
   // rules on them.
-  obs::JournalRun journal("mingen");
+  auto& journal = run.journal();
   if (journal.active()) {
     std::string psi_text = ConjunctionToString(psi, *m.target);
     for (const Specialization* s : minimal) {

@@ -9,16 +9,16 @@
 
 #include "base/budget.h"
 #include "core/sigma_star.h"
-#include "obs/budget_obs.h"
-#include "obs/journal.h"
 #include "obs/metrics.h"
+#include "obs/pipeline_run.h"
 #include "obs/profiler.h"
-#include "obs/progress.h"
-#include "obs/trace.h"
 #include "relational/homomorphism.h"
 
 namespace qimap {
 namespace {
+
+constexpr obs::PipelineSpec kRun = {"quasi_inverse/run", "quasi_inverse",
+                                    "QuasiInverse"};
 
 // Renames every '#'-prefixed fresh variable of the dependency to the first
 // unused name among z1, z2, ... (fresh MinGen variables are generated as
@@ -99,28 +99,28 @@ bool DisjunctSubsumes(const Conjunction& general,
 
 Result<ReverseMapping> QuasiInverse(const SchemaMapping& m,
                                     const QuasiInverseOptions& options) {
-  static const obs::MetricId kLatency =
-      obs::RegisterHistogram("qinv.latency_us");
   static const obs::MetricId kRuns = obs::RegisterCounter("qinv.runs");
   static const obs::MetricId kSigmaStar =
       obs::RegisterCounter("qinv.sigma_star_rules");
   static const obs::MetricId kRules =
       obs::RegisterCounter("qinv.rules_emitted");
-  obs::ScopedLatency latency(kLatency);
-  QIMAP_TRACE_SPAN("quasi_inverse/run");
-  obs::JournalRun journal("quasi_inverse");
-  obs::CounterAdd(kRuns);
-
   ReverseMapping reverse;
   reverse.from = m.target;
   reverse.to = m.source;
+  // Heartbeats: one step per sigma-star member; the member count is the
+  // exact total. The MinGen searches underneath emit their own runs.
+  obs::PipelineRun run(kRun, 0, options.budget, [&reverse]() {
+    obs::ProgressSample sample;
+    sample.fired = reverse.deps.size();
+    return sample;
+  });
+  auto& journal = run.journal();
+  obs::CounterAdd(kRuns);
 
-  RunBudget guard("QuasiInverse", 0, options.budget);
   // Ends the inversion on a budget trip: journal + budget.* metrics, then
   // the dependencies derived so far as the best-effort partial result.
   auto trip = [&](Status status) -> Status {
-    obs::ReportBudgetTrip(journal, guard, status,
-                          options.partial_out != nullptr);
+    run.Trip(status, options.partial_out != nullptr);
     reverse.partial = true;
     if (options.partial_out != nullptr) {
       *options.partial_out = std::move(reverse);
@@ -129,25 +129,14 @@ Result<ReverseMapping> QuasiInverse(const SchemaMapping& m,
   };
 
   std::vector<Tgd> sigma_star = SigmaStar(m);
-  // Heartbeats: one step per sigma-star member; the member count is the
-  // exact total. The MinGen searches underneath emit their own runs.
-  obs::ProgressRun progress(
-      "quasi_inverse",
-      [&reverse]() {
-        obs::ProgressSample sample;
-        sample.fired = reverse.deps.size();
-        return sample;
-      },
-      options.budget);
-  progress.SetTotalEstimate(sigma_star.size());
+  run.SetTotalEstimate(sigma_star.size());
   // Profiling: one entry per sigma-star member inverted. The MinGen
   // search attributes its own entry; this one carries the per-member
   // wall time and outcome.
   std::vector<uint32_t> prof_deps(sigma_star.size(), obs::kProfileNoDep);
   if (obs::Profiler::Enabled()) {
     for (size_t si = 0; si < sigma_star.size(); ++si) {
-      prof_deps[si] = obs::Profiler::RegisterDep(
-          "quasi_inverse",
+      prof_deps[si] = run.RegisterDep(
           TgdToString(sigma_star[si], *m.source, *m.target),
           static_cast<uint32_t>(sigma_star[si].lhs.size()));
     }
@@ -157,10 +146,9 @@ Result<ReverseMapping> QuasiInverse(const SchemaMapping& m,
     obs::ProfiledDepScope prof_scope(prof_deps[si],
                                      obs::ProfilePhase::kFire);
     {
-      Status tick = guard.Tick();
+      Status tick = run.Tick();
       if (!tick.ok()) return trip(std::move(tick));
     }
-    progress.Step();
     obs::CounterAdd(kSigmaStar);
     std::vector<Value> x = sigma.FrontierVariables();
 

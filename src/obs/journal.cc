@@ -61,8 +61,6 @@ void CountEvent(const JournalEvent& event) {
   static const MetricId kRules = RegisterCounter("journal.rules");
   static const MetricId kBudget =
       RegisterCounter("journal.budget_trips");
-  static const MetricId kParents =
-      RegisterHistogram("journal.parents_per_fact");
   CounterAdd(kEvents);
   switch (event.kind) {
     case JournalEventKind::kBaseFact:
@@ -70,7 +68,6 @@ void CountEvent(const JournalEvent& event) {
       break;
     case JournalEventKind::kDerivedFact:
       CounterAdd(kFacts);
-      HistogramRecord(kParents, event.parents.size());
       break;
     case JournalEventKind::kNullMinted:
       CounterAdd(kNulls);

@@ -1,18 +1,15 @@
 #ifndef QIMAP_OBS_METRICS_H_
 #define QIMAP_OBS_METRICS_H_
 
-#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace qimap {
 namespace obs {
 
-/// A process-wide metrics registry with named counters and log-scale
-/// latency histograms.
+/// A process-wide metrics registry of named counters.
 ///
 /// Design: increments go to lock-free thread-local shards (plain relaxed
 /// atomic stores owned by the writing thread) and are summed across shards
@@ -31,33 +28,14 @@ using MetricId = uint32_t;
 
 /// Registers (or looks up) a monotonic counter. Idempotent by name.
 MetricId RegisterCounter(const std::string& name);
-/// Registers (or looks up) a power-of-two-bucket histogram. Values are
-/// unitless; latency recorders use microseconds by convention (and name
-/// the metric `*.latency_us`).
-MetricId RegisterHistogram(const std::string& name);
 
 /// Adds `delta` to the counter on this thread's shard.
 void CounterAdd(MetricId id, uint64_t delta = 1);
-/// Records one observation into the histogram's log-scale bucket.
-void HistogramRecord(MetricId id, uint64_t value);
 
-/// Merged view of one histogram. Bucket `i` counts values `v` with
-/// `bit_width(v) == i`, i.e. `v` in `[2^(i-1), 2^i)` (bucket 0 counts
-/// zeros); `buckets` lists only nonempty buckets as
-/// (exclusive upper bound, count) pairs.
-struct HistogramSnapshot {
-  uint64_t count = 0;
-  uint64_t sum = 0;
-  uint64_t min = 0;
-  uint64_t max = 0;
-  std::vector<std::pair<uint64_t, uint64_t>> buckets;
-};
-
-/// A merged point-in-time view of every registered metric. Run records
-/// (obs/run_record.h) render it as their `counters` and `histograms`.
+/// A merged point-in-time view of every registered counter. Run records
+/// (obs/run_record.h) render it as their `counters`.
 struct MetricsSnapshot {
   std::map<std::string, uint64_t> counters;
-  std::map<std::string, HistogramSnapshot> histograms;
 };
 
 /// Merges all thread shards into a snapshot. Safe to call concurrently
@@ -65,7 +43,7 @@ struct MetricsSnapshot {
 /// for reporting).
 MetricsSnapshot SnapshotMetrics();
 
-/// Zeroes every metric in every shard. Intended for tests and for bench
+/// Zeroes every counter in every shard. Intended for tests and for bench
 /// reporters isolating a measurement window; callers must quiesce writer
 /// threads first.
 void ResetMetrics();
@@ -81,28 +59,6 @@ size_t MetricsShardCount();
 /// since the last reset — the determinism contract the canonical run
 /// records rely on — rather than of prior windows' cache warm-up.
 uint64_t MetricsResetGeneration();
-
-/// RAII helper recording the enclosed scope's wall time, in microseconds,
-/// into a histogram.
-class ScopedLatency {
- public:
-  explicit ScopedLatency(MetricId histogram)
-      : id_(histogram), start_(std::chrono::steady_clock::now()) {}
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-  ~ScopedLatency() {
-    auto elapsed = std::chrono::steady_clock::now() - start_;
-    HistogramRecord(
-        id_, static_cast<uint64_t>(
-                 std::chrono::duration_cast<std::chrono::microseconds>(
-                     elapsed)
-                     .count()));
-  }
-
- private:
-  MetricId id_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace obs
 }  // namespace qimap

@@ -13,11 +13,12 @@ namespace obs {
 
 /// Live progress heartbeats for the chase engines and inversion
 /// pipelines. Every engine's serial firing loop already ticks a
-/// RunBudget; a ProgressRun piggybacks on the same loop and emits a
-/// snapshot every `interval` steps — facts written, nulls minted,
-/// triggers fired/skipped, the consumed fraction of the attached budget,
-/// and a CostModel-derived ETA — to any combination of a stderr status
-/// line (TTY-aware), a JSONL stream, and an in-process sink (tests).
+/// RunBudget; a ProgressRun piggybacks on the same loop (both live in the
+/// pipeline's obs::PipelineRun) and emits a snapshot every `interval`
+/// steps — facts written, nulls minted, triggers fired/skipped, the
+/// consumed fraction of the attached budget, and a CostModel-derived
+/// ETA — to any combination of a stderr status line (TTY-aware), a JSONL
+/// stream, and an in-process sink (tests).
 ///
 /// Determinism contract, same as every obs surface: snapshots are taken
 /// only on the serial paths, counters come from the engines' own stats
@@ -108,8 +109,8 @@ uint64_t ProgressNowUs();
 void EmitProgress(const ProgressSnapshot& snap);
 }  // namespace internal
 
-/// The per-run recorder an engine holds next to its RunBudget. Inert
-/// when Progress is disabled at construction time. The destructor emits
+/// The per-run recorder an engine's obs::PipelineRun holds next to its
+/// RunBudget. Inert when Progress is disabled at construction time. The destructor emits
 /// a final heartbeat (is_final = true), so every observed run produces at
 /// least one snapshot.
 class ProgressRun {

@@ -59,19 +59,6 @@ bool CounterExempt(const std::string& name) {
   return name.rfind("chase.parallel.", 0) == 0;
 }
 
-void AppendHistogram(std::string* out, const HistogramSnapshot& hist) {
-  *out += "{\"count\": " + std::to_string(hist.count) +
-          ", \"sum\": " + std::to_string(hist.sum) +
-          ", \"min\": " + std::to_string(hist.min) +
-          ", \"max\": " + std::to_string(hist.max) + ", \"buckets\": [";
-  for (size_t b = 0; b < hist.buckets.size(); ++b) {
-    if (b > 0) *out += ", ";
-    *out += "{\"lt\": " + std::to_string(hist.buckets[b].first) +
-            ", \"count\": " + std::to_string(hist.buckets[b].second) + "}";
-  }
-  *out += "]}";
-}
-
 uint64_t NumberOr(const JsonValue* v, uint64_t fallback) {
   if (v == nullptr || !v->IsNumber()) return fallback;
   return static_cast<uint64_t>(v->number_value);
@@ -129,18 +116,6 @@ std::string RunRecord::ToJson(bool canonical) const {
     out += ": " + std::to_string(value);
   }
   out += "}";
-  if (!canonical) {
-    out += ", \"histograms\": {";
-    first = true;
-    for (const auto& [name, hist] : metrics.histograms) {
-      if (!first) out += ", ";
-      first = false;
-      AppendJsonString(&out, name);
-      out += ": ";
-      AppendHistogram(&out, hist);
-    }
-    out += "}";
-  }
   out += ", \"profile\": ";
   out += profile.has_value() ? profile->ToJson(canonical) : "null";
   out += ", \"cost_model\": ";

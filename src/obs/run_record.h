@@ -20,9 +20,9 @@ struct JsonValue;
 
 /// The run record: one JSON object per CLI, generator or bench run —
 /// what ran on what (command, mapping and source fingerprints), how it
-/// ended (exit code, budget outcome), the work it did (metrics counters
-/// and histograms, the per-dependency profile when the profiler was on,
-/// the cost model) and, for benches, the timed phases.
+/// ended (exit code, budget outcome), the work it did (metrics counters,
+/// the per-dependency profile when the profiler was on, the cost model)
+/// and, for benches, the timed phases.
 ///
 /// Every sink renders it with the one ToJson below:
 ///   * `qimap_cli` / `qimap_gen --record-out FILE` write it;
@@ -53,7 +53,7 @@ struct RunRecord {
   uint64_t budget_steps = 0;
   uint64_t budget_nulls = 0;
   uint64_t budget_bytes = 0;
-  MetricsSnapshot metrics;                 ///< counters and histograms
+  MetricsSnapshot metrics;                 ///< the counters
   std::optional<ProfileSnapshot> profile;  ///< empty: profiler was off
   std::string cost_model_json;  ///< pre-rendered CostModel JSON; "" = null
   std::vector<Phase> phases;    ///< bench records only
@@ -62,9 +62,8 @@ struct RunRecord {
   /// One JSON object on one line (no trailing newline). `canonical`
   /// keeps only fields that are byte-identical across thread counts and
   /// runs: it omits `meta` (its `threads` varies), `ts_us`,
-  /// `elapsed_seconds`, `histograms`, `phases`, per-dependency `time_us`
-  /// and every `chase.parallel.*` counter. `seq` is rendered only when
-  /// set.
+  /// `elapsed_seconds`, `phases`, per-dependency `time_us` and every
+  /// `chase.parallel.*` counter. `seq` is rendered only when set.
   std::string ToJson(bool canonical) const;
 };
 

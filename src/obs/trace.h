@@ -47,7 +47,8 @@ void RecordCompleteEvent(const char* name,
 }  // namespace internal
 
 /// RAII span: records a complete event for its scope when tracing is
-/// enabled. Use through QIMAP_TRACE_SPAN rather than directly. Span names
+/// enabled. Use through QIMAP_TRACE_SPAN, or through the pipeline scope
+/// (obs/pipeline_run.h) that holds one per pipeline call. Span names
 /// are `<subsystem>/<operation>` (e.g. "chase/standard", "mingen/search");
 /// see docs/observability.md.
 class TraceSpan {

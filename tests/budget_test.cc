@@ -254,11 +254,8 @@ TEST(RunBudgetTest, SharedTripWinsWhenLocalValveIsOff) {
   EXPECT_EQ(guard.tripped(), BudgetLimit::kSteps);
 }
 
-TEST(RunBudgetTest, NoSharedBudgetMeansNoFaultSitesOrCancellation) {
+TEST(RunBudgetTest, CheckPassesWithoutASharedBudget) {
   RunBudget guard("standard chase", 0, nullptr);
-  EXPECT_TRUE(guard.OnTriggerBatch().ok());
-  EXPECT_TRUE(guard.OnPoolTask().ok());
-  EXPECT_EQ(guard.cancellation(), nullptr);
   EXPECT_TRUE(guard.Check().ok());
 }
 

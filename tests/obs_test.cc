@@ -75,7 +75,6 @@ TEST(MetricsTest, StressShardedCountersSurviveConcurrentSnapshots) {
   constexpr int kThreads = 8;
   constexpr int kIncrements = 20000;
   obs::MetricId shared = obs::RegisterCounter("test.stress_shared");
-  obs::MetricId hist = obs::RegisterHistogram("test.stress_hist");
   std::atomic<bool> stop{false};
   std::thread snapshotter([&stop] {
     while (!stop.load(std::memory_order_relaxed)) {
@@ -85,13 +84,12 @@ TEST(MetricsTest, StressShardedCountersSurviveConcurrentSnapshots) {
   });
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([shared, hist, t] {
+    threads.emplace_back([shared, t] {
       obs::MetricId mine =
           obs::RegisterCounter("test.stress_t" + std::to_string(t));
       for (int i = 0; i < kIncrements; ++i) {
         obs::CounterAdd(shared);
         obs::CounterAdd(mine, 2);
-        obs::HistogramRecord(hist, static_cast<uint64_t>(i) & 1023u);
       }
     });
   }
@@ -106,8 +104,6 @@ TEST(MetricsTest, StressShardedCountersSurviveConcurrentSnapshots) {
     EXPECT_EQ(snapshot.counters.at("test.stress_t" + std::to_string(t)),
               static_cast<uint64_t>(kIncrements) * 2);
   }
-  EXPECT_EQ(snapshot.histograms.at("test.stress_hist").count,
-            static_cast<uint64_t>(kThreads) * kIncrements);
 }
 
 TEST(MetricsTest, CounterAddWithDelta) {
@@ -118,43 +114,18 @@ TEST(MetricsTest, CounterAddWithDelta) {
   EXPECT_EQ(obs::SnapshotMetrics().counters.at("test.delta"), 12u);
 }
 
-TEST(MetricsTest, HistogramBucketsAndStatistics) {
-  obs::ResetMetrics();
-  obs::MetricId id = obs::RegisterHistogram("test.hist");
-  obs::HistogramRecord(id, 0);
-  obs::HistogramRecord(id, 5);   // bit_width 3 -> bucket [4, 8)
-  obs::HistogramRecord(id, 6);   // same bucket
-  obs::HistogramRecord(id, 100);  // bit_width 7 -> bucket [64, 128)
-  obs::HistogramSnapshot hist =
-      obs::SnapshotMetrics().histograms.at("test.hist");
-  EXPECT_EQ(hist.count, 4u);
-  EXPECT_EQ(hist.sum, 111u);
-  EXPECT_EQ(hist.min, 0u);
-  EXPECT_EQ(hist.max, 100u);
-  // Nonempty buckets only, as (exclusive upper bound, count).
-  ASSERT_EQ(hist.buckets.size(), 3u);
-  EXPECT_EQ(hist.buckets[0], std::make_pair(uint64_t{1}, uint64_t{1}));
-  EXPECT_EQ(hist.buckets[1], std::make_pair(uint64_t{8}, uint64_t{2}));
-  EXPECT_EQ(hist.buckets[2], std::make_pair(uint64_t{128}, uint64_t{1}));
-}
-
 TEST(MetricsTest, ResetClearsEverything) {
   obs::MetricId counter = obs::RegisterCounter("test.reset_counter");
-  obs::MetricId hist = obs::RegisterHistogram("test.reset_hist");
   obs::CounterAdd(counter, 9);
-  obs::HistogramRecord(hist, 9);
   obs::ResetMetrics();
   obs::MetricsSnapshot snapshot = obs::SnapshotMetrics();
   EXPECT_EQ(snapshot.counters.at("test.reset_counter"), 0u);
-  EXPECT_EQ(snapshot.histograms.at("test.reset_hist").count, 0u);
-  EXPECT_EQ(snapshot.histograms.at("test.reset_hist").min, 0u);
 }
 
 TEST(MetricsTest, SnapshotJsonParses) {
   obs::ResetMetrics();
   obs::CounterAdd(obs::RegisterCounter("test.json_counter"), 3);
-  obs::HistogramRecord(obs::RegisterHistogram("test.json_hist"), 42);
-  // The run record renders the snapshot as its counters and histograms.
+  // The run record renders the snapshot as its counters.
   Result<obs::JsonValue> doc = obs::ParseJson(
       obs::CollectRunRecord("test", nullptr, 0, 0.0).ToJson(false));
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
@@ -163,12 +134,6 @@ TEST(MetricsTest, SnapshotJsonParses) {
   const obs::JsonValue* value = counters->Find("test.json_counter");
   ASSERT_NE(value, nullptr);
   EXPECT_EQ(value->number_value, 3.0);
-  const obs::JsonValue* hists = doc->Find("histograms");
-  ASSERT_NE(hists, nullptr);
-  const obs::JsonValue* hist = hists->Find("test.json_hist");
-  ASSERT_NE(hist, nullptr);
-  ASSERT_NE(hist->Find("buckets"), nullptr);
-  EXPECT_TRUE(hist->Find("buckets")->IsArray());
 }
 
 class TraceTest : public ::testing::Test {

@@ -194,7 +194,7 @@ int Usage() {
       "             prints and records a cost-model summary)\n"
       "telemetry: --record-out FILE   write the run record as JSON "
       "(meta, counters,\n"
-      "             histograms, budget, fingerprints, profile, cost_model)\n"
+      "             budget, fingerprints, profile, cost_model)\n"
       "           --trace-out FILE    write a Chrome trace-event JSON "
       "file\n"
       "           --journal-out FILE  write the provenance journal as "

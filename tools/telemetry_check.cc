@@ -322,21 +322,6 @@ bool CheckRecordValue(const char* path, const obs::JsonValue& record,
                             "' is not a non-negative number");
     }
   }
-  const obs::JsonValue* histograms = record.Find("histograms");
-  if (histograms == nullptr || !histograms->IsObject()) {
-    return Fail(path, where + ": missing 'histograms' object");
-  }
-  for (const auto& [name, hist] : histograms->members) {
-    std::string hist_where = where + " histogram '" + name + "'";
-    if (!hist.IsObject()) return Fail(path, hist_where + ": not an object");
-    for (const char* key : {"count", "sum", "min", "max"}) {
-      if (!GetCount(path, hist, key, hist_where)) return false;
-    }
-    const obs::JsonValue* buckets = hist.Find("buckets");
-    if (buckets == nullptr || !buckets->IsArray()) {
-      return Fail(path, hist_where + ": missing 'buckets' array");
-    }
-  }
   const obs::JsonValue* profile = record.Find("profile");
   if (profile == nullptr) return Fail(path, where + ": missing 'profile'");
   if (profile->type != obs::JsonValue::Type::kNull &&
