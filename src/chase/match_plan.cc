@@ -1,11 +1,8 @@
 #include "chase/match_plan.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstring>
-#include <mutex>
+#include <memory>
 #include <numeric>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/json.h"
@@ -29,15 +26,12 @@ size_t DistinctEstimate(const Instance& inst, RelationId rel, uint32_t col,
 // smaller statistics extent, then by the lower original index. An atom's
 // extent is the smallest estimate over its determined columns: the exact
 // posting length for a literal, rows/distinct for a variable bound by the
-// partial assignment or an earlier atom (plans never read partial
-// *values*: they vary per search under one cached plan). An atom whose
-// extent is provably 0 is picked immediately so the empty search prunes
-// in O(1).
+// partial assignment or an earlier atom (plans read only the partial
+// assignment's keys, never its values). An atom whose extent is provably 0
+// is picked immediately so the empty search prunes in O(1).
 //
-// This one function both compiles a plan and checks, on every cache hit
-// of a statistics-dependent plan, that the cached order still holds. It
-// allocates nothing once `order` and the thread-local buffers have grown to
-// the body's size.
+// It allocates nothing once `order` and the thread-local buffers have grown
+// to the body's size.
 void GreedyOrder(const Conjunction& body, const Instance& inst,
                  const Assignment& partial, const HomSearchOptions& options,
                  std::vector<size_t>* order) {
@@ -118,94 +112,199 @@ bool StatsFree(const Conjunction& body, const Assignment& partial,
   return true;
 }
 
-// ---------------------------------------------------------------------
-// Plan cache.
-//
-// One slot per structural key (body content + movability/side-condition
-// bits + partial key set). The slot holds the latest compiled plan; a hit
-// on a statistics-dependent plan re-runs GreedyOrder against the current
-// instance and recompiles in place only when the order differs from the
-// plan's `perm`. Single-slot-per-key keeps memory bounded by the number
-// of distinct bodies.
-//
-// A lock-free thread-local front cache serves stats-free plans (the
-// satisfaction-search hot path: ground rhs bodies) without touching the
-// mutex. Front-cache entries are immutable shared_ptrs and stats-free
-// plans are instance-independent, so they can never go stale; a global
-// version bump on ClearMatchPlanCache invalidates them anyway so tests
-// observe deterministic compile counts.
-//
-// Both layers additionally key their validity on the metrics reset
-// generation: the chase.plan.* counters land in the canonical ledger
-// record, whose contract is "byte-identical for identical work since the
-// last obs::ResetMetrics()". A cache outliving the counter window would
-// make the second identical run report compiles=0 where the first
-// reported N — history-dependent telemetry. Clearing on generation
-// change makes the counters a pure function of the window; production
-// processes never reset, so they keep full cross-run reuse.
-// ---------------------------------------------------------------------
-
-struct CacheEntry {
-  std::shared_ptr<const MatchPlan> plan;
-};
-
-struct PlanCache {
-  std::mutex mu;
-  uint64_t reset_generation = 0;
-  std::unordered_map<std::string, CacheEntry> slots;
-};
-
-PlanCache& GlobalCache() {
-  static PlanCache* cache = new PlanCache();
-  return *cache;
+// The register holding `v`, or reg_vars.size() when none does. A linear
+// scan: bodies are small, and GreedyOrder is already quadratic in them.
+size_t RegisterOf(const std::vector<Value>& reg_vars, const Value& v) {
+  return static_cast<size_t>(std::find(reg_vars.begin(), reg_vars.end(), v) -
+                             reg_vars.begin());
 }
 
-std::atomic<uint64_t> g_cache_version{1};
+// Fills `plan`, which holds one step per atom of `body`, for the join
+// order `plan->perm`; everything but the order is a pure function of the
+// body, options and partial key set. Reuses the capacity of every vector
+// it fills.
+void BuildPlan(const Conjunction& body, const Assignment& partial,
+               const HomSearchOptions& options, MatchPlan* plan) {
+  const bool has_conditions =
+      !options.must_be_constant.empty() || !options.inequalities.empty();
+  std::vector<Value>& reg_vars = plan->reg_vars;
+  reg_vars.clear();
+  plan->preload_regs.clear();
 
-// Structural keys realistically number in the dozens (distinct dependency
-// bodies); this cap only guards pathological generators. Clearing is
-// all-or-nothing so reuse stays deterministic.
-constexpr size_t kMaxCacheSlots = 4096;
-
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void AppendValue(std::string* out, const Value& v) {
-  out->push_back(static_cast<char>(v.kind()));
-  AppendU32(out, v.id());
-}
-
-// Serializes everything that determines plan *shape* other than the join
-// order into `*out`: body atoms, movability bits, side conditions, and the
-// partial assignment's key set.
-void StructuralKey(const Conjunction& body, const Assignment& partial,
-                   const HomSearchOptions& options, std::string* out) {
-  std::string& key = *out;
-  key.clear();
-  key.push_back(options.map_nulls ? 'n' : '-');
-  key.push_back(options.map_variables ? 'v' : '-');
-  for (const Atom& atom : body) {
-    key.push_back('A');
-    AppendU32(&key, atom.relation);
-    for (const Value& arg : atom.args) AppendValue(&key, arg);
+  // First pass: assign dense register slots at first occurrence in
+  // execution order and resolve every argument's kind.
+  for (size_t s = 0; s < plan->perm.size(); ++s) {
+    const Atom& atom = body[plan->perm[s]];
+    PlanStep& step = plan->steps[s];
+    step.relation = atom.relation;
+    step.args.resize(atom.args.size());
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      const Value& arg = atom.args[i];
+      PlanArg& pa = step.args[i];
+      pa = PlanArg{};
+      if (!IsMovableValue(arg, options)) {
+        pa.kind = PlanArgKind::kLiteral;
+        pa.literal = arg;
+        continue;
+      }
+      const size_t reg = RegisterOf(reg_vars, arg);
+      pa.reg = static_cast<uint16_t>(reg);
+      if (reg < reg_vars.size()) {
+        pa.kind = PlanArgKind::kCheck;  // bound at its first occurrence
+        continue;
+      }
+      reg_vars.push_back(arg);
+      if (partial.contains(arg)) {
+        plan->preload_regs.push_back(pa.reg);
+        pa.kind = PlanArgKind::kCheck;
+      } else {
+        pa.kind = PlanArgKind::kBind;
+      }
+    }
   }
-  key.push_back('P');
-  for (const auto& [k, unused] : partial) AppendValue(&key, k);
-  if (!options.must_be_constant.empty()) {
-    key.push_back('C');
-    for (const Value& v : options.must_be_constant) AppendValue(&key, v);
-  }
-  if (!options.inequalities.empty()) {
-    key.push_back('I');
-    for (const auto& [a, b] : options.inequalities) {
-      AppendValue(&key, a);
-      AppendValue(&key, b);
+
+  // Second pass: decide each step's access mode from which arguments are
+  // determined *before* the step runs (literals, preloaded registers, and
+  // registers bound by earlier steps — not same-step binds), and compile
+  // the eager side-condition checks onto kBind arguments. Registers are
+  // dense in first-occurrence order, so the ones earlier steps bound are
+  // exactly those below `earlier_regs`.
+  size_t earlier_regs = 0;
+  for (PlanStep& step : plan->steps) {
+    auto bound_before = [&](size_t reg) {
+      return reg < earlier_regs || partial.contains(reg_vars[reg]);
+    };
+    step.probe_cols.clear();
+    for (size_t i = 0; i < step.args.size(); ++i) {
+      const PlanArg& arg = step.args[i];
+      if (arg.kind == PlanArgKind::kLiteral ||
+          (arg.kind == PlanArgKind::kCheck && bound_before(arg.reg))) {
+        step.probe_cols.push_back(static_cast<uint16_t>(i));
+      }
+    }
+    if (!step.args.empty() && step.probe_cols.size() == step.args.size()) {
+      step.mode = PlanStepMode::kPointLookup;
+      step.probe_cols.clear();
+    } else if (!step.probe_cols.empty()) {
+      step.mode = PlanStepMode::kProbe;
+    } else {
+      step.mode = PlanStepMode::kScan;
+    }
+    step.bind_checks.resize(has_conditions ? step.args.size() : 0);
+    for (size_t i = 0; i < step.bind_checks.size(); ++i) {
+      PlanBindChecks& checks = step.bind_checks[i];
+      checks.must_be_constant = false;
+      checks.neq_literals.clear();
+      checks.neq_regs.clear();
+      if (step.args[i].kind != PlanArgKind::kBind) continue;
+      const Value& var = reg_vars[step.args[i].reg];
+      for (const Value& v : options.must_be_constant) {
+        if (v == var) checks.must_be_constant = true;
+      }
+      for (const auto& [a, b] : options.inequalities) {
+        const Value* other = nullptr;
+        if (a == var) {
+          other = &b;
+        } else if (b == var) {
+          other = &a;
+        } else {
+          continue;
+        }
+        if (!IsMovableValue(*other, options)) {
+          checks.neq_literals.push_back(*other);
+          continue;
+        }
+        const size_t reg = RegisterOf(reg_vars, *other);
+        if (reg < reg_vars.size() && bound_before(reg)) {
+          checks.neq_regs.push_back(static_cast<uint16_t>(reg));
+        }
+        // Partner bound later (or absent): the final check covers it.
+      }
+    }
+    // Binds of this step become visible to later steps.
+    for (const PlanArg& arg : step.args) {
+      if (arg.kind != PlanArgKind::kLiteral) {
+        earlier_regs = std::max<size_t>(earlier_regs, arg.reg + 1u);
+      }
     }
   }
 }
+
+// Compiles `body` into `plan`: the written join order for stats-free
+// bodies, the greedy order otherwise. Steps a shorter body leaves over
+// wait in `spare_steps` with their vectors for a later, longer one.
+void CompileInto(const Conjunction& body, const Instance& instance,
+                 const Assignment& partial, const HomSearchOptions& options,
+                 MatchPlan* plan, std::vector<PlanStep>* spare_steps) {
+  plan->stats_free = StatsFree(body, partial, options);
+  if (plan->stats_free) {
+    plan->perm.resize(body.size());
+    std::iota(plan->perm.begin(), plan->perm.end(), size_t{0});
+  } else {
+    GreedyOrder(body, instance, partial, options, &plan->perm);
+  }
+  std::vector<PlanStep>& steps = plan->steps;
+  while (steps.size() > body.size()) {
+    spare_steps->push_back(std::move(steps.back()));
+    steps.pop_back();
+  }
+  while (steps.size() < body.size()) {
+    if (spare_steps->empty()) {
+      steps.emplace_back();
+    } else {
+      steps.push_back(std::move(spare_steps->back()));
+      spare_steps->pop_back();
+    }
+  }
+  BuildPlan(body, partial, options, plan);
+}
+
+// ---------------------------------------------------------------------
+// Scratch slots.
+//
+// Every indexed search compiles its plan afresh into the calling thread's
+// slot for the search's nesting depth: a search's callback may start
+// another search (Satisfies, SatisfiesDisjunctive, the chase's
+// collect->fire), which needs its own plan while the outer one still
+// runs. A slot's vectors keep their capacity from search to search, so a
+// warmed-up search allocates nothing. Each slot is a separate heap object,
+// so a nested search that grows the stack never moves the plan an outer
+// search is executing.
+// ---------------------------------------------------------------------
+
+struct ScratchSlot {
+  MatchPlan plan;
+  /// Steps a shorter body left over, vectors intact, for a longer one.
+  std::vector<PlanStep> spare_steps;
+  /// The register frame and per-step telemetry of the running search.
+  std::vector<Value> regs;
+  std::vector<obs::ProfileAtomCounters> step_counts;
+};
+
+// Holds the calling thread's slot at the current nesting depth for one
+// search.
+class ScratchClaim {
+ public:
+  ScratchClaim() {
+    if (depth_ == slots_.size()) {
+      slots_.push_back(std::make_unique<ScratchSlot>());
+    }
+    slot_ = slots_[depth_++].get();
+  }
+  ~ScratchClaim() { --depth_; }
+  ScratchClaim(const ScratchClaim&) = delete;
+  ScratchClaim& operator=(const ScratchClaim&) = delete;
+
+  ScratchSlot& slot() const { return *slot_; }
+
+ private:
+  static thread_local std::vector<std::unique_ptr<ScratchSlot>> slots_;
+  static thread_local size_t depth_;  // searches running on this thread
+  ScratchSlot* slot_;
+};
+
+thread_local std::vector<std::unique_ptr<ScratchSlot>> ScratchClaim::slots_;
+thread_local size_t ScratchClaim::depth_ = 0;
 
 // ---------------------------------------------------------------------
 // Plan execution: a recursive matcher over the flat register frame. No
@@ -215,32 +314,33 @@ void StructuralKey(const Conjunction& body, const Assignment& partial,
 // after the step that bound it succeeded).
 // ---------------------------------------------------------------------
 
+// Runs the plan compiled into `slot`, in the slot's register frame and
+// per-step counters.
 class PlanRunner {
  public:
-  PlanRunner(const MatchPlan& plan, const Instance& inst,
+  PlanRunner(ScratchSlot& slot, const Instance& inst,
              const Assignment& partial, const HomSearchOptions& options,
              const std::function<bool(const Assignment&)>* fn)
-      : plan_(plan),
+      : plan_(slot.plan),
         inst_(inst),
         partial_(partial),
         options_(options),
         fn_(fn),
-        regs_(plan.reg_vars.size()),
-        step_counts_(plan.steps.size()) {}
+        regs_(slot.regs),
+        step_counts_(slot.step_counts) {
+    regs_.resize(plan_.reg_vars.size());
+    step_counts_.assign(plan_.steps.size(), obs::ProfileAtomCounters{});
+  }
 
   size_t Run() {
+    // The plan was compiled for this partial, so every preload is a key.
     for (uint16_t r : plan_.preload_regs) {
-      auto it = partial_.find(plan_.reg_vars[r]);
-      if (it == partial_.end()) return 0;  // key-set mismatch: cannot match
-      regs_[r] = it->second;
+      regs_[r] = partial_.at(plan_.reg_vars[r]);
     }
     Step(0);
     return count_;
   }
 
-  const std::vector<obs::ProfileAtomCounters>& step_counts() const {
-    return step_counts_;
-  }
   size_t backtracks() const {
     size_t total = 0;
     for (const auto& s : step_counts_) total += s.unify_fails;
@@ -407,8 +507,8 @@ class PlanRunner {
   const Assignment& partial_;
   const HomSearchOptions& options_;
   const std::function<bool(const Assignment&)>* fn_;
-  std::vector<Value> regs_;
-  std::vector<obs::ProfileAtomCounters> step_counts_;
+  std::vector<Value>& regs_;
+  std::vector<obs::ProfileAtomCounters>& step_counts_;
   size_t index_hits_ = 0;
   size_t point_lookups_ = 0;
   size_t count_ = 0;
@@ -429,220 +529,16 @@ const char* PlanStepModeName(PlanStepMode mode) {
   return "unknown";
 }
 
-namespace {
-
-// Compiles the plan for `perm` (a join order over `body`); everything but
-// the order is a pure function of the body, options and partial key set.
-MatchPlan BuildPlan(const Conjunction& body, const Assignment& partial,
-                    const HomSearchOptions& options, bool stats_free,
-                    std::vector<size_t> perm) {
-  MatchPlan plan;
-  plan.stats_free = stats_free;
-  plan.perm = std::move(perm);
-  const bool has_conditions =
-      !options.must_be_constant.empty() || !options.inequalities.empty();
-
-  // First pass: assign dense register slots at first occurrence in
-  // execution order and resolve every argument's kind.
-  std::unordered_map<Value, uint16_t, ValueHash> reg_of;
-  plan.steps.reserve(body.size());
-  for (size_t s = 0; s < plan.perm.size(); ++s) {
-    const Atom& atom = body[plan.perm[s]];
-    PlanStep step;
-    step.relation = atom.relation;
-    step.args.reserve(atom.args.size());
-    for (const Value& arg : atom.args) {
-      PlanArg pa;
-      if (!IsMovableValue(arg, options)) {
-        pa.kind = PlanArgKind::kLiteral;
-        pa.literal = arg;
-      } else {
-        auto it = reg_of.find(arg);
-        if (it == reg_of.end()) {
-          uint16_t reg = static_cast<uint16_t>(plan.reg_vars.size());
-          reg_of.emplace(arg, reg);
-          plan.reg_vars.push_back(arg);
-          if (partial.contains(arg)) {
-            plan.preload_regs.push_back(reg);
-            pa.kind = PlanArgKind::kCheck;
-          } else {
-            pa.kind = PlanArgKind::kBind;
-          }
-          pa.reg = reg;
-        } else {
-          pa.kind = PlanArgKind::kCheck;  // bound at its first occurrence
-          pa.reg = it->second;
-        }
-      }
-      step.args.push_back(std::move(pa));
-    }
-    plan.steps.push_back(std::move(step));
-  }
-
-  // Second pass: decide each step's access mode from which arguments are
-  // determined *before* the step runs (literals, preloaded registers, and
-  // registers bound by earlier steps — not same-step binds), and compile
-  // the eager side-condition checks onto kBind arguments.
-  std::vector<bool> bound_before(plan.reg_vars.size(), false);
-  for (uint16_t r : plan.preload_regs) bound_before[r] = true;
-  for (PlanStep& step : plan.steps) {
-    for (size_t i = 0; i < step.args.size(); ++i) {
-      const PlanArg& arg = step.args[i];
-      if (arg.kind == PlanArgKind::kLiteral ||
-          (arg.kind == PlanArgKind::kCheck && bound_before[arg.reg])) {
-        step.probe_cols.push_back(static_cast<uint16_t>(i));
-      }
-    }
-    if (!step.args.empty() && step.probe_cols.size() == step.args.size()) {
-      step.mode = PlanStepMode::kPointLookup;
-      step.probe_cols.clear();
-    } else if (!step.probe_cols.empty()) {
-      step.mode = PlanStepMode::kProbe;
-    } else {
-      step.mode = PlanStepMode::kScan;
-    }
-    if (has_conditions) {
-      step.bind_checks.resize(step.args.size());
-      for (size_t i = 0; i < step.args.size(); ++i) {
-        if (step.args[i].kind != PlanArgKind::kBind) continue;
-        const Value& var = plan.reg_vars[step.args[i].reg];
-        PlanBindChecks& checks = step.bind_checks[i];
-        for (const Value& v : options.must_be_constant) {
-          if (v == var) checks.must_be_constant = true;
-        }
-        for (const auto& [a, b] : options.inequalities) {
-          const Value* other = nullptr;
-          if (a == var) {
-            other = &b;
-          } else if (b == var) {
-            other = &a;
-          } else {
-            continue;
-          }
-          if (!IsMovableValue(*other, options)) {
-            checks.neq_literals.push_back(*other);
-          } else {
-            auto it = reg_of.find(*other);
-            if (it != reg_of.end() && bound_before[it->second]) {
-              checks.neq_regs.push_back(it->second);
-            }
-            // Partner bound later (or absent): the final check covers it.
-          }
-        }
-      }
-    }
-    // Binds of this step become visible to later steps.
-    for (const PlanArg& arg : step.args) {
-      if (arg.kind == PlanArgKind::kBind) bound_before[arg.reg] = true;
-    }
-  }
-  return plan;
-}
-
-// The plan's join order: the written order for stats-free bodies, the
-// greedy order otherwise.
-void PlanOrder(const Conjunction& body, const Instance& instance,
-               const Assignment& partial, const HomSearchOptions& options,
-               bool stats_free, std::vector<size_t>* order) {
-  if (!stats_free) {
-    GreedyOrder(body, instance, partial, options, order);
-    return;
-  }
-  order->resize(body.size());
-  std::iota(order->begin(), order->end(), size_t{0});
-}
-
-}  // namespace
-
 MatchPlan CompileMatchPlan(const Conjunction& body, const Instance& instance,
                            const Assignment& partial,
                            const HomSearchOptions& options) {
-  const bool stats_free = StatsFree(body, partial, options);
-  std::vector<size_t> order;
-  PlanOrder(body, instance, partial, options, stats_free, &order);
-  return BuildPlan(body, partial, options, stats_free, std::move(order));
-}
-
-std::shared_ptr<const MatchPlan> GetOrCompileMatchPlan(
-    const Conjunction& body, const Instance& instance,
-    const Assignment& partial, const HomSearchOptions& options) {
-  static const obs::MetricId kCompiles =
-      obs::RegisterCounter("chase.plan.compiles");
-  static const obs::MetricId kCacheHits =
-      obs::RegisterCounter("chase.plan.cache_hits");
-
-  // Built in a per-thread buffer: a hit allocates nothing.
-  thread_local std::string key;
-  StructuralKey(body, partial, options, &key);
-  // Stats-freeness is a function of the structural key, so every plan in
-  // a slot agrees with it.
-  const bool stats_free = StatsFree(body, partial, options);
-
-  // Lock-free front cache for stats-free plans (instance-independent, so
-  // never stale). Invalidated wholesale when the global cache version
-  // moves.
-  struct FrontCache {
-    uint64_t version = 0;
-    uint64_t reset_generation = 0;
-    std::unordered_map<std::string, std::shared_ptr<const MatchPlan>> slots;
-  };
-  thread_local FrontCache front;
-  const uint64_t version = g_cache_version.load(std::memory_order_acquire);
-  const uint64_t reset_gen = obs::MetricsResetGeneration();
-  if (front.version != version || front.reset_generation != reset_gen) {
-    front.version = version;
-    front.reset_generation = reset_gen;
-    front.slots.clear();
-  }
-  if (stats_free) {
-    if (auto it = front.slots.find(key); it != front.slots.end()) {
-      obs::CounterAdd(kCacheHits);
-      return it->second;
-    }
-  }
-
-  // The order this search would compile to, computed outside the lock: a
-  // cached plan with the same order is exactly the plan a fresh compile
-  // would produce.
-  thread_local std::vector<size_t> order;
-  PlanOrder(body, instance, partial, options, stats_free, &order);
-
-  PlanCache& cache = GlobalCache();
-  std::unique_lock<std::mutex> lock(cache.mu);
-  if (cache.reset_generation != reset_gen) {
-    cache.reset_generation = reset_gen;
-    cache.slots.clear();
-    g_cache_version.fetch_add(1, std::memory_order_acq_rel);
-  }
-  auto it = cache.slots.find(key);
-  if (it != cache.slots.end() && it->second.plan->perm == order) {
-    obs::CounterAdd(kCacheHits);
-    if (stats_free) front.slots.emplace(key, it->second.plan);
-    return it->second.plan;
-  }
-  auto plan = std::make_shared<const MatchPlan>(
-      BuildPlan(body, partial, options, stats_free, order));
-  if (it != cache.slots.end()) {
-    // The statistics reordered the join: recompile in place.
-    it->second.plan = plan;
-  } else {
-    if (cache.slots.size() >= kMaxCacheSlots) {
-      cache.slots.clear();
-      g_cache_version.fetch_add(1, std::memory_order_acq_rel);
-    }
-    cache.slots.emplace(key, CacheEntry{plan});
-  }
-  if (stats_free) front.slots.emplace(key, plan);
-  obs::CounterAdd(kCompiles);
+  MatchPlan plan;
+  std::vector<PlanStep> spare_steps;
+  CompileInto(body, instance, partial, options, &plan, &spare_steps);
   return plan;
 }
 
-void ClearMatchPlanCache() {
-  PlanCache& cache = GlobalCache();
-  std::lock_guard<std::mutex> lock(cache.mu);
-  cache.slots.clear();
-  g_cache_version.fetch_add(1, std::memory_order_acq_rel);
-}
+void ClearMatchPlanCache() {}
 
 size_t RunMatchPlan(const Conjunction& body, const Instance& target,
                     const Assignment& partial, const HomSearchOptions& options,
@@ -663,9 +559,10 @@ size_t RunMatchPlan(const Conjunction& body, const Instance& target,
   static const obs::MetricId kPointLookups =
       obs::RegisterCounter("chase.index.point_lookups");
 
-  std::shared_ptr<const MatchPlan> plan =
-      GetOrCompileMatchPlan(body, target, partial, options);
-  PlanRunner runner(*plan, target, partial, options, fn);
+  ScratchClaim claim;
+  ScratchSlot& slot = claim.slot();
+  CompileInto(body, target, partial, options, &slot.plan, &slot.spare_steps);
+  PlanRunner runner(slot, target, partial, options, fn);
   size_t count = runner.Run();
   obs::CounterAdd(kSearches);
   obs::CounterAdd(kMatches, count);
@@ -678,8 +575,8 @@ size_t RunMatchPlan(const Conjunction& body, const Instance& target,
   if (obs::ProfileSearchActive()) {
     // Map per-step telemetry back to the body's positions as written.
     std::vector<obs::ProfileAtomCounters> atoms(body.size());
-    for (size_t s = 0; s < plan->perm.size(); ++s) {
-      atoms[plan->perm[s]] = runner.step_counts()[s];
+    for (size_t s = 0; s < slot.plan.perm.size(); ++s) {
+      atoms[slot.plan.perm[s]] = slot.step_counts[s];
     }
     obs::ProfileRecordSearch(count, runner.backtracks(), atoms);
   }

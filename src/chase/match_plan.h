@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,8 +17,8 @@ namespace qimap {
 /// Compiled per-dependency match plans (following the *Laconic schema
 /// mappings* direction: compile the mapping itself into executable
 /// queries). Every indexed homomorphism search (`use_index` on, non-empty
-/// body) runs one; the full-scan matcher (`use_index=false`) is the
-/// oracle it is tested against.
+/// body) compiles and runs one; the full-scan matcher (`use_index=false`)
+/// is the oracle it is tested against.
 ///
 /// A `MatchPlan` hoists the per-search work to compile time: the body is
 /// compiled into an ordered step sequence with a *static* per-atom
@@ -28,28 +27,25 @@ namespace qimap {
 /// variable slots). Executing a plan touches no Assignment until a match
 /// is actually emitted.
 ///
-/// Plan reuse: a plan's steps are a pure function of the body, the
-/// options' movability/side-condition bits, the partial assignment's key
-/// set, and the join order. Only the join order reads index statistics
-/// (row counts, per-column distinct counts, literal posting lengths). So
-/// one plan is cached per (body, options, key set), and a cache hit on a
-/// statistics-dependent plan re-runs the greedy order against the current
-/// statistics: the plan is kept while the order equals its `perm`, and
-/// recompiled only when the order changes. A chase that grows an
-/// instance fact by fact keeps its plans until a relation's statistics
-/// actually reorder the join.
+/// No plan outlives its search. A plan's steps are a pure function of the
+/// body, the options' movability/side-condition bits, the partial
+/// assignment's key set, and the join order; only the join order reads
+/// index statistics (row counts, per-column distinct counts, literal
+/// posting lengths). Each search compiles its plan into the calling
+/// thread's scratch slot for its nesting depth (a search's callback may
+/// start another search); the slots keep their vectors' capacity, so a
+/// warmed-up search allocates nothing, and no caller owns or clears plans.
 ///
 /// Determinism contract: the partial assignment's *values* never
-/// influence compilation or reuse, so every search sharing a cache key
-/// executes the same plan regardless of which thread compiled it first —
-/// `hom.*`, `chase.index.*`, and `chase.plan.*` counters stay
-/// byte-identical at every thread count, like the rest of the engine.
-/// The sharded firing phase relies on a corollary: the statistics of a
+/// influence compilation, so the `hom.*` and `chase.index.*` counters are
+/// a pure function of the searches run, byte-identical at every thread
+/// count and in every metrics window, like the rest of the engine. The
+/// sharded firing phase relies on a corollary: the statistics of a
 /// dependency's rhs relations are identical between the serial target and
 /// a shard's private instance at corresponding trigger points (provisional
 /// null relabeling is injective, so rows / distinct counts / constant
-/// posting lengths all agree), so greedy orders, compiles and cache hits
-/// agree too.
+/// posting lengths all agree), so greedy orders, and with them the
+/// counters, agree too.
 
 /// How a compiled step locates candidate rows. Decided statically at
 /// compile time from which argument positions are determined when the
@@ -103,8 +99,7 @@ struct PlanStep {
   std::vector<PlanBindChecks> bind_checks;
 };
 
-/// One compiled body. Immutable after compilation; shared across threads
-/// via shared_ptr from the plan cache.
+/// One compiled body.
 struct MatchPlan {
   std::vector<PlanStep> steps;  ///< in execution order
   /// perm[step] = the atom's original position in the body as written;
@@ -117,8 +112,8 @@ struct MatchPlan {
   std::vector<uint16_t> preload_regs;
   /// True when the plan's shape does not depend on index statistics
   /// (single-atom bodies, and bodies where every atom is fully determined
-  /// up front). Stats-free plans never go stale: their cache hits skip the
-  /// order check and are served from a thread-local front cache.
+  /// up front). Stats-free plans run in written order, all others in the
+  /// greedy order over the instance's statistics.
   bool stats_free = false;
 
   /// Human-readable dump (one line per step) for `analyze --plan`.
@@ -134,26 +129,17 @@ MatchPlan CompileMatchPlan(const Conjunction& body, const Instance& instance,
                            const Assignment& partial,
                            const HomSearchOptions& options);
 
-/// Returns the cached plan for (body, options, partial key set) if its
-/// join order still holds against `instance`'s statistics, else compiles
-/// (and caches) a fresh one. Increments chase.plan.compiles /
-/// chase.plan.cache_hits.
-std::shared_ptr<const MatchPlan> GetOrCompileMatchPlan(
-    const Conjunction& body, const Instance& instance,
-    const Assignment& partial, const HomSearchOptions& options);
-
-/// Drops every cached plan (tests and bench windows). Thread-compatible
-/// with concurrent GetOrCompileMatchPlan calls; in-flight executions keep
-/// their shared_ptr.
+/// Does nothing: no plan outlives its search. Kept only because perfbench
+/// still calls it (ROADMAP #7 drops the call).
 void ClearMatchPlanCache();
 
-/// Fetches (or compiles) the plan for `body` and runs it: `fn` is called
-/// for every match until it returns false, or, when null, the search stops
-/// at the first match without materializing it. Returns the number of
-/// matches. Flushes the hom.* / chase.index.* counters and attributes
-/// per-atom profiler telemetry through the plan's perm. This is the
-/// indexed path of ForEachHomomorphism / HasHomomorphism; callers go
-/// through those.
+/// Compiles the plan for `body` into the calling thread's scratch slot for
+/// the current search nesting depth and runs it: `fn` is called for every
+/// match until it returns false, or, when null, the search stops at the
+/// first match without materializing it. Returns the number of matches.
+/// Flushes the hom.* / chase.index.* counters and attributes per-atom
+/// profiler telemetry through the plan's perm. This is the indexed path of
+/// ForEachHomomorphism / HasHomomorphism; callers go through those.
 size_t RunMatchPlan(const Conjunction& body, const Instance& target,
                     const Assignment& partial, const HomSearchOptions& options,
                     const std::function<bool(const Assignment&)>* fn);

@@ -90,13 +90,17 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
     const TargetChaseOptions& options) {
   TargetChaseStats st;
   Instance target_inst(m.target);
+  // The size `target_inst` had when it was handed to the caller: the
+  // final heartbeat runs after that move.
+  std::optional<size_t> handed_facts;
   // Heartbeats for the fixpoint phase (the s-t phase below emits its
   // own). No total estimate: target-constraint fixpoints have no cheap
   // upper bound short of weak-acyclicity analysis.
   obs::PipelineRun run(kRun, options.max_steps, options.budget,
-                       [&st, &target_inst]() {
+                       [&st, &target_inst, &handed_facts]() {
                          obs::ProgressSample sample;
-                         sample.facts = target_inst.NumFacts();
+                         sample.facts =
+                             handed_facts.value_or(target_inst.NumFacts());
                          sample.nulls = st.nulls_minted;
                          sample.fired = st.tgd_fires + st.egd_merges;
                          return sample;
@@ -123,14 +127,16 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
     }
   } flusher{&st, &run};
 
+  auto hand_over = [&](Instance* out) {
+    handed_facts = target_inst.NumFacts();
+    *out = std::move(target_inst);
+  };
   // Ends the fixpoint on a budget trip: journal + budget.* metrics, then
   // the instance closed so far as the best-effort partial solution.
   auto trip = [&](Status status) -> Status {
     st.partial = true;
     run.Trip(status, options.partial_out != nullptr);
-    if (options.partial_out != nullptr) {
-      *options.partial_out = std::move(target_inst);
-    }
+    if (options.partial_out != nullptr) hand_over(options.partial_out);
     return status;
   };
 
@@ -201,7 +207,7 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
                               AssignmentToString(merge->match));
         }
         result.failed = true;
-        result.solution = std::move(target_inst);
+        hand_over(&result.solution);
         result.steps = run.steps();
         st.steps = run.steps();
         result.stats = st;
@@ -292,7 +298,7 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
     }
     if (!fired) break;
   }
-  result.solution = std::move(target_inst);
+  hand_over(&result.solution);
   result.steps = run.steps();
   st.steps = run.steps();
   result.stats = st;

@@ -70,10 +70,12 @@ Result<ContainmentReport> CheckContainment(const SchemaMapping& sub,
   ContainmentReport report;
   report.holds = true;
   // Heartbeats: one step per conclusion dependency decided; the inner
-  // chases emit their own runs.
-  obs::PipelineRun run(kRun, 0, options.budget, [&report]() {
+  // chases emit their own runs. They sample `decided`, not `report`,
+  // which is moved out before the final one.
+  size_t decided = 0;
+  obs::PipelineRun run(kRun, 0, options.budget, [&decided]() {
     obs::ProgressSample sample;
-    sample.fired = report.verdicts.size();
+    sample.fired = decided;
     return sample;
   });
   auto& journal = run.journal();
@@ -176,6 +178,7 @@ Result<ContainmentReport> CheckContainment(const SchemaMapping& sub,
                                verdict.implied ? 0 : 1);
     ++report.tgds_checked;
     report.verdicts.push_back(std::move(verdict));
+    ++decided;
   }
   return report;
 }

@@ -75,10 +75,12 @@ Result<ReverseMapping> InverseAlgorithm(const SchemaMapping& m,
   reverse.from = m.target;
   reverse.to = m.source;
   // Heartbeats: one step per prime instance inverted; the inner chases
-  // emit their own runs.
-  obs::PipelineRun run(kRun, 0, options.budget, [&reverse]() {
+  // emit their own runs. They sample `emitted`, not `reverse`, which is
+  // moved out before the final one.
+  size_t emitted = 0;
+  obs::PipelineRun run(kRun, 0, options.budget, [&emitted]() {
     obs::ProgressSample sample;
-    sample.fired = reverse.deps.size();
+    sample.fired = emitted;
     return sample;
   });
   auto& journal = run.journal();
@@ -199,6 +201,7 @@ Result<ReverseMapping> InverseAlgorithm(const SchemaMapping& m,
                            {prime_id});
       }
       reverse.deps.push_back(std::move(dep));
+      ++emitted;
       obs::CounterAdd(kRules);
       obs::ProfileRecordOutcomes(prof_dep, 1, 1, 0);
     }

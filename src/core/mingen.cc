@@ -400,8 +400,8 @@ Result<std::vector<Conjunction>> MinGen(const SchemaMapping& m,
   st = MinGenStats{};
   // The candidate valve doubles as the run's local step limit; the shared
   // budget adds deadline/memory/null/cancellation governance on top.
-  // Heartbeats over the search; the step valve is the natural total (the
-  // run cannot outlast it).
+  // Heartbeats over the search carry no total estimate: the valve only
+  // caps the run, and a typical search stops far below it.
   obs::PipelineRun run(kRun, options.max_candidates, options.budget, [&st]() {
     obs::ProgressSample sample;
     sample.facts = st.covers;
@@ -442,8 +442,6 @@ Result<std::vector<Conjunction>> MinGen(const SchemaMapping& m,
     return Status::InvalidArgument(
         "MinGen: psi and the tgds must range over variables");
   }
-
-  run.SetTotalEstimate(options.max_candidates);
 
   std::vector<Specialization> found;
   // Ends the search on a budget trip: journal + budget.* metrics, then

@@ -108,10 +108,13 @@ Result<ReverseMapping> QuasiInverse(const SchemaMapping& m,
   reverse.from = m.target;
   reverse.to = m.source;
   // Heartbeats: one step per sigma-star member; the member count is the
-  // exact total. The MinGen searches underneath emit their own runs.
-  obs::PipelineRun run(kRun, 0, options.budget, [&reverse]() {
+  // exact total. The MinGen searches underneath emit their own runs. They
+  // sample `emitted`, not `reverse`, which is moved out before the final
+  // one.
+  size_t emitted = 0;
+  obs::PipelineRun run(kRun, 0, options.budget, [&emitted]() {
     obs::ProgressSample sample;
-    sample.fired = reverse.deps.size();
+    sample.fired = emitted;
     return sample;
   });
   auto& journal = run.journal();
@@ -211,6 +214,7 @@ Result<ReverseMapping> QuasiInverse(const SchemaMapping& m,
                            mingen_stats.generator_event_ids);
       }
       reverse.deps.push_back(std::move(dep));
+      ++emitted;
       obs::CounterAdd(kRules);
       obs::ProfileRecordOutcomes(prof_deps[si], 0, 1, 0);
     } else {

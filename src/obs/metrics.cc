@@ -104,18 +104,9 @@ size_t MetricsShardCount() {
   return reg.shards.size();
 }
 
-// Monotonic reset counter; see MetricsResetGeneration(). Starts at 1 so
-// a cached generation of 0 ("never checked") always mismatches.
-std::atomic<uint64_t> g_reset_generation{1};
-
-uint64_t MetricsResetGeneration() {
-  return g_reset_generation.load(std::memory_order_relaxed);
-}
-
 void ResetMetrics() {
   Registry& reg = Registry::Get();
   std::lock_guard<std::mutex> lock(reg.mu);
-  g_reset_generation.fetch_add(1, std::memory_order_relaxed);
   for (Shard* shard : reg.shards) {
     for (size_t i = 0; i < kMaxCounters; ++i) {
       shard->counters[i].store(0, std::memory_order_relaxed);

@@ -53,13 +53,6 @@ void ResetMetrics();
 /// by the peak number of threads alive at once, not by how many ran.
 size_t MetricsShardCount();
 
-/// Monotonically increasing count of ResetMetrics() calls (starts at 1).
-/// Caches whose hit/miss counters feed this registry key their validity
-/// on it so that counter values are a pure function of the work performed
-/// since the last reset — the determinism contract the canonical run
-/// records rely on — rather than of prior windows' cache warm-up.
-uint64_t MetricsResetGeneration();
-
 }  // namespace obs
 }  // namespace qimap
 

@@ -38,8 +38,9 @@ struct PipelineSpec {
 ///
 /// The destructor emits the run's final heartbeat, which calls the
 /// sampler. Declare every local the sampler reads (the engine's stats
-/// struct, the result under construction) before the scope, so they
-/// outlive it.
+/// struct, its counts) before the scope, so they outlive it. Sample
+/// counts, not the result under construction: `return result;` moves the
+/// result out before the destructor runs.
 class PipelineRun {
  public:
   /// `spec`'s strings must outlive the run (string literals). `max_steps`

@@ -48,8 +48,8 @@ struct ProgressSnapshot {
   uint64_t fired = 0;
   uint64_t skipped = 0;
   /// Upper-bound step estimate (chase: CostModel product bound refined to
-  /// the exact merged-batch total once triggers are collected; inversion
-  /// pipelines: their candidate counts). 0 = unknown.
+  /// the exact merged-batch total once triggers are collected;
+  /// QuasiInverse: its sigma-star member count). 0 = unknown.
   uint64_t total_estimate = 0;
   /// Largest consumed fraction across the attached budget's bounded
   /// counter limits (steps, nulls, memory) in [0, 1]; -1 when no bounded

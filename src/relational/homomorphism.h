@@ -24,10 +24,11 @@ struct HomSearchOptions {
   /// identically (used for canonical instances with frozen variables).
   bool map_variables = true;
   /// If true (default), a non-empty body is matched by a compiled match
-  /// plan (chase/match_plan.h): the body is compiled once per (body,
-  /// bound-key set, greedy join order) into a step sequence with static
-  /// point-lookup / posting-probe / scan decisions over the instance's
-  /// per-column posting lists and a flat register frame. If false, every
+  /// plan (chase/match_plan.h): every search compiles the body afresh,
+  /// for its bound-key set and the greedy join order over the instance's
+  /// current statistics, into a step sequence with static point-lookup /
+  /// posting-probe / scan decisions over the instance's per-column posting
+  /// lists and a flat register frame. If false, every
   /// atom is matched by a full scan of its relation — the naive oracle the
   /// differential tests compare against (`ChaseOptions::use_index=false`).
   /// Both paths enumerate exactly the same set of homomorphisms; the

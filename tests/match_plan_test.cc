@@ -1,22 +1,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chase/match_plan.h"
+#include "core/soundness.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "relational/atom.h"
 #include "relational/homomorphism.h"
 #include "relational/instance.h"
 #include "relational/schema.h"
+#include "workload/paper_catalog.h"
 
 // Unit tests for the compiled match-plan layer (chase/match_plan.h):
 // static access-path decisions, greedy join ordering, dense register
-// frames, cache compile/hit accounting (including the metrics-reset
-// window and reuse while the join order holds), and the text/JSON dumps.
+// frames, per-depth scratch plans for nested searches, counters that
+// depend on the search alone, and the text/JSON dumps.
 // The system-level equivalence with the full-scan matcher is soaked
 // separately by tests/store_differential_test.cc.
 
@@ -25,13 +29,6 @@ namespace {
 
 Value Var(const char* name) { return Value::MakeVariable(name); }
 Value Const(const char* name) { return Value::MakeConstant(name); }
-
-// Reads a named counter from the merged snapshot (0 when unregistered).
-uint64_t Counter(const std::string& name) {
-  obs::MetricsSnapshot snap = obs::SnapshotMetrics();
-  auto it = snap.counters.find(name);
-  return it == snap.counters.end() ? 0 : it->second;
-}
 
 TEST(MatchPlanTest, GroundAtomCompilesToPointLookup) {
   SchemaPtr schema = MakeSchema("P/2");
@@ -171,91 +168,11 @@ TEST(MatchPlanTest, PlanAndInterpretiveEnumerateTheSameSet) {
   }
 }
 
-TEST(MatchPlanTest, CacheCountsCompilesAndHitsPerMetricsWindow) {
-  obs::ResetMetrics();
-  SchemaPtr schema = MakeSchema("P/2, Q/2");
-  Instance inst = MustParseInstance(schema, "P(a,b), Q(b,c)");
-  Conjunction body = {{0, {Var("x"), Var("y")}},
-                      {1, {Var("y"), Var("z")}}};
-  auto p1 = GetOrCompileMatchPlan(body, inst, {}, {});
-  auto p2 = GetOrCompileMatchPlan(body, inst, {}, {});
-  ASSERT_NE(p1, nullptr);
-  EXPECT_EQ(p1.get(), p2.get()) << "second fetch must be the cached plan";
-  EXPECT_EQ(Counter("chase.plan.compiles"), 1u);
-  EXPECT_EQ(Counter("chase.plan.cache_hits"), 1u);
-
-  // Growing P past Q reorders the join: recompile in place.
-  ASSERT_TRUE(inst.AddFact(0, {Const("a"), Const("c")}).ok());
-  auto p3 = GetOrCompileMatchPlan(body, inst, {}, {});
-  EXPECT_NE(p3.get(), p2.get());
-  EXPECT_EQ(Counter("chase.plan.compiles"), 2u);
-
-  // An explicit clear forces a fresh compile.
-  ClearMatchPlanCache();
-  auto p4 = GetOrCompileMatchPlan(body, inst, {}, {});
-  EXPECT_NE(p4.get(), p3.get());
-  EXPECT_EQ(Counter("chase.plan.compiles"), 3u);
-
-  // A metrics reset opens a new counter window and empties the cache, so
-  // the counters are a pure function of the window: the same fetch is a
-  // compile again, never a history-dependent hit.
-  obs::ResetMetrics();
-  auto p5 = GetOrCompileMatchPlan(body, inst, {}, {});
-  ASSERT_NE(p5, nullptr);
-  EXPECT_EQ(Counter("chase.plan.compiles"), 1u);
-  EXPECT_EQ(Counter("chase.plan.cache_hits"), 0u);
-}
-
-// Stats-free plans (single-atom and fully-determined bodies) are served
-// from the thread-local front cache; they still respect the reset window.
-TEST(MatchPlanTest, StatsFreePlansHitTheFrontCache) {
-  obs::ResetMetrics();
-  SchemaPtr schema = MakeSchema("P/2");
-  Instance inst = MustParseInstance(schema, "P(a,b)");
-  Conjunction body = {{0, {Const("a"), Const("b")}}};
-  auto p1 = GetOrCompileMatchPlan(body, inst, {}, {});
-  EXPECT_TRUE(p1->stats_free);
-  for (int k = 0; k < 5; ++k) {
-    EXPECT_EQ(GetOrCompileMatchPlan(body, inst, {}, {}).get(), p1.get());
-  }
-  EXPECT_EQ(Counter("chase.plan.compiles"), 1u);
-  EXPECT_EQ(Counter("chase.plan.cache_hits"), 5u);
-}
-
-// A cached plan stays valid while the greedy order over the current
-// statistics equals its perm: statistics that move without reordering
-// the join are cache hits, and the kept plan is exactly the plan a fresh
-// compile against the grown instance produces.
-TEST(MatchPlanTest, StatisticsThatKeepTheOrderReuseThePlan) {
-  obs::ResetMetrics();
-  SchemaPtr schema = MakeSchema("P/2, Q/2");
-  Instance inst = MustParseInstance(
-      schema, "P(a,b), Q(b,c), Q(b,d), Q(e,f), Q(g,h)");
-  Conjunction body = {{0, {Var("x"), Var("y")}},
-                      {1, {Var("y"), Var("z")}}};
-  auto p1 = GetOrCompileMatchPlan(body, inst, {}, {});
-  ASSERT_EQ(p1->perm, (std::vector<size_t>{0, 1}));
-  EXPECT_FALSE(p1->stats_free);
-
-  // Row and distinct counts move on both relations; P stays the smaller.
-  ASSERT_TRUE(inst.AddFact(0, {Const("e"), Const("f")}).ok());
-  ASSERT_TRUE(inst.AddFact(1, {Const("f"), Const("i")}).ok());
-  ASSERT_TRUE(inst.AddFact(1, {Const("b"), Const("j")}).ok());
-  auto p2 = GetOrCompileMatchPlan(body, inst, {}, {});
-  EXPECT_EQ(p2.get(), p1.get()) << "order held: the plan must be reused";
-  EXPECT_EQ(Counter("chase.plan.compiles"), 1u);
-  EXPECT_EQ(Counter("chase.plan.cache_hits"), 1u);
-
-  MatchPlan fresh = CompileMatchPlan(body, inst, {}, {});
-  EXPECT_EQ(p2->ToJson(*schema), fresh.ToJson(*schema));
-}
-
-// Keys of the partial assignment count as bound in the order check: with
+// Keys of the partial assignment count as bound in the greedy order: with
 // x and z preloaded, each atom has one unbound argument, so the
-// rows/distinct estimate of its bound column decides. A statistics change
-// that flips the order recompiles in place.
-TEST(MatchPlanTest, ChangedOrderRecompiles) {
-  obs::ResetMetrics();
+// rows/distinct estimate of its bound column decides, and a statistics
+// change that moves the estimates reorders the join.
+TEST(MatchPlanTest, GreedyOrderFollowsStatistics) {
   SchemaPtr schema = MakeSchema("P/2, Q/2");
   Instance inst = MustParseInstance(
       schema, "P(a,b), P(a,c), P(a,d), Q(a,b), Q(b,c), Q(c,d), Q(d,e)");
@@ -264,25 +181,96 @@ TEST(MatchPlanTest, ChangedOrderRecompiles) {
   Assignment partial = {{Var("x"), Const("a")}, {Var("z"), Const("b")}};
   // P: 3 rows over 1 distinct x (estimate 3); Q: 4 rows over 4 distinct
   // z (estimate 1). Q runs first.
-  auto p1 = GetOrCompileMatchPlan(body, inst, partial, {});
-  ASSERT_EQ(p1->perm, (std::vector<size_t>{1, 0}));
+  EXPECT_EQ(CompileMatchPlan(body, inst, partial, {}).perm,
+            (std::vector<size_t>{1, 0}));
 
   // Q grows to 12 rows over the same 4 distinct z: estimate 3 ties P,
   // and the lower index wins.
   for (const char* y : {"f", "g", "h", "i", "j", "k", "l", "m"}) {
     ASSERT_TRUE(inst.AddFact(1, {Const("a"), Const(y)}).ok());
   }
-  auto p2 = GetOrCompileMatchPlan(body, inst, partial, {});
-  EXPECT_NE(p2.get(), p1.get());
-  EXPECT_EQ(p2->perm, (std::vector<size_t>{0, 1}));
-  EXPECT_EQ(Counter("chase.plan.compiles"), 2u);
-  EXPECT_EQ(Counter("chase.plan.cache_hits"), 0u);
-  EXPECT_EQ(p2->ToJson(*schema),
-            CompileMatchPlan(body, inst, partial, {}).ToJson(*schema));
+  EXPECT_EQ(CompileMatchPlan(body, inst, partial, {}).perm,
+            (std::vector<size_t>{0, 1}));
+}
 
-  // The recompiled plan replaced the old one in its slot.
-  EXPECT_EQ(GetOrCompileMatchPlan(body, inst, partial, {}).get(), p2.get());
-  EXPECT_EQ(Counter("chase.plan.cache_hits"), 1u);
+// A callback may start another search, which compiles into the scratch
+// slot of the next nesting depth while the outer plan is still running.
+// Three levels over bodies of different shapes (a two-atom join, a keyed
+// probe, a point lookup feeding two probes), on a fresh thread so the
+// nested searches also grow its slot stack mid-search: each level
+// enumerates exactly the full-scan oracle's set.
+TEST(MatchPlanTest, NestedSearchesKeepTheirOwnPlans) {
+  SchemaPtr schema = MakeSchema("P/2, Q/2, R/1");
+  Instance inst = MustParseInstance(
+      schema,
+      "P(a,b), P(b,c), P(c,a), P(a,c), Q(b,a), Q(c,b), Q(a,a), Q(c,c), "
+      "R(a), R(b)");
+  const Conjunction outer = {{0, {Var("x"), Var("y")}},
+                             {1, {Var("y"), Var("z")}}};
+  const Conjunction middle = {{1, {Var("z"), Var("w")}}};
+  const Conjunction inner = {{2, {Var("w")}},
+                             {0, {Var("w"), Var("v")}},
+                             {1, {Var("v"), Const("a")}}};
+  HomSearchOptions scan;
+  scan.use_index = false;
+  auto oracle = [&](const Conjunction& body, const Assignment& partial) {
+    std::vector<Assignment> all = FindAllHomomorphisms(body, inst, partial,
+                                                       scan);
+    return std::set<Assignment>(all.begin(), all.end());
+  };
+  auto collect = [](std::set<Assignment>* into) {
+    return [into](const Assignment& h) {
+      into->insert(h);
+      return true;
+    };
+  };
+
+  size_t inner_matches = 0;
+  std::thread fresh([&] {
+    std::set<Assignment> outer_found;
+    ForEachHomomorphism(outer, inst, {}, {}, [&](const Assignment& h0) {
+      outer_found.insert(h0);
+      Assignment keyed = {{Var("z"), h0.at(Var("z"))}};
+      std::set<Assignment> middle_found;
+      ForEachHomomorphism(middle, inst, keyed, {}, [&](const Assignment& h1) {
+        middle_found.insert(h1);
+        Assignment ground = {{Var("w"), h1.at(Var("w"))}};
+        std::set<Assignment> inner_found;
+        ForEachHomomorphism(inner, inst, ground, {}, collect(&inner_found));
+        EXPECT_EQ(inner_found, oracle(inner, ground));
+        inner_matches += inner_found.size();
+        return true;
+      });
+      EXPECT_EQ(middle_found, oracle(middle, keyed));
+      return true;
+    });
+    EXPECT_EQ(outer_found, oracle(outer, {}));
+  });
+  fresh.join();
+  EXPECT_GT(inner_matches, 0u);
+}
+
+// A search's counters are a function of the search alone: two identical
+// Figure 1 round trips in one metrics window add identical deltas.
+TEST(MatchPlanTest, IdenticalRunsReportIdenticalCounters) {
+  SchemaMapping m = catalog::Decomposition();
+  Instance i = catalog::Fig1Instance(m);
+  ReverseMapping rev = catalog::DecompositionQuasiInverseJoin(m);
+  auto run_delta = [&] {
+    std::map<std::string, uint64_t> before = obs::SnapshotMetrics().counters;
+    Result<RoundTrip> trip = CheckRoundTrip(m, rev, i);
+    EXPECT_TRUE(trip.ok() && trip->faithful);
+    std::map<std::string, uint64_t> delta;
+    for (const auto& [name, value] : obs::SnapshotMetrics().counters) {
+      const uint64_t base = before.count(name) ? before.at(name) : 0;
+      if (value != base) delta[name] = value - base;
+    }
+    return delta;
+  };
+  obs::ResetMetrics();
+  std::map<std::string, uint64_t> first = run_delta();
+  EXPECT_GT(first["hom.searches"], 0u);
+  EXPECT_EQ(run_delta(), first);
 }
 
 TEST(MatchPlanTest, DumpsRenderTextAndValidJson) {

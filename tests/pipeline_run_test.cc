@@ -25,8 +25,9 @@
 
 // Tests for the per-call observability scope (obs/pipeline_run.h) at all
 // eight pipeline entry points: one trace span and one final heartbeat per
-// call, early-error returns included, and a journal run that a budget
-// trip ends with exactly one `budget` event.
+// call, early-error returns included, a journal run that a budget trip
+// ends with exactly one `budget` event, and final heartbeats that report
+// what the run did.
 
 namespace qimap {
 namespace {
@@ -128,6 +129,18 @@ class PipelineRunTest : public ::testing::Test {
         Observe(span, pipeline, [&](Budget*) { call(); }, nullptr);
     EXPECT_EQ(out.spans, 1u) << span;
     EXPECT_EQ(out.final_heartbeats, 1u) << pipeline;
+  }
+
+  // The final heartbeat `pipeline` emitted during `call`.
+  obs::ProgressSnapshot FinalHeartbeat(const char* pipeline,
+                                       const std::function<void()>& call) {
+    snapshots_->clear();
+    call();
+    for (const obs::ProgressSnapshot& snap : *snapshots_) {
+      if (snap.pipeline == pipeline && snap.is_final) return snap;
+    }
+    ADD_FAILURE() << "no final heartbeat from " << pipeline;
+    return {};
   }
 
   std::shared_ptr<std::vector<obs::ProgressSnapshot>> snapshots_ =
@@ -260,6 +273,60 @@ TEST_F(PipelineRunTest, CheckContainmentRejectsDifferentSchemas) {
     Result<ContainmentReport> report = CheckContainment(sub, super);
     EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
   });
+}
+
+// A final heartbeat reports what the run did, although the pipeline has
+// moved its result out to the caller by the time the scope emits it.
+TEST_F(PipelineRunTest, QuasiInverseFinalHeartbeatCountsTheRulesEmitted) {
+  SchemaMapping m = Figure1();
+  size_t rules = 0;
+  obs::ProgressSnapshot last = FinalHeartbeat("quasi_inverse", [&] {
+    Result<ReverseMapping> reverse = QuasiInverse(m);
+    ASSERT_TRUE(reverse.ok());
+    rules = reverse->deps.size();
+  });
+  EXPECT_GT(rules, 0u);
+  EXPECT_EQ(last.fired, rules);
+}
+
+TEST_F(PipelineRunTest, TargetChaseFinalHeartbeatCountsTheSolution) {
+  SchemaMapping m = Figure1();
+  Instance source = MustParseInstance(m.source, "P(a,b,c), P(d,b,e)");
+  TargetConstraints constraints =
+      MustParseTargetConstraints(*m.target, "Q(x,y) -> exists z: R(y,z)");
+  size_t facts = 0;
+  obs::ProgressSnapshot last = FinalHeartbeat("chase/target", [&] {
+    Result<TargetChaseResult> result =
+        ChaseWithTargetConstraints(source, m, constraints);
+    ASSERT_TRUE(result.ok());
+    facts = result->solution.NumFacts();
+  });
+  EXPECT_GT(facts, 0u);
+  EXPECT_EQ(last.facts, facts);
+}
+
+TEST_F(PipelineRunTest, CheckContainmentFinalHeartbeatCountsTheVerdicts) {
+  SchemaMapping sub = Figure1();
+  SchemaMapping super =
+      MustParseMapping("P/3", "Q/2, R/2", "P(x,y,z) -> Q(x,y)");
+  obs::ProgressSnapshot last = FinalHeartbeat("containment", [&] {
+    Result<ContainmentReport> report = CheckContainment(sub, super);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->verdicts.size(), 1u);
+  });
+  EXPECT_EQ(last.fired, 1u);
+}
+
+// MinGen's candidate valve caps the search but does not estimate its
+// length, so its heartbeats carry no total (and no ETA).
+TEST_F(PipelineRunTest, MinGenHeartbeatsCarryNoTotalEstimate) {
+  SchemaMapping m = Figure1();
+  const Tgd& sigma = m.tgds[0];
+  obs::ProgressSnapshot last = FinalHeartbeat("mingen", [&] {
+    ASSERT_TRUE(MinGen(m, sigma.rhs, sigma.FrontierVariables()).ok());
+  });
+  EXPECT_EQ(last.total_estimate, 0u);
+  EXPECT_EQ(last.eta_us, 0u);
 }
 
 }  // namespace
