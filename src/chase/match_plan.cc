@@ -62,9 +62,9 @@ void GreedyOrder(const Conjunction& body, const Instance& inst,
         const Value& arg = body[i].args[a];
         size_t estimate = SIZE_MAX;
         if (!IsMovableValue(arg, options)) {
-          const std::vector<uint32_t>* ids = inst.RowsWith(
-              body[i].relation, static_cast<uint32_t>(a), arg);
-          estimate = ids != nullptr ? ids->size() : 0;
+          estimate =
+              inst.RowsWith(body[i].relation, static_cast<uint32_t>(a), arg)
+                  .size();
         } else if (is_bound(arg)) {
           estimate =
               DistinctEstimate(inst, body[i].relation,
@@ -392,18 +392,18 @@ class PlanRunner {
         return;
       }
       case PlanStepMode::kProbe: {
-        const std::vector<uint32_t>* candidates = nullptr;
+        Instance::PostingList candidates;
         for (uint16_t col : step.probe_cols) {
           ++step_counts_[s].probes;
-          const std::vector<uint32_t>* ids =
+          Instance::PostingList ids =
               inst_.RowsWith(step.relation, col, ArgValue(step.args[col]));
-          if (ids == nullptr) return;  // no row carries this column value
+          if (ids.empty()) return;  // no row carries this column value
           ++index_hits_;
-          if (candidates == nullptr || ids->size() < candidates->size()) {
+          if (candidates.empty() || ids.size() < candidates.size()) {
             candidates = ids;
           }
         }
-        for (uint32_t row : *candidates) {
+        for (uint32_t row : candidates) {
           ++step_counts_[s].probe_rows;
           if (UnifyRow(step, s, row)) {
             Step(s + 1);

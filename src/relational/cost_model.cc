@@ -20,8 +20,8 @@ CostModel CostModel::FromInstance(const Instance& inst) {
     model.total_facts += stats.rows;
     stats.columns.resize(sym.arity);
     for (uint32_t c = 0; c < sym.arity; ++c) {
-      // The column's posting map carries the distinct count
-      // incrementally, so statistics cost O(columns), not O(cells).
+      // The store counts each column's distinct values as their chains
+      // start, so statistics cost O(columns), not O(cells).
       uint64_t distinct = inst.ColumnDistinct(r, c);
       stats.columns[c].distinct = distinct;
       stats.columns[c].selectivity =

@@ -34,7 +34,7 @@ struct RelationStats {
 ///
 /// Deterministic: relations appear in schema order, counts are exact —
 /// read from the store's incrementally maintained per-column distinct
-/// counts (the posting-map sizes), so building the model is
+/// counts (one per `(column, value)` chain), so building the model is
 /// O(relations x columns), no scanning, no sampling.
 struct CostModel {
   std::vector<RelationStats> relations;

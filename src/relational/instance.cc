@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <set>
+#include <utility>
 
 #include "base/strings.h"
 
@@ -26,45 +27,95 @@ uint64_t FactFingerprint(RelationId relation, uint64_t tuple_hash) {
   return h ^ (h >> 31);
 }
 
+// Mixes a `(column, value)` key for the chain table. The value's own hash
+// is its (kind, id) word, whose low bits alone would put one value's
+// columns in neighbouring slots; the multiply and fold spread them.
+uint64_t ChainHash(uint32_t col, const Value& v) {
+  uint64_t h = (static_cast<uint64_t>(col) << 40) ^ ValueHash{}(v);
+  h *= 0x9E3779B97F4A7C15ULL;
+  return h ^ (h >> 32);
+}
+
 }  // namespace
 
-bool Instance::ColumnStore::RowEquals(uint32_t row,
-                                      const Tuple& tuple) const {
-  for (size_t c = 0; c < columns.size(); ++c) {
-    if (!(columns[c][row] == tuple[c])) return false;
+bool Instance::RelationStore::RowEquals(uint32_t row,
+                                        const Tuple& tuple) const {
+  const Value* cell = cells.data() + static_cast<size_t>(row) * arity;
+  for (uint32_t c = 0; c < arity; ++c) {
+    if (!(cell[c] == tuple[c])) return false;
   }
   return true;
 }
 
-uint32_t Instance::ColumnStore::Find(const Tuple& tuple,
-                                     uint64_t hash) const {
+uint32_t Instance::RelationStore::Find(const Tuple& tuple,
+                                       uint64_t hash) const {
   if (slots.empty()) return kNoRow;
   const size_t mask = slots.size() - 1;
   for (size_t i = hash & mask;; i = (i + 1) & mask) {
     uint32_t row = slots[i];
-    if (row == kEmptySlot) return kNoRow;
+    if (row == kNoRow) return kNoRow;
     if (hashes[row] == hash && RowEquals(row, tuple)) return row;
   }
 }
 
-void Instance::ColumnStore::IndexNewRow(uint32_t row_id, uint64_t hash) {
+void Instance::RelationStore::IndexNewRow(uint32_t row_id, uint64_t hash) {
   // Grow before the load factor crosses 7/8; capacity stays a power of
   // two so probing can mask instead of mod.
   if ((static_cast<size_t>(num_rows) + 1) * 8 >= slots.size() * 7) {
     size_t capacity = slots.empty() ? 16 : slots.size() * 2;
-    std::vector<uint32_t> grown(capacity, kEmptySlot);
+    std::vector<uint32_t> grown(capacity, kNoRow);
     const size_t mask = capacity - 1;
     for (uint32_t row = 0; row < num_rows; ++row) {
       size_t i = hashes[row] & mask;
-      while (grown[i] != kEmptySlot) i = (i + 1) & mask;
+      while (grown[i] != kNoRow) i = (i + 1) & mask;
       grown[i] = row;
     }
     slots = std::move(grown);
   }
   const size_t mask = slots.size() - 1;
   size_t i = hash & mask;
-  while (slots[i] != kEmptySlot) i = (i + 1) & mask;
+  while (slots[i] != kNoRow) i = (i + 1) & mask;
   slots[i] = row_id;
+}
+
+size_t Instance::RelationStore::ChainSlot(uint32_t col,
+                                          const Value& v) const {
+  const size_t mask = chains.size() - 1;
+  size_t i = ChainHash(col, v) & mask;
+  while (chains[i].count != 0 &&
+         !(chains[i].col == col && chains[i].value == v)) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void Instance::RelationStore::LinkNewRow(uint32_t row_id) {
+  const size_t base = static_cast<size_t>(row_id) * arity;
+  for (uint32_t c = 0; c < arity; ++c) {
+    // The slot table's 7/8 growth rule, checked per cell since each cell
+    // may start a chain.
+    if ((static_cast<size_t>(num_chains) + 1) * 8 >= chains.size() * 7) {
+      size_t capacity = chains.empty() ? 16 : chains.size() * 2;
+      std::vector<Chain> previous =
+          std::exchange(chains, std::vector<Chain>(capacity));
+      for (const Chain& chain : previous) {
+        if (chain.count != 0) chains[ChainSlot(chain.col, chain.value)] = chain;
+      }
+    }
+    const Value& v = cells[base + c];
+    Chain& chain = chains[ChainSlot(c, v)];
+    if (chain.count == 0) {
+      chain.value = v;
+      chain.col = c;
+      chain.head = row_id;
+      ++num_chains;
+      ++distinct[c];
+    } else {
+      next[static_cast<size_t>(chain.tail) * arity + c] = row_id;
+    }
+    chain.tail = row_id;
+    ++chain.count;
+  }
 }
 
 Status Instance::AddFact(RelationId relation, Tuple tuple) {
@@ -78,18 +129,17 @@ Status Instance::AddFact(RelationId relation, Tuple tuple) {
         std::to_string(tuple.size()) + ", want " +
         std::to_string(symbol.arity));
   }
-  ColumnStore& store = stores_[relation];
+  RelationStore& store = stores_[relation];
   const uint64_t hash = TupleHash{}(tuple);
-  if (store.Find(tuple, hash) != ColumnStore::kNoRow) {
+  if (store.Find(tuple, hash) != kNoRow) {
     return Status::OK();  // duplicate absorbed
   }
   const uint32_t row_id = store.num_rows;
   store.hashes.push_back(hash);
   store.IndexNewRow(row_id, hash);
-  for (uint32_t c = 0; c < symbol.arity; ++c) {
-    store.postings[c][tuple[c]].push_back(row_id);
-    store.columns[c].push_back(tuple[c]);
-  }
+  store.cells.insert(store.cells.end(), tuple.begin(), tuple.end());
+  store.next.resize(store.next.size() + symbol.arity, kNoRow);
+  store.LinkNewRow(row_id);
   ++store.num_rows;
   fingerprint_ ^= FactFingerprint(relation, hash);
   return Status::OK();
@@ -103,32 +153,30 @@ Status Instance::AddFact(std::string_view relation_name, Tuple tuple) {
 
 bool Instance::ContainsFact(RelationId relation, const Tuple& tuple) const {
   if (relation >= stores_.size()) return false;
-  const ColumnStore& store = stores_[relation];
-  if (tuple.size() != store.columns.size()) return false;
-  return store.Find(tuple, TupleHash{}(tuple)) != ColumnStore::kNoRow;
+  const RelationStore& store = stores_[relation];
+  if (tuple.size() != store.arity) return false;
+  return store.Find(tuple, TupleHash{}(tuple)) != kNoRow;
 }
 
 Tuple Instance::Row(RelationId relation, uint32_t row) const {
-  const ColumnStore& store = stores_[relation];
-  Tuple out;
-  out.reserve(store.columns.size());
-  for (const std::vector<Value>& column : store.columns) {
-    out.push_back(column[row]);
-  }
-  return out;
+  const RelationStore& store = stores_[relation];
+  auto first = store.cells.begin() + static_cast<ptrdiff_t>(row) * store.arity;
+  return Tuple(first, first + store.arity);
 }
 
-const std::vector<uint32_t>* Instance::RowsWith(RelationId relation,
-                                                uint32_t col,
-                                                const Value& v) const {
-  const auto& postings = stores_[relation].postings[col];
-  auto it = postings.find(v);
-  return it != postings.end() ? &it->second : nullptr;
+Instance::PostingList Instance::RowsWith(RelationId relation, uint32_t col,
+                                         const Value& v) const {
+  const RelationStore& store = stores_[relation];
+  if (store.chains.empty()) return PostingList();
+  // A free slot (head kNoRow, count 0) reads as the empty list.
+  const RelationStore::Chain& chain = store.chains[store.ChainSlot(col, v)];
+  return PostingList(store.next.data() + col, store.arity, chain.head,
+                     chain.count);
 }
 
 size_t Instance::NumFacts() const {
   size_t n = 0;
-  for (const ColumnStore& store : stores_) n += store.num_rows;
+  for (const RelationStore& store : stores_) n += store.num_rows;
   return n;
 }
 
@@ -152,7 +200,7 @@ uint64_t Instance::PrefixFingerprint(
     const std::vector<uint32_t>& counts) const {
   uint64_t fp = 0;
   for (RelationId r = 0; r < stores_.size(); ++r) {
-    const ColumnStore& store = stores_[r];
+    const RelationStore& store = stores_[r];
     uint32_t limit = std::min(counts[r], store.num_rows);
     for (uint32_t i = 0; i < limit; ++i) {
       fp ^= FactFingerprint(r, store.hashes[i]);
@@ -170,7 +218,7 @@ size_t Instance::NumFactsSince(const std::vector<uint32_t>& counts) const {
 }
 
 std::vector<Tuple> Instance::SortedRows(RelationId relation) const {
-  const ColumnStore& store = stores_[relation];
+  const RelationStore& store = stores_[relation];
   std::vector<Tuple> sorted;
   sorted.reserve(store.num_rows);
   for (uint32_t i = 0; i < store.num_rows; ++i) {
@@ -193,20 +241,16 @@ std::vector<Fact> Instance::Facts() const {
 
 std::vector<Value> Instance::ActiveDomain() const {
   std::set<Value> domain;
-  for (const ColumnStore& store : stores_) {
-    for (const std::vector<Value>& column : store.columns) {
-      domain.insert(column.begin(), column.end());
-    }
+  for (const RelationStore& store : stores_) {
+    domain.insert(store.cells.begin(), store.cells.end());
   }
   return std::vector<Value>(domain.begin(), domain.end());
 }
 
 bool Instance::IsGround() const {
-  for (const ColumnStore& store : stores_) {
-    for (const std::vector<Value>& column : store.columns) {
-      for (const Value& v : column) {
-        if (!v.IsConstant()) return false;
-      }
+  for (const RelationStore& store : stores_) {
+    for (const Value& v : store.cells) {
+      if (!v.IsConstant()) return false;
     }
   }
   return true;
@@ -214,11 +258,9 @@ bool Instance::IsGround() const {
 
 uint32_t Instance::MaxNullLabel() const {
   uint32_t max_label = 0;
-  for (const ColumnStore& store : stores_) {
-    for (const std::vector<Value>& column : store.columns) {
-      for (const Value& v : column) {
-        if (v.IsNull()) max_label = std::max(max_label, v.id());
-      }
+  for (const RelationStore& store : stores_) {
+    for (const Value& v : store.cells) {
+      if (v.IsNull()) max_label = std::max(max_label, v.id());
     }
   }
   return max_label;
@@ -227,12 +269,12 @@ uint32_t Instance::MaxNullLabel() const {
 bool Instance::IsSubsetOf(const Instance& other) const {
   if (stores_.size() != other.stores_.size()) return false;
   for (RelationId r = 0; r < stores_.size(); ++r) {
-    const ColumnStore& mine = stores_[r];
-    const ColumnStore& theirs = other.stores_[r];
+    const RelationStore& mine = stores_[r];
+    const RelationStore& theirs = other.stores_[r];
     if (mine.num_rows > theirs.num_rows) return false;
     for (uint32_t i = 0; i < mine.num_rows; ++i) {
       Tuple t = Row(r, i);
-      if (theirs.Find(t, mine.hashes[i]) == ColumnStore::kNoRow) {
+      if (theirs.Find(t, mine.hashes[i]) == kNoRow) {
         return false;
       }
     }
@@ -254,12 +296,12 @@ bool Instance::EqualFactSets(const Instance& other) const {
   if (stores_.size() != other.stores_.size()) return false;
   if (fingerprint_ != other.fingerprint_) return false;
   for (RelationId r = 0; r < stores_.size(); ++r) {
-    const ColumnStore& mine = stores_[r];
-    const ColumnStore& theirs = other.stores_[r];
+    const RelationStore& mine = stores_[r];
+    const RelationStore& theirs = other.stores_[r];
     if (mine.num_rows != theirs.num_rows) return false;
     for (uint32_t i = 0; i < mine.num_rows; ++i) {
       Tuple t = Row(r, i);
-      if (theirs.Find(t, mine.hashes[i]) == ColumnStore::kNoRow) {
+      if (theirs.Find(t, mine.hashes[i]) == kNoRow) {
         return false;
       }
     }
@@ -283,12 +325,12 @@ std::string Instance::ToString() const {
   std::vector<std::string> parts;
   for (RelationId r = 0; r < stores_.size(); ++r) {
     const std::string& name = schema_->relation(r).name;
-    const ColumnStore& store = stores_[r];
+    const RelationStore& store = stores_[r];
     for (uint32_t i = 0; i < store.num_rows; ++i) {
       std::vector<std::string> args;
-      args.reserve(store.columns.size());
-      for (const std::vector<Value>& column : store.columns) {
-        args.push_back(column[i].ToString());
+      args.reserve(store.arity);
+      for (uint32_t c = 0; c < store.arity; ++c) {
+        args.push_back(at(r, i, c).ToString());
       }
       parts.push_back(name + "(" + Join(args, ",") + ")");
     }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
@@ -43,19 +42,70 @@ struct Fact {
 /// contain constants and labeled nulls; canonical instances (the paper's
 /// `I_alpha`) additionally contain variables in their active domain.
 ///
-/// Storage is insert-only, column-major, and hash-indexed. Each relation
-/// keeps one dense `std::vector<Value>` per column (row id = insertion
-/// order, shared across the columns), an open-addressed full-tuple slot
-/// table for membership and duplicate absorption, and a posting list on
-/// *every* column mapping each distinct value to the ascending row ids
-/// carrying it. The homomorphism matcher probes whichever determined
-/// column has the smallest posting list and falls back to a columnar scan;
-/// per-column distinct counts are maintained incrementally (the posting
-/// map sizes), so `CostModel::FromInstance` reads statistics instead of
-/// rescanning. `AddFact` is amortized O(arity); there is no per-insert
-/// log factor.
+/// Storage is insert-only, row-major, and hash-indexed, in a few flat
+/// arrays per relation: the cells of every row back to back (row id =
+/// insertion order), an open-addressed full-tuple slot table for
+/// membership and duplicate absorption, and a posting list on *every*
+/// column. A posting list is a chain through a per-cell `next` array that
+/// links each row to the next row carrying the same value in that column;
+/// one open-addressed `(column, value)` table per relation holds each
+/// chain's head, tail and length. The homomorphism matcher probes
+/// whichever determined column has the shortest posting list and falls
+/// back to a row scan; per-column distinct counts are maintained
+/// incrementally (one per `(column, value)` entry), so
+/// `CostModel::FromInstance` reads statistics instead of rescanning.
+/// `AddFact` is amortized O(arity) and allocates only when an array grows;
+/// copying or freeing an instance costs a few allocations per relation,
+/// however many distinct values it holds.
 class Instance {
  public:
+  /// The ascending row ids of one posting list, read through the store's
+  /// row chain. A view, not a copy: any AddFact on the same instance may
+  /// reallocate the arrays it reads, so it is invalidated by every
+  /// AddFact (UnionWith included), whatever the added value.
+  class PostingList {
+   public:
+    class iterator {
+     public:
+      uint32_t operator*() const { return row_; }
+      iterator& operator++() {
+        row_ = next_[static_cast<size_t>(row_) * stride_];
+        return *this;
+      }
+      friend bool operator==(const iterator& a, const iterator& b) {
+        return a.row_ == b.row_;
+      }
+
+     private:
+      friend class PostingList;
+      iterator(const uint32_t* next, uint32_t stride, uint32_t row)
+          : next_(next), stride_(stride), row_(row) {}
+
+      const uint32_t* next_;
+      uint32_t stride_;
+      uint32_t row_;
+    };
+
+    /// The empty list.
+    PostingList() = default;
+
+    size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
+    iterator begin() const { return iterator(next_, stride_, head_); }
+    iterator end() const { return iterator(next_, stride_, kNoRow); }
+
+   private:
+    friend class Instance;
+    PostingList(const uint32_t* next, uint32_t stride, uint32_t head,
+                uint32_t count)
+        : next_(next), stride_(stride), head_(head), count_(count) {}
+
+    const uint32_t* next_ = nullptr;  // the column's first `next` cell
+    uint32_t stride_ = 0;             // the relation's arity
+    uint32_t head_ = kNoRow;
+    uint32_t count_ = 0;
+  };
+
   /// Creates the empty instance over `schema`. The schema is shared, not
   /// copied.
   explicit Instance(SchemaPtr schema) : schema_(std::move(schema)) {
@@ -81,31 +131,25 @@ class Instance {
     return stores_[relation].num_rows;
   }
 
-  /// One cell of the column-major store: column `col` of row `row`.
+  /// One cell of the row-major store: column `col` of row `row`.
   const Value& at(RelationId relation, uint32_t row, uint32_t col) const {
-    return stores_[relation].columns[col][row];
+    const RelationStore& store = stores_[relation];
+    return store.cells[static_cast<size_t>(row) * store.arity + col];
   }
 
-  /// Materializes one row as a tuple (row-major view of the columns).
+  /// Materializes one row as a tuple.
   Tuple Row(RelationId relation, uint32_t row) const;
 
-  /// Row ids (ascending) of the rows whose column `col` equals `v`, or
-  /// nullptr when there are none. Every column is indexed.
-  const std::vector<uint32_t>* RowsWith(RelationId relation, uint32_t col,
-                                        const Value& v) const;
-
-  /// First-column shorthand for RowsWith(relation, 0, v). Arity-0-safe:
-  /// never returns entries for empty tuples.
-  const std::vector<uint32_t>* RowsWithFirst(RelationId relation,
-                                             const Value& v) const {
-    if (stores_[relation].columns.empty()) return nullptr;
-    return RowsWith(relation, 0, v);
-  }
+  /// Row ids (ascending) of the rows whose column `col` equals `v`; empty
+  /// when there are none. Every column is indexed. The list is a view
+  /// that the next AddFact on this instance invalidates (see PostingList).
+  PostingList RowsWith(RelationId relation, uint32_t col,
+                       const Value& v) const;
 
   /// Number of distinct values in one column — maintained incrementally
-  /// (it is the posting-map size), O(1).
+  /// (one per `(column, value)` entry), O(1).
   uint32_t ColumnDistinct(RelationId relation, uint32_t col) const {
-    return static_cast<uint32_t>(stores_[relation].postings[col].size());
+    return stores_[relation].distinct[col];
   }
 
   /// Total number of facts across all relations.
@@ -185,37 +229,61 @@ class Instance {
   }
 
  private:
-  /// One relation's column-major rows plus its incremental indexes.
-  struct ColumnStore {
-    explicit ColumnStore(uint32_t arity)
-        : columns(arity), postings(arity) {}
+  /// "No row": ends a row chain, marks a free slot and a missing tuple.
+  static constexpr uint32_t kNoRow = 0xFFFFFFFFu;
 
+  /// One relation's rows plus its incremental indexes, in flat arrays.
+  struct RelationStore {
+    explicit RelationStore(uint32_t arity) : arity(arity), distinct(arity) {}
+
+    /// One `(column, value)` entry: the row chain of the rows carrying
+    /// `value` in column `col`, or a free table slot when `count` is 0
+    /// (a free slot's head stays kNoRow, so it reads as an empty list).
+    struct Chain {
+      Value value;
+      uint32_t col = 0;
+      uint32_t head = kNoRow;
+      uint32_t tail = kNoRow;
+      uint32_t count = 0;
+    };
+
+    uint32_t arity;
     uint32_t num_rows = 0;
-    /// Column-major cells: columns[c][row]. All columns share row ids.
-    std::vector<std::vector<Value>> columns;
-    /// Per-column posting lists: value -> ascending row ids carrying it.
-    /// The map size doubles as the column's incremental distinct count.
-    std::vector<std::unordered_map<Value, std::vector<uint32_t>, ValueHash>>
-        postings;
+    /// Row-major cells: cells[row * arity + col].
+    std::vector<Value> cells;
+    /// Per-cell chain links: next[row * arity + col] is the next row
+    /// (ascending) whose column `col` holds the same value, or kNoRow
+    /// after the chain's last row.
+    std::vector<uint32_t> next;
+    /// Open-addressed `(column, value)` table (power-of-two capacity,
+    /// linear probing, grown before the load crosses 7/8), holding
+    /// `num_chains` chains.
+    std::vector<Chain> chains;
+    uint32_t num_chains = 0;
+    /// Per-column distinct counts: the chains of each column.
+    std::vector<uint32_t> distinct;
     /// Open-addressed full-tuple slot table (qmap-style flat layout):
     /// power-of-two capacity, linear probing, slots hold row ids with
-    /// kEmptySlot marking free slots. `hashes[row]` caches the row's
-    /// TupleHash so probes compare a word before touching the columns and
-    /// rehashing never re-reads cells.
+    /// kNoRow marking free slots. `hashes[row]` caches the row's
+    /// TupleHash so probes compare a word before touching the cells and
+    /// rehashing never re-reads them.
     std::vector<uint32_t> slots;
     std::vector<uint64_t> hashes;
 
     /// Row id of `tuple` if present, else kNoRow. `hash` must be
     /// TupleHash{}(tuple).
     uint32_t Find(const Tuple& tuple, uint64_t hash) const;
-    /// Inserts the row id mapping for a row just appended to the columns.
-    /// Grows and rehashes the slot table as needed.
+    /// Inserts the row id mapping for a row about to be appended. Grows
+    /// and rehashes the slot table as needed.
     void IndexNewRow(uint32_t row_id, uint64_t hash);
+    /// Appends the just-stored row `row_id` to the chain of each of its
+    /// cells, starting a chain for each new `(column, value)`.
+    void LinkNewRow(uint32_t row_id);
+    /// Index in `chains` of the chain of `(col, v)`, or of the free slot
+    /// where it would start. Requires a non-empty table.
+    size_t ChainSlot(uint32_t col, const Value& v) const;
     /// Cell-by-cell comparison of stored row `row` against `tuple`.
     bool RowEquals(uint32_t row, const Tuple& tuple) const;
-
-    static constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
-    static constexpr uint32_t kNoRow = 0xFFFFFFFFu;
   };
 
   bool EqualFactSets(const Instance& other) const;
@@ -224,7 +292,7 @@ class Instance {
   std::vector<Tuple> SortedRows(RelationId relation) const;
 
   SchemaPtr schema_;
-  std::vector<ColumnStore> stores_;  // indexed by RelationId
+  std::vector<RelationStore> stores_;  // indexed by RelationId
   uint64_t fingerprint_ = 0;
 };
 

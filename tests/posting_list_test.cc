@@ -10,14 +10,15 @@
 #include "relational/instance.h"
 #include "relational/schema.h"
 
-// Posting-list invariants of the columnar store: after any insert
+// Posting-list invariants of the flat relation store: after any insert
 // sequence (duplicates included), for every column of every relation the
-// per-column posting lists must exactly partition the row-id set, the
-// incremental stats (`NumRows`, `ColumnDistinct`) must match brute-force
-// recounts over the columns, and `RowsWith(col, value)` must agree with a
-// linear scan — including when the same interned id appears in several
-// columns, or as both a constant and a null (same numeric id, different
-// kind).
+// per-column posting lists (row chains) must exactly partition the row-id
+// set, the incremental stats (`NumRows`, `ColumnDistinct`) must match
+// brute-force recounts over the cells, and `RowsWith(col, value)` must
+// agree with a linear scan — including when the same interned id appears
+// in several columns, or as both a constant and a null (same numeric id,
+// different kind), after the `(column, value)` table regrows, and in each
+// of two copies that grow apart.
 
 namespace qimap {
 namespace {
@@ -31,6 +32,13 @@ ColumnIndex ScanColumn(const Instance& inst, RelationId r, uint32_t col) {
     index[inst.at(r, row, col)].push_back(row);
   }
   return index;
+}
+
+// The row ids a posting list yields, in iteration order.
+std::vector<uint32_t> Rows(const Instance::PostingList& list) {
+  std::vector<uint32_t> rows;
+  for (uint32_t row : list) rows.push_back(row);
+  return rows;
 }
 
 void CheckAllInvariants(const Instance& inst) {
@@ -48,12 +56,14 @@ void CheckAllInvariants(const Instance& inst) {
       // RowsWith agrees with the linear scan for every present value...
       std::set<uint32_t> covered;
       for (const auto& [value, expect_rows] : oracle) {
-        const std::vector<uint32_t>* posting = inst.RowsWith(r, col, value);
-        ASSERT_NE(posting, nullptr) << "missing posting for " +
-                                           value.ToString();
-        EXPECT_EQ(*posting, expect_rows) << "posting for " +
-                                                value.ToString();
-        for (uint32_t row : *posting) {
+        Instance::PostingList posting = inst.RowsWith(r, col, value);
+        ASSERT_FALSE(posting.empty()) << "missing posting for " +
+                                             value.ToString();
+        EXPECT_EQ(posting.size(), expect_rows.size())
+            << "posting size for " + value.ToString();
+        EXPECT_EQ(Rows(posting), expect_rows) << "posting for " +
+                                                     value.ToString();
+        for (uint32_t row : posting) {
           EXPECT_TRUE(covered.insert(row).second)
               << "row " << row << " in two posting lists";
         }
@@ -67,7 +77,7 @@ void CheckAllInvariants(const Instance& inst) {
         Value twin = value.IsNull() ? Value::MakeNull(value.id() + 1000000)
                                     : Value::MakeNull(value.id());
         if (oracle.find(twin) == oracle.end()) {
-          EXPECT_EQ(inst.RowsWith(r, col, twin), nullptr)
+          EXPECT_TRUE(inst.RowsWith(r, col, twin).empty())
               << "phantom posting for " + twin.ToString();
         }
       }
@@ -122,18 +132,12 @@ TEST(PostingListTest, InternedIdCollisionsStaySeparate) {
   ASSERT_TRUE(inst.AddFact("P", {null_a, a}).ok());
 
   // Column 0: a -> {0,1}, b -> {2}, _N<a.id> -> {3}.
-  const std::vector<uint32_t>* col0_a = inst.RowsWith(0, 0, a);
-  ASSERT_NE(col0_a, nullptr);
-  EXPECT_EQ(*col0_a, (std::vector<uint32_t>{0, 1}));
-  const std::vector<uint32_t>* col0_null = inst.RowsWith(0, 0, null_a);
-  ASSERT_NE(col0_null, nullptr);
-  EXPECT_EQ(*col0_null, (std::vector<uint32_t>{3}));
+  EXPECT_EQ(Rows(inst.RowsWith(0, 0, a)), (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(Rows(inst.RowsWith(0, 0, null_a)), (std::vector<uint32_t>{3}));
 
   // Column 1: a -> {0,2,3}; the null with a's id never appears there.
-  const std::vector<uint32_t>* col1_a = inst.RowsWith(0, 1, a);
-  ASSERT_NE(col1_a, nullptr);
-  EXPECT_EQ(*col1_a, (std::vector<uint32_t>{0, 2, 3}));
-  EXPECT_EQ(inst.RowsWith(0, 1, null_a), nullptr);
+  EXPECT_EQ(Rows(inst.RowsWith(0, 1, a)), (std::vector<uint32_t>{0, 2, 3}));
+  EXPECT_TRUE(inst.RowsWith(0, 1, null_a).empty());
 
   EXPECT_EQ(inst.ColumnDistinct(0, 0), 3u);
   EXPECT_EQ(inst.ColumnDistinct(0, 1), 2u);
@@ -153,24 +157,71 @@ TEST(PostingListTest, DuplicateInsertsLeaveIndexesUntouched) {
   }
   EXPECT_EQ(inst.NumRows(0), 1u);
   EXPECT_EQ(inst.Fingerprint(), fingerprint);
-  const std::vector<uint32_t>* rows =
-      inst.RowsWith(0, 2, Value::MakeConstant("a"));
-  ASSERT_NE(rows, nullptr);
-  EXPECT_EQ(*rows, (std::vector<uint32_t>{0}));
+  EXPECT_EQ(Rows(inst.RowsWith(0, 2, Value::MakeConstant("a"))),
+            (std::vector<uint32_t>{0}));
   CheckAllInvariants(inst);
 }
 
-// RowsWithFirst is the column-0 shorthand the delta/trigger paths use.
-TEST(PostingListTest, RowsWithFirstDelegatesToColumnZero) {
-  SchemaPtr schema = MakeSchema("P/2");
-  Instance inst(schema);
+// A copy shares no storage with its original: after each side adds
+// facts of its own, both keep every invariant, and neither sees the
+// other's rows (the chains of a value both sides extend stay apart).
+TEST(PostingListTest, CopiesGrowApart) {
+  SchemaPtr schema = MakeSchema("P/2, Q/1");
   Value a = Value::MakeConstant("a");
   Value b = Value::MakeConstant("b");
-  ASSERT_TRUE(inst.AddFact("P", {a, b}).ok());
-  ASSERT_TRUE(inst.AddFact("P", {b, a}).ok());
-  EXPECT_EQ(inst.RowsWithFirst(0, a), inst.RowsWith(0, 0, a));
-  EXPECT_EQ(inst.RowsWithFirst(0, b), inst.RowsWith(0, 0, b));
-  EXPECT_EQ(inst.RowsWithFirst(0, Value::MakeConstant("zz")), nullptr);
+  Value c = Value::MakeConstant("c");
+  Instance original(schema);
+  ASSERT_TRUE(original.AddFact("P", {a, b}).ok());
+  ASSERT_TRUE(original.AddFact("P", {b, a}).ok());
+  ASSERT_TRUE(original.AddFact("Q", {a}).ok());
+
+  Instance copy = original;
+  ASSERT_TRUE(original.AddFact("P", {a, c}).ok());
+  ASSERT_TRUE(original.AddFact("Q", {c}).ok());
+  ASSERT_TRUE(copy.AddFact("P", {a, a}).ok());
+  ASSERT_TRUE(copy.AddFact("P", {c, b}).ok());
+  CheckAllInvariants(original);
+  CheckAllInvariants(copy);
+
+  // Row 2 of P is (a, c) in the original and (a, a) in the copy.
+  EXPECT_EQ(Rows(original.RowsWith(0, 0, a)), (std::vector<uint32_t>{0, 2}));
+  EXPECT_EQ(Rows(copy.RowsWith(0, 0, a)), (std::vector<uint32_t>{0, 2}));
+  EXPECT_EQ(Rows(original.RowsWith(0, 1, c)), (std::vector<uint32_t>{2}));
+  EXPECT_TRUE(copy.RowsWith(0, 1, c).empty());
+  EXPECT_EQ(Rows(copy.RowsWith(0, 1, a)), (std::vector<uint32_t>{1, 2}));
+  EXPECT_EQ(Rows(original.RowsWith(0, 1, a)), (std::vector<uint32_t>{1}));
+  EXPECT_EQ(Rows(copy.RowsWith(0, 0, c)), (std::vector<uint32_t>{3}));
+  EXPECT_TRUE(original.RowsWith(0, 0, c).empty());
+  EXPECT_TRUE(copy.RowsWith(1, 0, c).empty());
+
+  EXPECT_TRUE(original.ContainsFact(0, {a, c}));
+  EXPECT_FALSE(copy.ContainsFact(0, {a, c}));
+  EXPECT_TRUE(copy.ContainsFact(0, {c, b}));
+  EXPECT_FALSE(original.ContainsFact(0, {c, b}));
+  EXPECT_EQ(original.NumFacts(), 5u);
+  EXPECT_EQ(copy.NumFacts(), 5u);
+  EXPECT_NE(original.Fingerprint(), copy.Fingerprint());
+}
+
+// The `(column, value)` table starts at 16 entries and doubles before its
+// load crosses 7/8, so 300 distinct values in column 1 (plus the one
+// chain of column 0) regrow it five times, to 512 entries. Column 0
+// carries the same value on every row, so that one chain is extended
+// across every regrowth and must survive each rehash intact.
+TEST(PostingListTest, OneChainSurvivesEveryTableRegrowth) {
+  SchemaPtr schema = MakeSchema("P/2");
+  Instance inst(schema);
+  Value hub = Value::MakeConstant("hub");
+  std::vector<uint32_t> hub_rows;
+  for (uint32_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(
+        inst.AddFact("P", {hub, Value::MakeNull(i + 1)}).ok());
+    hub_rows.push_back(i);
+    ASSERT_EQ(Rows(inst.RowsWith(0, 0, hub)), hub_rows);
+    EXPECT_EQ(inst.ColumnDistinct(0, 0), 1u);
+    EXPECT_EQ(inst.ColumnDistinct(0, 1), i + 1);
+    CheckAllInvariants(inst);
+  }
 }
 
 }  // namespace

@@ -118,7 +118,7 @@ TEST_F(StoreDifferentialTest, IndexedMatchesFullScanAcross216Scenarios) {
 }
 
 // Wider shapes stress the posting lists harder: more relations, higher
-// arity (more columns per posting map), denser variable sharing (more
+// arity (more posting lists per relation), denser variable sharing (more
 // bound columns per probe).
 TEST_F(StoreDifferentialTest, WideShapesAgreeToo) {
   ScenarioConfig config;

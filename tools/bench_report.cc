@@ -32,8 +32,12 @@
 //     oversubscription noise — but their counters stay gated in full;
 //   * work counters are increases-only: a counter fails when
 //     cur > base * (1 + counter-tolerance) + 16 (--counter-tolerance,
-//     default 0.1). `chase.parallel.*` counters are exempt (their split
-//     depends on the worker-thread count, not on the work done).
+//     default 0.1);
+//   * a baseline counter the run no longer emits fails: a bench that
+//     stops counting (say `hom.searches`) would otherwise pass, and a
+//     deliberately removed counter is dropped from the baseline.
+//   `chase.parallel.*` counters are exempt from both counter rules (their
+//   split depends on the worker-thread count, not on the work done).
 // Violations print one line each on stderr and the exit code is 1, so a
 // ctest leg wired through this gate fails loudly. To refresh the
 // baseline after an intentional change, re-run the benches and copy the
@@ -303,6 +307,15 @@ int CheckAgainstBaseline(const std::vector<BenchEntry>& benches,
                      base_counter->second);
         ++violations;
       }
+    }
+    for (const auto& [key, value] : base.counters) {
+      if (CounterExempt(key) || bench.counters.count(key) != 0) continue;
+      std::fprintf(stderr,
+                   "bench_report: CHECK FAIL: '%s' counter '%s' is in the "
+                   "baseline (%.0f) but the run does not report it; drop "
+                   "it from the baseline if it was removed on purpose\n",
+                   bench.name.c_str(), key.c_str(), value);
+      ++violations;
     }
   }
   return violations;
