@@ -258,100 +258,6 @@ void RunScaledCorpusPhase(bench::JsonReporter& reporter) {
                  target_facts >= kFacts);
 }
 
-// Sharded-firing phases: eight independent dependency groups, each with
-// a seeding copy rule and a satisfaction-heavy rule whose rhs check must
-// reject every seeded candidate row before finding (or failing to find)
-// its witness — so pass-1 firing, the part the shard plan parallelizes,
-// dominates the run. The 1-thread run is the pre-pool serial path; the
-// 4-thread run fires the eight shards on the pool and must produce the
-// byte-identical instance. (On a single-core host the two runs measure
-// the same work plus shard overhead; the wall-time win needs real
-// cores.)
-void RunShardedFiringPhases(bench::JsonReporter& reporter) {
-  bench::Banner("P1d", "Sharded parallel firing, 1 vs 4 threads");
-  constexpr int kGroups = 8;
-  constexpr int kSeedRows = 500;    // rejected candidates per rhs check
-  constexpr int kTriggers = 2000;   // satisfaction checks per group
-  std::string source_schema, target_schema, tgds;
-  for (int k = 1; k <= kGroups; ++k) {
-    std::string n = std::to_string(k);
-    if (k > 1) {
-      source_schema += ", ";
-      target_schema += ", ";
-      tgds += "; ";
-    }
-    source_schema += "S" + n + "/3, P" + n + "/2";
-    target_schema += "T" + n + "/3";
-    tgds += "S" + n + "(x,u,v) -> T" + n + "(x,u,v); P" + n +
-            "(x,y) -> exists w: T" + n + "(x,w,w)";
-  }
-  SchemaMapping m = MustParseMapping(source_schema, target_schema, tgds);
-  Instance source(m.source);
-  Value hub = Value::MakeConstant("hub");
-  for (int k = 1; k <= kGroups; ++k) {
-    std::string sk = "S" + std::to_string(k);
-    std::string pk = "P" + std::to_string(k);
-    for (int j = 0; j < kSeedRows; ++j) {
-      // e<j> != f<j>: no seeded row ever witnesses T(x,w,w).
-      Status s = source.AddFact(
-          sk, {hub, Value::MakeConstant("e" + std::to_string(j)),
-               Value::MakeConstant("f" + std::to_string(j))});
-      (void)s;
-    }
-    for (int i = 0; i < kTriggers; ++i) {
-      Status s = source.AddFact(
-          pk, {hub, Value::MakeConstant("b" + std::to_string(i))});
-      (void)s;
-    }
-  }
-  {
-    // Untimed warm-up: touch every page and warm the allocator so the
-    // first timed phase is not penalized for running first.
-    ChaseOptions options;
-    options.num_threads = 1;
-    benchmark::DoNotOptimize(MustChase(source, m, options).NumFacts());
-  }
-  std::string fired_1t, fired_4t;
-  double seconds_1t = 0, seconds_4t = 0;
-  {
-    auto start = std::chrono::steady_clock::now();
-    // The 1t/4t pair only measures a meaningful speedup on a >=4-core
-    // host; tag both so the regression gate's timing leg skips them on
-    // smaller runners (counters are still gated).
-    bench::JsonReporter::ScopedPhase phase(reporter, "sharded_fire_1t",
-                                           /*requires_cores=*/4);
-    ChaseOptions options;
-    options.num_threads = 1;
-    fired_1t = MustChase(source, m, options).ToString();
-    seconds_1t =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-  }
-  {
-    auto start = std::chrono::steady_clock::now();
-    bench::JsonReporter::ScopedPhase phase(reporter, "sharded_fire_4t",
-                                           /*requires_cores=*/4);
-    ChaseOptions options;
-    options.num_threads = 4;
-    fired_4t = MustChase(source, m, options).ToString();
-    seconds_4t =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-  }
-  bool identical = fired_1t == fired_4t;
-  char ratio[64];
-  std::snprintf(ratio, sizeof(ratio), "%.2fx (%.3fs vs %.3fs)",
-                seconds_4t > 0 ? seconds_1t / seconds_4t : 0.0, seconds_1t,
-                seconds_4t);
-  bench::Row("4-thread output == 1-thread output", "identical",
-             bench::YesNo(identical));
-  bench::Row("sharded speedup (1t / 4t wall time)", "> 1x on multicore",
-             ratio);
-  bench::Verdict(identical);
-}
-
 }  // namespace qimap
 
 int main(int argc, char** argv) {
@@ -364,7 +270,6 @@ int main(int argc, char** argv) {
   }
   qimap::RunIncrementalPhase(reporter);
   qimap::RunScaledCorpusPhase(reporter);
-  qimap::RunShardedFiringPhases(reporter);
   reporter.Write();
   return 0;
 }

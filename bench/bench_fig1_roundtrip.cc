@@ -85,10 +85,8 @@ Instance ScaledFig1Source(const SchemaMapping& m, int rows) {
 
 // Timed indexed-vs-naive differential on the scaled source, recorded as
 // chase_indexed / chase_noindex phases in BENCH_fig1_roundtrip.json so
-// bench_report's summary carries the speedup, and a chase_parallel phase
-// that resolves its thread count from QIMAP_CHASE_THREADS (the
-// bench_fig1_parallel_* ctest legs diff its counters at 1 vs 4 threads).
-void DifferentialAndParallelPhases(bench::JsonReporter& reporter) {
+// bench_report's summary carries the speedup.
+void DifferentialPhases(bench::JsonReporter& reporter) {
   SchemaMapping m = catalog::Decomposition();
   Instance big = ScaledFig1Source(m, 3000);
   ChaseOptions indexed;
@@ -106,24 +104,6 @@ void DifferentialAndParallelPhases(bench::JsonReporter& reporter) {
   }
   bench::Row("indexed chase output matches full-scan", "identical",
              with_index == without_index ? "identical" : "different");
-
-  // GAV-split form of the same mapping: two dependencies, so the
-  // per-dependency trigger collection fans out when the pool has
-  // threads to spare.
-  SchemaMapping split = m;
-  split.tgds.clear();
-  split.tgds.push_back(m.tgds[0]);
-  split.tgds.push_back(m.tgds[0]);
-  split.tgds[0].rhs.resize(1);  // P(x,y,z) -> Q(x,y)
-  split.tgds[1].rhs.erase(split.tgds[1].rhs.begin());  // -> R(y,z)
-  ChaseOptions env_threads;
-  env_threads.num_threads = 0;  // resolve via QIMAP_CHASE_THREADS
-  {
-    bench::JsonReporter::ScopedPhase phase(reporter, "chase_parallel");
-    Result<Instance> u = Chase(big, split, env_threads);
-    bench::Row("parallel chase of GAV-split mapping", "ok",
-               u.ok() ? "ok" : u.status().ToString());
-  }
 }
 
 void BM_Fig1ForwardChase(benchmark::State& state) {
@@ -187,7 +167,7 @@ int main(int argc, char** argv) {
   qimap::PrintReport();
   benchmark::Initialize(&argc, argv);
   qimap::bench::JsonReporter reporter("fig1_roundtrip");
-  qimap::DifferentialAndParallelPhases(reporter);
+  qimap::DifferentialPhases(reporter);
   {
     qimap::bench::JsonReporter::ScopedPhase phase(reporter, "benchmarks");
     benchmark::RunSpecifiedBenchmarks();

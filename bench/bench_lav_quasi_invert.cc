@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
-#include "chase/chase.h"
 #include "core/framework.h"
 #include "relational/instance_enum.h"
 #include "workload/paper_catalog.h"
@@ -56,24 +55,6 @@ void PrintReport() {
   bench::Verdict(all_ok);
 }
 
-// Chases a seeded multi-tgd LAV mapping with the thread count resolved
-// from QIMAP_CHASE_THREADS (ChaseOptions::num_threads = 0), recorded as a
-// chase_parallel phase. The bench_lav_parallel_* ctest legs run this
-// binary at 1 and 4 threads and require the counters to agree except for
-// the chase.parallel.* family.
-void ParallelChasePhase(bench::JsonReporter& reporter) {
-  Rng rng(20070611);
-  SchemaMapping m = RandomLavMapping(&rng, /*num_tgds=*/4);
-  Instance source =
-      RandomGroundInstance(m.source, MakeDomain({"a", "b", "c"}), 12, &rng);
-  ChaseOptions options;
-  options.num_threads = 0;  // resolve via QIMAP_CHASE_THREADS
-  bench::JsonReporter::ScopedPhase phase(reporter, "chase_parallel");
-  Result<Instance> u = Chase(source, m, options);
-  bench::Row("parallel chase of random LAV mapping", "ok",
-             u.ok() ? "ok" : u.status().ToString());
-}
-
 void BM_SubsetPropertyRandomLav(benchmark::State& state) {
   Rng rng(static_cast<uint64_t>(state.range(0)) * 6151 + 1);
   RandomMappingConfig config;
@@ -111,7 +92,6 @@ int main(int argc, char** argv) {
   qimap::PrintReport();
   benchmark::Initialize(&argc, argv);
   qimap::bench::JsonReporter reporter("lav_quasi_invert");
-  qimap::ParallelChasePhase(reporter);
   {
     qimap::bench::JsonReporter::ScopedPhase phase(reporter, "benchmarks");
     benchmark::RunSpecifiedBenchmarks();

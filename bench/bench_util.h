@@ -55,36 +55,27 @@ class JsonReporter {
  public:
   explicit JsonReporter(std::string name) : name_(std::move(name)) {}
 
-  /// `requires_cores > 0` tags a phase whose wall time is only meaningful
-  /// on a machine with at least that many hardware threads (e.g. a
-  /// 4-thread speedup phase): the bench-regression timing gate skips such
-  /// phases on smaller hosts, where the "parallel" run is pure
-  /// oversubscription noise. Counters are gated regardless of the tag.
-  void AddPhase(const std::string& phase, double seconds,
-                unsigned requires_cores = 0) {
-    phases_.push_back({phase, seconds, requires_cores});
+  void AddPhase(const std::string& phase, double seconds) {
+    phases_.push_back({phase, seconds});
   }
 
   /// RAII phase timer (steady-clock wall time).
   class ScopedPhase {
    public:
-    ScopedPhase(JsonReporter& reporter, std::string phase,
-                unsigned requires_cores = 0)
+    ScopedPhase(JsonReporter& reporter, std::string phase)
         : reporter_(reporter), phase_(std::move(phase)),
-          requires_cores_(requires_cores),
           start_(std::chrono::steady_clock::now()) {}
     ScopedPhase(const ScopedPhase&) = delete;
     ScopedPhase& operator=(const ScopedPhase&) = delete;
     ~ScopedPhase() {
       std::chrono::duration<double> elapsed =
           std::chrono::steady_clock::now() - start_;
-      reporter_.AddPhase(phase_, elapsed.count(), requires_cores_);
+      reporter_.AddPhase(phase_, elapsed.count());
     }
 
    private:
     JsonReporter& reporter_;
     std::string phase_;
-    unsigned requires_cores_;
     std::chrono::steady_clock::time_point start_;
   };
 

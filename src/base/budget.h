@@ -20,20 +20,18 @@ namespace qimap {
 /// engine runs under a guard instead of running to completion. A `Budget`
 /// bounds four resources at once — chase steps, wall-clock time (via an
 /// injectable clock), approximate memory bytes, and generated labeled
-/// nulls — and observes a cooperative `Cancellation` token that the
-/// thread pool also checks between tasks. One `Budget` may be shared
-/// across a whole pipeline composition (QuasiInverse -> its MinGen
+/// nulls — and observes a cooperative `Cancellation` token, which trigger
+/// collection also checks before each dependency. One `Budget` may be
+/// shared across a whole pipeline composition (QuasiInverse -> its MinGen
 /// searches) so the limits bound the end-to-end run, not each stage
 /// separately.
 ///
 /// A budget trips at most once and is sticky: the first limit violation
 /// records which limit tripped and every later check returns the same
-/// structured status (`ResourceExhausted`, or `Cancelled` for the token),
-/// so a multi-threaded fan-out winds down deterministically instead of
-/// racing to report different limits. Engines translate a trip into a
-/// best-effort partial result flagged `partial = true` plus a `budget`
-/// journal event and `budget.*` metrics (`obs::PipelineRun::Trip`,
-/// obs/pipeline_run.h).
+/// structured status (`ResourceExhausted`, or `Cancelled` for the token).
+/// Engines translate a trip into a best-effort partial result flagged
+/// `partial = true` plus a `budget` journal event and `budget.*` metrics
+/// (`obs::PipelineRun::Trip`, obs/pipeline_run.h).
 
 /// Which resource limit tripped a Budget.
 enum class BudgetLimit : uint8_t {
@@ -52,8 +50,8 @@ enum class BudgetLimit : uint8_t {
 const char* BudgetLimitName(BudgetLimit limit);
 
 /// A cooperative cancellation token shared between a controller and the
-/// pipelines it governs. Thread-safe; the thread pool checks it between
-/// tasks and every budget check observes it.
+/// pipelines it governs. Thread-safe, so a controller on another thread
+/// may cancel; every budget check observes it.
 class Cancellation {
  public:
   void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
@@ -79,7 +77,7 @@ struct BudgetSpec {
   size_t max_nulls = 0;
   /// Monotone microsecond clock; empty = std::chrono::steady_clock.
   std::function<uint64_t()> clock;
-  /// Observed, not owned; may be null. Shared with the thread pool.
+  /// Observed, not owned; may be null.
   Cancellation* cancellation = nullptr;
   /// Deterministic fault injection (inactive by default).
   FaultPlan fault_plan;
@@ -128,8 +126,8 @@ class Budget {
   /// batch consumed. Also performs Check().
   Status OnTriggerBatch(const char* what);
 
-  /// FaultSite::kPoolTask injection point; one call per pool task.
-  /// Thread-safe. Also performs Check().
+  /// FaultSite::kPoolTask injection point; one call per dependency body,
+  /// before it is collected. Also performs Check().
   Status OnPoolTask(const char* what);
 
   bool exhausted() const { return tripped() != BudgetLimit::kNone; }
@@ -146,7 +144,6 @@ class Budget {
   /// The limits this budget enforces (progress heartbeats derive the
   /// consumed-fraction display from consumed counts over these).
   const BudgetSpec& spec() const { return spec_; }
-  Cancellation* cancellation() const { return spec_.cancellation; }
 
   /// Renders usage for diagnostics / journal events:
   /// "steps=12, nulls=3, bytes=456, elapsed_us=789".

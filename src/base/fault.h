@@ -21,8 +21,7 @@ enum class FaultSite : uint8_t {
   kAllocCheckpoint,
   /// One per dependency whose trigger batch is consumed by a chase round.
   kTriggerBatch,
-  /// One per task handed to the thread pool during trigger collection
-  /// (one per dependency body).
+  /// One per dependency body, before it is collected.
   kPoolTask,
 };
 

@@ -4,9 +4,7 @@
 #include <cstdlib>
 
 #include "base/budget.h"
-#include "base/thread_pool.h"
 #include "chase/chase_checkpoint.h"
-#include "chase/shard_plan.h"
 #include "chase/trigger_finder.h"
 #include "obs/metrics.h"
 #include "obs/pipeline_run.h"
@@ -76,24 +74,6 @@ bool TouchesRhs(const Tgd& tgd, const std::vector<bool>& touched) {
   return false;
 }
 
-// True iff the two schemas name the same relation-id space, so a
-// dependency body's relation ids refer to relations the chase writes
-// (e.g. the implication oracle chasing canonical instances under one
-// schema, where a transitivity tgd both reads and writes E). For a
-// genuine s-t mapping the numeric ids merely alias two distinct schemas
-// and bodies never see target facts. Schema has no operator==; compare
-// by identity first, then structurally by (name, arity) per id.
-bool SchemasAlias(const SchemaPtr& a, const SchemaPtr& b) {
-  if (a == b) return true;
-  if (a == nullptr || b == nullptr || a->size() != b->size()) return false;
-  for (RelationId r = 0; r < a->size(); ++r) {
-    const RelationSymbol& ra = a->relation(r);
-    const RelationSymbol& rb = b->relation(r);
-    if (ra.name != rb.name || ra.arity != rb.arity) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
@@ -159,10 +139,10 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
     }
   }
 
-  // Profiling: register every dependency here, on the serial setup path,
-  // so ids are deterministic regardless of thread count. Registration is
-  // keyed by (pipeline, rendered text), so repeated chases of the same
-  // mapping (e.g. CheckRoundTrip's re-chases) aggregate into one entry.
+  // Profiling: register every dependency here, before any search runs,
+  // so ids follow dependency order. Registration is keyed by (pipeline,
+  // rendered text), so repeated chases of the same mapping (e.g.
+  // CheckRoundTrip's re-chases) aggregate into one entry.
   std::vector<uint32_t> prof_deps;
   const bool profiled = obs::Profiler::Enabled();
   if (profiled) {
@@ -178,11 +158,9 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
   // reaches a terminal chase state: no new lhs matches can ever appear.
   //
   // Phase 1 — collect every dependency's sorted trigger batch. Collection
-  // is side-effect-free (it reads only the fixed source instance), so the
-  // per-dependency fan-out is safe to parallelize; the canonical sort
-  // makes phase 2 independent of collection order. A resume collects
-  // semi-naively: only matches touching at least one delta fact.
-  ThreadPool pool(ResolveThreadCount(options.num_threads));
+  // reads only the fixed source instance, and the canonical sort makes
+  // phase 2 independent of the order the matcher enumerated in. A resume
+  // collects semi-naively: only matches touching at least one delta fact.
   HomSearchOptions lhs_options;
   lhs_options.use_index = options.use_index;
   std::vector<const Conjunction*> bodies;
@@ -191,7 +169,7 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
   std::vector<std::vector<Assignment>> batches(tgds.size());
   {
     Result<std::vector<std::vector<Assignment>>> collected =
-        FindTriggerBatches(bodies, {lhs_options}, source_inst, pool,
+        FindTriggerBatches(bodies, {lhs_options}, source_inst,
                            options.budget,
                            resume ? &ckpt->source_epoch : nullptr,
                            profiled ? &prof_deps : nullptr);
@@ -291,96 +269,9 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
   HomSearchOptions rhs_options;
   rhs_options.use_index = options.use_index;
 
-  // Phase 1.5 — hash-sharded parallel firing. The satisfaction searches
-  // are the expensive part of the fire loop, and they have bounded reach:
-  // a dependency's rhs search reads exactly the relations its rhs atoms
-  // name, and those relations are written only by dependencies of the
-  // same shard (connected components of the shared-rhs-relation graph).
-  // So each shard replays its own deps' triggers — in the same relative
-  // order the serial loop would — into a *private* instance on a pool
-  // thread, minting provisional null labels from a shard-local arena that
-  // starts at `null_base`. The shard instance is isomorphic to the serial
-  // target restricted to the shard's relations at every corresponding
-  // point (an injective provisional->final null relabeling that fixes the
-  // trigger's source-valued image), so each search visits the same
-  // candidate rows in the same order, returns the same outcome, and
-  // emits the same hom.* / chase.index.* counter deltas as the serial
-  // run. Phase 2 then consumes the precomputed outcomes instead of
-  // searching, and everything order-dependent — final null labels,
-  // journal events, fact insertion order, budget ticks, fingerprints —
-  // is produced serially exactly as before, byte-identical at every
-  // thread count. Only the chase.parallel.* counters (exempt from the
-  // telemetry compare) reveal that sharding engaged.
-  //
-  // Engagement is conservative: a plain full chase only (no resume, no
-  // checkpoint recording, no shared budget, no partial hand-back — those
-  // paths interleave outcome decisions with serial state), at least two
-  // pool threads and two shards, and a step valve the merged batch
-  // cannot trip (a mid-merge ResourceExhausted would make the pass-1
-  // search counters diverge from a serial run's truncated counters).
-  std::vector<std::vector<uint8_t>> shard_outcomes;
-  bool sharded = false;
-  if (overflow.ok() && !resume && !record && options.budget == nullptr &&
-      options.partial_out == nullptr && pool.num_threads() >= 2) {
-    size_t total_triggers = 0;
-    for (const std::vector<MergedTrigger>& sequence : merged) {
-      total_triggers += sequence.size();
-    }
-    ShardPlan plan = PlanFiringShards(
-        tgds, target_inst.schema()->size(),
-        /*bodies_read_targets=*/SchemasAlias(source_inst.schema(),
-                                             target_inst.schema()));
-    if (plan.num_shards >= 2 &&
-        (options.max_steps == 0 || total_triggers <= options.max_steps)) {
-      sharded = true;
-      static const obs::MetricId kShardRuns =
-          obs::RegisterCounter("chase.parallel.shard_batches");
-      static const obs::MetricId kShards =
-          obs::RegisterCounter("chase.parallel.shards");
-      static const obs::MetricId kShardTriggers =
-          obs::RegisterCounter("chase.parallel.shard_triggers");
-      obs::CounterAdd(kShardRuns);
-      obs::CounterAdd(kShards, plan.num_shards);
-      obs::CounterAdd(kShardTriggers, total_triggers);
-      shard_outcomes.resize(tgds.size());
-      for (size_t d = 0; d < tgds.size(); ++d) {
-        shard_outcomes[d].resize(merged[d].size());
-      }
-      pool.ParallelFor(plan.num_shards, [&](size_t s) {
-        Instance shard_inst(target_inst.schema());
-        uint32_t shard_null = null_base;
-        for (uint32_t d : plan.shard_deps[s]) {
-          const Tgd& tgd = tgds[d];
-          const uint32_t prof_dep =
-              profiled ? prof_deps[d] : obs::kProfileNoDep;
-          obs::ProfiledDepScope prof_scope(prof_dep,
-                                           obs::ProfilePhase::kFire);
-          for (size_t t = 0; t < merged[d].size(); ++t) {
-            const Assignment& h = *merged[d][t].h;
-            bool fire = !HasHomomorphism(tgd.rhs, shard_inst, h, rhs_options);
-            shard_outcomes[d][t] = fire ? 1 : 0;
-            if (!fire) continue;
-            Assignment extended = h;
-            for (const Value& y : existentials[d]) {
-              extended.emplace(y, Value::MakeNull(shard_null++));
-            }
-            for (Atom& atom :
-                 ApplyAssignmentToConjunction(tgd.rhs, extended)) {
-              Status status =
-                  shard_inst.AddFact(atom.relation, std::move(atom.args));
-              (void)status;  // target schema: cannot fail
-            }
-          }
-        }
-      });
-    }
-  }
-
-  // Phase 2 — fire serially in (dependency, canonical match) order. The
+  // Phase 2 — fire in (dependency, canonical match) order. The
   // satisfaction check reads the growing target instance, and fresh-null
-  // labels and journal records depend on firing order, so this phase
-  // stays single-threaded by design; after a sharded pass 1 it consumes
-  // the precomputed outcomes and does no searching at all.
+  // labels and journal records depend on firing order.
   //
   // Replay discipline (slow resume): a recorded SKIP stays a skip — the
   // target only gains facts relative to the recorded run (up to an
@@ -417,9 +308,7 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
     const uint32_t prof_dep =
         profiled ? prof_deps[dep_index] : obs::kProfileNoDep;
     obs::ProfiledDepScope prof_scope(prof_dep, obs::ProfilePhase::kFire);
-    for (size_t trig_index = 0; trig_index < merged[dep_index].size();
-         ++trig_index) {
-      const MergedTrigger& mt = merged[dep_index][trig_index];
+    for (const MergedTrigger& mt : merged[dep_index]) {
       const Assignment& h = *mt.h;
       Status tick = run.Tick();
       if (!tick.ok()) {
@@ -437,11 +326,7 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
       // resolve from their recorded outcome when the replay discipline
       // allows.
       bool fire = true;
-      if (sharded) {
-        // Pass 1 already ran this trigger's satisfaction search on its
-        // shard's private instance; replay the outcome.
-        fire = shard_outcomes[dep_index][trig_index] != 0;
-      } else if (mt.prov == Provenance::kOldSkipped && !diverged) {
+      if (mt.prov == Provenance::kOldSkipped && !diverged) {
         fire = false;
         ++st.checks_skipped;
       } else if (mt.prov == Provenance::kOldFired && !diverged &&

@@ -22,26 +22,14 @@ struct ChaseOptions {
   /// Safety valve on the number of chase steps (s-t chases always
   /// terminate; this guards against misuse).
   size_t max_steps = 1u << 20;
-  /// If true (default), every search runs a compiled per-dependency
-  /// match plan (chase/match_plan.h) over the instance's per-column
-  /// posting lists: each step probes the smallest determined-column list,
-  /// ground atoms collapse to one full-tuple hash lookup, and a body's
-  /// plan is reused while its greedy join order holds. If false, every
-  /// atom is matched by a full relation scan — the naive oracle the
+  /// If true (default), every search compiles a match plan
+  /// (chase/match_plan.h) over the instance's per-column posting lists
+  /// and runs it: each step probes the smallest determined-column list,
+  /// and ground atoms collapse to one full-tuple hash lookup. If false,
+  /// every atom is matched by a full relation scan — the naive oracle the
   /// differential tests compare against. Both settings produce identical
   /// chase output (trigger batches are canonically sorted before firing).
   bool use_index = true;
-  /// Worker threads for the chase's two parallel phases: trigger
-  /// collection (per-dependency fan-out) and, on plain full runs, sharded
-  /// firing — dependencies grouped by shared rhs relations fire into
-  /// per-shard private instances with shard-local provisional null
-  /// arenas, and a serial merge replays the canonical order (see
-  /// chase/shard_plan.h). 1 (default) runs fully inline, exactly as
-  /// before the pool existed; 0 reads the `QIMAP_CHASE_THREADS`
-  /// environment variable (defaulting to 1). Output — facts, null
-  /// labels, journal events, fingerprints, and every non-chase.parallel.*
-  /// counter — is byte-identical at every thread count.
-  size_t num_threads = 1;
   /// Shared resource governor (base/budget.h) consulted in addition to
   /// `max_steps`: wall-clock deadline, approximate memory, generated-null
   /// count, cancellation, and fault injection all flow through it. Not
@@ -59,8 +47,8 @@ struct ChaseOptions {
   /// a matching one resumes it: triggers are collected semi-naively over
   /// the facts added since the checkpoint epoch and the recorded run is
   /// extended — byte-identical to a full re-chase of the grown instance
-  /// (facts, null labels, journal events, fingerprint) at every thread
-  /// count. nullptr (default) disables recording and resuming.
+  /// (facts, null labels, journal events, fingerprint). nullptr (default)
+  /// disables recording and resuming.
   ChaseCheckpoint* incremental = nullptr;
 };
 

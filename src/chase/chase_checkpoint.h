@@ -22,8 +22,8 @@ namespace qimap {
 /// the trigger-by-trigger outcome of the recorded run, and the chased
 /// result itself. The resumed run is byte-identical to a full re-chase
 /// of the grown instance — same facts, same fresh-null labels, same
-/// journal events, same fingerprint — at every thread count; the full
-/// chase stays available as the differential oracle.
+/// journal events, same fingerprint; the full chase stays available as
+/// the differential oracle.
 ///
 /// The struct is an in/out parameter: pass a default-constructed (or
 /// stale) checkpoint to record a run, pass it back unchanged to resume.

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "base/budget.h"
-#include "base/thread_pool.h"
 #include "chase/trigger_finder.h"
 #include "obs/metrics.h"
 #include "obs/pipeline_run.h"
@@ -141,9 +140,7 @@ Result<std::vector<Instance>> DisjunctiveChase(
 
   // Dependency lhs are over the (fixed) target schema, so every node
   // shares the same per-dependency match lists — collect them once, with
-  // the side conditions applied. A one-thread pool collects them inline,
-  // in dependency order.
-  ThreadPool serial(1);
+  // the side conditions applied, in dependency order.
   std::vector<const Conjunction*> bodies;
   std::vector<HomSearchOptions> body_options;
   bodies.reserve(m.deps.size());
@@ -170,7 +167,7 @@ Result<std::vector<Instance>> DisjunctiveChase(
   std::vector<std::vector<Assignment>> dep_matches;
   {
     Result<std::vector<std::vector<Assignment>>> collected =
-        FindTriggerBatches(bodies, body_options, target_inst, serial,
+        FindTriggerBatches(bodies, body_options, target_inst,
                            options.budget, nullptr,
                            profiled ? &prof_deps : nullptr);
     if (!collected.ok()) return trip(collected.status());

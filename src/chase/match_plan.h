@@ -38,14 +38,8 @@ namespace qimap {
 ///
 /// Determinism contract: the partial assignment's *values* never
 /// influence compilation, so the `hom.*` and `chase.index.*` counters are
-/// a pure function of the searches run, byte-identical at every thread
-/// count and in every metrics window, like the rest of the engine. The
-/// sharded firing phase relies on a corollary: the statistics of a
-/// dependency's rhs relations are identical between the serial target and
-/// a shard's private instance at corresponding trigger points (provisional
-/// null relabeling is injective, so rows / distinct counts / constant
-/// posting lengths all agree), so greedy orders, and with them the
-/// counters, agree too.
+/// a pure function of the searches run, byte-identical in every metrics
+/// window, like the rest of the engine.
 
 /// How a compiled step locates candidate rows. Decided statically at
 /// compile time from which argument positions are determined when the

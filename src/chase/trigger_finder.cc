@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 
 namespace qimap {
@@ -27,19 +26,6 @@ bool UnifyAtomRow(const Atom& atom, const Instance& inst, uint32_t row,
     }
   }
   return true;
-}
-
-// Mirrors one parallel fan-out of `tasks` independent work items into the
-// `chase.parallel.batches` / `chase.parallel.tasks` counters. No-op for a
-// single-thread pool, so serial runs report all-zero parallel counters.
-void CountParallelFanout(const ThreadPool& pool, size_t tasks) {
-  if (pool.num_threads() < 2 || tasks < 2) return;
-  static const obs::MetricId kBatches =
-      obs::RegisterCounter("chase.parallel.batches");
-  static const obs::MetricId kTasks =
-      obs::RegisterCounter("chase.parallel.tasks");
-  obs::CounterAdd(kBatches);
-  obs::CounterAdd(kTasks, tasks);
 }
 
 }  // namespace
@@ -81,40 +67,27 @@ std::vector<Assignment> FindDeltaTriggers(
 Result<std::vector<std::vector<Assignment>>> FindTriggerBatches(
     const std::vector<const Conjunction*>& bodies,
     const std::vector<HomSearchOptions>& options, const Instance& inst,
-    ThreadPool& pool, Budget* budget,
-    const std::vector<uint32_t>* delta_epoch,
+    Budget* budget, const std::vector<uint32_t>* delta_epoch,
     const std::vector<uint32_t>* profile_deps) {
   std::vector<std::vector<Assignment>> batches(bodies.size());
-  std::vector<Status> statuses(bodies.size());
-  CountParallelFanout(pool, bodies.size());
-  const Cancellation* cancel =
-      budget != nullptr ? budget->cancellation() : nullptr;
-  pool.ParallelFor(
-      bodies.size(),
-      [&](size_t i) {
-        if (budget != nullptr) {
-          statuses[i] = budget->OnPoolTask("trigger collection");
-          if (!statuses[i].ok()) return;
-        }
-        uint32_t dep = profile_deps != nullptr ? (*profile_deps)[i]
-                                               : obs::kProfileNoDep;
-        obs::ProfiledDepScope scope(dep, obs::ProfilePhase::kCollect);
-        const HomSearchOptions& opts =
-            options.size() == 1 ? options[0] : options[i];
-        batches[i] =
-            delta_epoch != nullptr
-                ? FindDeltaTriggers(*bodies[i], inst, *delta_epoch, opts)
-                : FindTriggers(*bodies[i], inst, opts);
-        obs::ProfileRecordTriggers(dep, batches[i].size());
-      },
-      cancel);
-  if (budget != nullptr) {
-    // Lowest failing index wins so the reported error does not depend on
-    // thread timing. A cancelled ParallelFor leaves later slots OK but
-    // empty; the trailing Check() turns that into the budget's verdict.
-    for (const Status& status : statuses) {
-      QIMAP_RETURN_IF_ERROR(status);
+  for (size_t i = 0; i < bodies.size(); ++i) {
+    // OnPoolTask also checks the cancellation token and the deadline, and
+    // a trip is sticky, so the first failing body's status is the
+    // budget's verdict.
+    if (budget != nullptr) {
+      QIMAP_RETURN_IF_ERROR(budget->OnPoolTask("trigger collection"));
     }
+    uint32_t dep = profile_deps != nullptr ? (*profile_deps)[i]
+                                           : obs::kProfileNoDep;
+    obs::ProfiledDepScope scope(dep, obs::ProfilePhase::kCollect);
+    const HomSearchOptions& opts =
+        options.size() == 1 ? options[0] : options[i];
+    batches[i] = delta_epoch != nullptr
+                     ? FindDeltaTriggers(*bodies[i], inst, *delta_epoch, opts)
+                     : FindTriggers(*bodies[i], inst, opts);
+    obs::ProfileRecordTriggers(dep, batches[i].size());
+  }
+  if (budget != nullptr) {
     QIMAP_RETURN_IF_ERROR(budget->Check("trigger collection"));
     for (size_t i = 0; i < bodies.size(); ++i) {
       QIMAP_RETURN_IF_ERROR(budget->OnTriggerBatch("trigger collection"));

@@ -5,7 +5,6 @@
 
 #include "base/budget.h"
 #include "base/status.h"
-#include "base/thread_pool.h"
 #include "relational/homomorphism.h"
 #include "relational/instance.h"
 
@@ -16,11 +15,10 @@ namespace qimap {
 ///
 /// The sort is the engines' determinism anchor. Index-first matching (and
 /// the index-informed join order behind it) can enumerate homomorphisms in
-/// a different order than the naive full scan, and parallel collection
-/// adds thread-timing nondeterminism on top; sorting every batch before
+/// a different order than the naive full scan; sorting every batch before
 /// any trigger fires makes chase output — including fresh-null labels and
 /// provenance-journal order — a pure function of the input, identical
-/// across `use_index` on/off and any `num_threads`.
+/// across `use_index` on/off.
 ///
 /// All matches are collected before any fires because s-t (and
 /// target-to-source) dependency bodies read only the fixed input side, so
@@ -49,19 +47,16 @@ std::vector<Assignment> FindDeltaTriggers(const Conjunction& body,
                                           const std::vector<uint32_t>& epoch,
                                           const HomSearchOptions& options);
 
-/// One sorted trigger list per body, collected by fanning the bodies out
-/// over `pool` (inline and in order when the pool has one thread). Every
-/// body is matched with `options[i]` — pass a single-element vector to
-/// share one option set. Mirrors the fan-out into the `chase.parallel.*`
-/// counters when the pool is actually parallel.
+/// One sorted trigger list per body, collected in body order. Every body
+/// is matched with `options[i]` — pass a single-element vector to share
+/// one option set.
 ///
-/// When `budget` is non-null, each pool task first checks in with
-/// `Budget::OnPoolTask` (cancellation, deadline, injected pool-task
-/// faults), the token is handed to `ParallelFor` so a cancelled fan-out
-/// stops dispatching, and each collected body passes the
-/// `Budget::OnTriggerBatch` fault site. Returns the budget's structured
-/// status (lowest failing body index wins, so the error is deterministic
-/// at any thread count) instead of the batches when a limit trips.
+/// When `budget` is non-null, each body first checks in with
+/// `Budget::OnPoolTask` (cancellation, deadline, injected task faults),
+/// so a cancelled token stops the collection before the next body, and
+/// each collected body passes the `Budget::OnTriggerBatch` fault site.
+/// Returns the budget's structured status (the first failing body's)
+/// instead of the batches when a limit trips.
 ///
 /// When `delta_epoch` is non-null every body is collected semi-naively
 /// (`FindDeltaTriggers` against that epoch) instead of in full — the
@@ -70,12 +65,11 @@ std::vector<Assignment> FindDeltaTriggers(const Conjunction& body,
 /// When `profile_deps` is non-null (one profiler dependency id per body,
 /// see obs/profiler.h), each body's collection runs under that id's
 /// collect-phase scope and its sorted batch size is recorded, so the
-/// per-atom search telemetry lands on the right dependency even when the
-/// fan-out is parallel.
+/// per-atom search telemetry lands on the right dependency.
 Result<std::vector<std::vector<Assignment>>> FindTriggerBatches(
     const std::vector<const Conjunction*>& bodies,
     const std::vector<HomSearchOptions>& options, const Instance& inst,
-    ThreadPool& pool, Budget* budget = nullptr,
+    Budget* budget = nullptr,
     const std::vector<uint32_t>* delta_epoch = nullptr,
     const std::vector<uint32_t>* profile_deps = nullptr);
 

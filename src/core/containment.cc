@@ -99,7 +99,6 @@ Result<ContainmentReport> CheckContainment(const SchemaMapping& sub,
   };
   ChaseOptions chase_options;
   chase_options.budget = options.budget;
-  chase_options.num_threads = options.num_threads;
 
   for (size_t index = 0; index < super.tgds.size(); ++index) {
     const Tgd& sigma = super.tgds[index];

@@ -66,8 +66,6 @@ struct ContainmentOptions {
   /// Shared resource governor; on exhaustion the check returns the budget
   /// status and delivers the verdicts so far through `partial_out`.
   Budget* budget = nullptr;
-  /// Worker threads for the inner chases (0 = QIMAP_CHASE_THREADS).
-  size_t num_threads = 1;
   ContainmentReport* partial_out = nullptr;
 };
 

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "base/status.h"
-#include "base/thread_pool.h"
 
 namespace qimap {
 namespace obs {
@@ -31,10 +30,6 @@ const char* LevelName(LogLevel level) {
 void LogStatusError(StatusCode code, const std::string& message) {
   Log(LogLevel::kDebug, "status %s: %s", StatusCodeName(code),
       message.c_str());
-}
-
-void LogThreadConfigWarning(const char* message) {
-  Log(LogLevel::kWarn, "%s", message);
 }
 
 }  // namespace
@@ -64,7 +59,6 @@ void Log(LogLevel level, const char* format, ...) {
 
 void InstallStatusLogging() {
   SetStatusErrorHook(&LogStatusError);
-  SetThreadConfigWarningHook(&LogThreadConfigWarning);
 }
 
 }  // namespace obs

@@ -26,9 +26,7 @@ void Log(LogLevel level, const char* format, ...);
 
 /// Routes every non-OK Status constructed by the library to Log() at
 /// kDebug via the base-layer hook (base/status.h), so `--verbose` shows
-/// errors where they originate rather than where they surface. Also
-/// routes base-layer thread-configuration warnings (base/thread_pool.h)
-/// to Log() at kWarn.
+/// errors where they originate rather than where they surface.
 void InstallStatusLogging();
 
 }  // namespace obs

@@ -15,10 +15,11 @@ namespace {
 constexpr size_t kMaxCounters = 256;
 
 // One thread's slice of every counter. Single writer (the owning thread),
-// many readers (snapshots); all accesses are relaxed atomics. Every chase
-// with num_threads > 1 starts a fresh pool, so shards are pooled: a
-// thread returns its shard on exit and the next thread reuses it (counts
-// are cumulative; ResetMetrics zeroes the pool too).
+// many readers (snapshots); all accesses are relaxed atomics. A client
+// that runs pipelines on short-lived threads would otherwise leave one
+// shard per thread behind, so shards are pooled: a thread returns its
+// shard on exit and the next thread reuses it (counts are cumulative;
+// ResetMetrics zeroes the pool too).
 struct Shard {
   std::atomic<uint64_t> counters[kMaxCounters] = {};
 };

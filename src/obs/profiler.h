@@ -19,10 +19,9 @@ namespace obs {
 /// once on a serial setup path (so ids are deterministic), increments go
 /// to lock-free thread-local shards, and a snapshot merges shards by
 /// order-independent summation — so every non-timing field of a profile
-/// is a pure function of the input, byte-identical across `--threads`.
+/// is a pure function of the input, byte-identical across runs.
 /// Snapshots taken while writer threads are live see a consistent-enough
-/// view; the engines join their pools before returning, so CLI and test
-/// snapshots are exact.
+/// view; a snapshot taken after the pipelines return is exact.
 ///
 /// Disabled (the default) the layer costs one relaxed atomic load per
 /// probe site.
@@ -87,7 +86,7 @@ struct ProfileSnapshot {
   /// Renders `{"truncated": ..., "deps": [...]}` on one line — the run
   /// record's `profile` field (schema in docs/observability.md).
   /// `canonical` omits the per-dependency `time_us`, leaving only fields
-  /// that are byte-identical across thread counts.
+  /// that are byte-identical across runs.
   std::string ToJson(bool canonical) const;
 
   /// Renders the ranked hot-spot report (descending backtracks, then
@@ -110,7 +109,7 @@ class Profiler {
   static uint32_t RegisterDep(const std::string& pipeline,
                               const std::string& text, uint32_t body_atoms);
   /// Merges all shards. Non-timing fields are exact once writers have
-  /// quiesced (pools joined).
+  /// quiesced.
   static ProfileSnapshot Snapshot();
 };
 

@@ -22,10 +22,9 @@ std::atomic<bool> g_enabled{false};
 std::atomic<uint64_t> g_seq{0};
 
 // The process-wide configuration plus the lazily opened JSONL stream.
-// Guarded by one mutex: heartbeats are emitted from serial engine loops,
-// so this lock is uncontended; it exists so concurrent pipelines (the
-// parallel-chase tests run engines on worker threads) never interleave
-// stream writes.
+// Guarded by one mutex: it is uncontended within one pipeline call, and
+// it keeps pipelines that client threads run concurrently from
+// interleaving stream writes.
 std::mutex g_mu;
 ProgressConfig g_config;
 std::FILE* g_stream = nullptr;

@@ -21,9 +21,10 @@ namespace obs {
 /// stream, and an in-process sink (tests).
 ///
 /// Determinism contract, same as every obs surface: snapshots are taken
-/// only on the serial paths, counters come from the engines' own stats
-/// structs, and the clock is injectable — so the canonical (timing-free)
-/// rendering of every heartbeat is byte-identical across `--threads`.
+/// in the engines' firing loops, counters come from the engines' own
+/// stats structs, and the clock is injectable — so the canonical
+/// (timing-free) rendering of every heartbeat is byte-identical across
+/// runs of the same input.
 ///
 /// Disabled (the default) a ProgressRun costs one branch per Step().
 
@@ -61,7 +62,7 @@ struct ProgressSnapshot {
 
   /// One JSON object (one JSONL line without the trailing newline).
   /// `canonical` omits the timing fields (`elapsed_us`, `eta_us`),
-  /// leaving only fields byte-identical across thread counts.
+  /// leaving only fields byte-identical across runs.
   std::string ToJson(bool canonical) const;
 
   /// The stderr status line (no leading \r / trailing newline).

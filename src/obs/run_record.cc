@@ -21,7 +21,6 @@ namespace qimap {
 namespace obs {
 namespace {
 
-std::atomic<int> g_run_threads{0};
 // Fault hook: when >= 0, the next append writes only this many bytes of
 // the staged temp file and bails before the rename.
 std::atomic<long long> g_fail_after_bytes{-1};
@@ -50,13 +49,6 @@ std::string FingerprintHex(uint64_t fp) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016" PRIx64, fp);
   return buf;
-}
-
-bool CounterExempt(const std::string& name) {
-  // Worksharing counters legitimately vary with the thread count; every
-  // other counter is a pure function of the input (the determinism
-  // anchor telemetry_check --compare enforces).
-  return name.rfind("chase.parallel.", 0) == 0;
 }
 
 uint64_t NumberOr(const JsonValue* v, uint64_t fallback) {
@@ -99,9 +91,6 @@ std::string RunRecord::ToJson(bool canonical) const {
       out += "{\"name\": ";
       AppendJsonString(&out, phases[i].name);
       AppendSeconds(&out, "seconds", phases[i].seconds);
-      if (phases[i].requires_cores > 0) {
-        AppendUint(&out, "requires_cores", phases[i].requires_cores);
-      }
       out += "}";
     }
     out += "]";
@@ -109,7 +98,6 @@ std::string RunRecord::ToJson(bool canonical) const {
   out += ", \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : metrics.counters) {
-    if (canonical && CounterExempt(name)) continue;
     if (!first) out += ", ";
     first = false;
     AppendJsonString(&out, name);
@@ -300,7 +288,7 @@ std::vector<std::string> DiffLedgerEntries(const JsonValue& a,
   diff_uint("exit_code", NumberOr(a.Find("exit_code"), 0),
             NumberOr(b.Find("exit_code"), 0));
 
-  // Counters: union of keys, worksharing counters exempt.
+  // Counters: union of keys.
   std::map<std::string, std::pair<uint64_t, uint64_t>> counters;
   if (const JsonValue* ca = a.Find("counters"); ca && ca->IsObject()) {
     for (const auto& kv : ca->members) {
@@ -313,7 +301,6 @@ std::vector<std::string> DiffLedgerEntries(const JsonValue& a,
     }
   }
   for (const auto& kv : counters) {
-    if (CounterExempt(kv.first)) continue;
     diff_uint("counter " + kv.first, kv.second.first, kv.second.second);
   }
 
@@ -385,17 +372,12 @@ std::vector<std::string> DiffLedgerEntries(const JsonValue& a,
   return diffs;
 }
 
-void SetRunThreads(int threads) {
-  g_run_threads.store(threads, std::memory_order_relaxed);
-}
-
 std::string RunMetaJson() {
   std::string out = "{\"qimap_version\": ";
   AppendJsonString(&out, VersionString());
   out += ", \"build_type\": ";
   AppendJsonString(&out, BuildType());
-  out += ", \"threads\": " +
-         std::to_string(g_run_threads.load(std::memory_order_relaxed)) + "}";
+  out += "}";
   return out;
 }
 

@@ -33,12 +33,10 @@ struct JsonValue;
 /// `telemetry_check --record` / `--ledger` validate it. Schema and the
 /// canonical rules: docs/observability.md, "Run record".
 struct RunRecord {
-  /// One timed bench phase. `requires_cores > 0` tags a phase whose wall
-  /// time is meaningful only on a host with that many hardware threads.
+  /// One timed bench phase.
   struct Phase {
     std::string name;
     double seconds = 0.0;
-    unsigned requires_cores = 0;
   };
 
   std::string command;  ///< e.g. "chase", "gen", "bench/chase_scaling"
@@ -60,10 +58,10 @@ struct RunRecord {
   uint64_t seq = 0;  ///< ledger position, set by AppendToLedger; 0 = none
 
   /// One JSON object on one line (no trailing newline). `canonical`
-  /// keeps only fields that are byte-identical across thread counts and
-  /// runs: it omits `meta` (its `threads` varies), `ts_us`,
-  /// `elapsed_seconds`, `phases`, per-dependency `time_us` and every
-  /// `chase.parallel.*` counter. `seq` is rendered only when set.
+  /// keeps only fields that are byte-identical across runs of the same
+  /// input: it omits `meta` (it names the build, not the run), `ts_us`,
+  /// `elapsed_seconds`, `phases` and per-dependency `time_us`. `seq` is
+  /// rendered only when set.
   std::string ToJson(bool canonical) const;
 };
 
@@ -99,7 +97,7 @@ void FailNextAppendForTest(size_t bytes);
 
 /// Diffs two parsed run records (ledger lines from ParseJson). Returns
 /// one human-readable line per regression-relevant difference: counter
-/// deltas (`chase.parallel.*` exempt), per-dependency profile deltas
+/// deltas, per-dependency profile deltas
 /// keyed by (pipeline, dependency) over searches, matches, backtracks,
 /// fired and skipped, cost-model deltas, budget-outcome, exit-code and
 /// fingerprint changes. Empty means the runs are telemetry-identical —
@@ -107,12 +105,8 @@ void FailNextAppendForTest(size_t bytes);
 std::vector<std::string> DiffLedgerEntries(const JsonValue& a,
                                            const JsonValue& b);
 
-/// Records the resolved worker-thread count for this run, stamped into
-/// `meta` (the CLI sets it once flags are parsed; 0 = unspecified).
-void SetRunThreads(int threads);
-
 /// The run-metadata stamp as a rendered JSON object:
-/// {"qimap_version": "0.3.0", "build_type": "Release", "threads": 4}.
+/// {"qimap_version": "0.3.0", "build_type": "Release"}.
 /// The record's `meta`, and the header of the journal and progress
 /// streams, the trace and the bench summary.
 std::string RunMetaJson();

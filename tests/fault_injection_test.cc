@@ -25,26 +25,24 @@
 #include "random_testing.h"
 
 // Seeded exhaustion soak: 100 randomized mappings run under tight,
-// rotating budgets and deterministic fault plans, the standard chase
-// across 1/2/8 worker threads. Every governed failure must be a clean
+// rotating budgets and deterministic fault plans. Every governed failure
+// must be a clean
 // structured status (ResourceExhausted, or Cancelled for the token), flag
 // the run partial, and hand back a best-effort prefix; rerunning the same
 // case with the limits lifted must be byte-identical to the ungoverned
 // reference — attaching a budget may stop the work early but must never
 // change it.
 //
-// The "Parallel" test names put the soaks under the tsan preset, where a
-// racy wind-down (a cancelled fan-out still writing shared state) would
-// surface as a data race.
+// The two soaks keep "Parallel" in their names so their test ids stay
+// stable; both run on the chase's one thread.
 
 namespace qimap {
 namespace {
 
 // One tight budget per seed, rotating through every limit kind and fault
-// site. `fake_now` backs the injected deadline clock (atomic: budget
-// checks run on pool threads).
+// site. `fake_now` backs the injected deadline clock.
 BudgetSpec TightSpec(uint64_t seed, Cancellation* token,
-                     std::atomic<uint64_t>* fake_now) {
+                     uint64_t* fake_now) {
   BudgetSpec spec;
   spec.cancellation = token;
   switch (seed % 7) {
@@ -59,9 +57,7 @@ BudgetSpec TightSpec(uint64_t seed, Cancellation* token,
       break;
     case 3:
       spec.deadline_us = 1000;
-      spec.clock = [fake_now] {
-        return fake_now->fetch_add(300, std::memory_order_relaxed) + 300;
-      };
+      spec.clock = [fake_now] { return *fake_now += 300; };
       break;
     case 4:
       spec.fault_plan = *FaultPlan::Parse(
@@ -82,8 +78,8 @@ BudgetSpec TightSpec(uint64_t seed, Cancellation* token,
 
 // A generous version of the same spec shape: every limit present but far
 // above what the tiny cases need, no fault plan. The lifted rerun proves
-// the governed code path itself (charging, checkpoints, pool check-ins)
-// does not perturb the result.
+// the governed code path itself (charging, checkpoints, per-dependency
+// check-ins) does not perturb the result.
 BudgetSpec LiftedSpec(Cancellation* token) {
   BudgetSpec spec;
   spec.cancellation = token;
@@ -120,40 +116,35 @@ TEST(FaultInjectionTest, GovernedChaseSoakAcrossThreadsParallel) {
     Result<Instance> reference = Chase(source, m);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      Cancellation token;
-      std::atomic<uint64_t> fake_now{0};
-      Budget tight(TightSpec(seed, &token, &fake_now));
-      ChaseOptions governed;
-      governed.num_threads = threads;
-      governed.budget = &tight;
-      Instance partial(m.target);
-      governed.partial_out = &partial;
-      ChaseStats stats;
-      Result<Instance> run = Chase(source, m, governed, &stats);
-      if (run.ok()) {
-        // The tight budget happened to suffice; the result must still be
-        // the reference, bit for bit.
-        EXPECT_EQ(run->ToString(), reference->ToString());
-      } else {
-        ExpectCleanBudgetFailure(run.status(), tight);
-        EXPECT_TRUE(stats.partial);
-        EXPECT_LE(partial.NumFacts(), reference->NumFacts());
-      }
-
-      // Differential oracle: lifting the limits reproduces the
-      // ungoverned chase byte for byte.
-      Cancellation lifted_token;
-      Budget lifted(LiftedSpec(&lifted_token));
-      ChaseOptions rerun_options;
-      rerun_options.num_threads = threads;
-      rerun_options.budget = &lifted;
-      Result<Instance> rerun = Chase(source, m, rerun_options);
-      ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
-      EXPECT_EQ(rerun->ToString(), reference->ToString());
-      EXPECT_FALSE(lifted.exhausted());
+    Cancellation token;
+    uint64_t fake_now = 0;
+    Budget tight(TightSpec(seed, &token, &fake_now));
+    ChaseOptions governed;
+    governed.budget = &tight;
+    Instance partial(m.target);
+    governed.partial_out = &partial;
+    ChaseStats stats;
+    Result<Instance> run = Chase(source, m, governed, &stats);
+    if (run.ok()) {
+      // The tight budget happened to suffice; the result must still be
+      // the reference, bit for bit.
+      EXPECT_EQ(run->ToString(), reference->ToString());
+    } else {
+      ExpectCleanBudgetFailure(run.status(), tight);
+      EXPECT_TRUE(stats.partial);
+      EXPECT_LE(partial.NumFacts(), reference->NumFacts());
     }
+
+    // Differential oracle: lifting the limits reproduces the ungoverned
+    // chase byte for byte.
+    Cancellation lifted_token;
+    Budget lifted(LiftedSpec(&lifted_token));
+    ChaseOptions rerun_options;
+    rerun_options.budget = &lifted;
+    Result<Instance> rerun = Chase(source, m, rerun_options);
+    ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+    EXPECT_EQ(rerun->ToString(), reference->ToString());
+    EXPECT_FALSE(lifted.exhausted());
   }
 }
 
@@ -178,7 +169,7 @@ TEST(FaultInjectionTest, GovernedDisjunctiveChaseSoakParallel) {
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
     Cancellation token;
-    std::atomic<uint64_t> fake_now{0};
+    uint64_t fake_now = 0;
     Budget tight(TightSpec(seed, &token, &fake_now));
     DisjunctiveChaseOptions governed;
     governed.budget = &tight;

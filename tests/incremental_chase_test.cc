@@ -19,7 +19,7 @@
 // instance, then grows the instance through several random fact-append
 // rounds; after every round the checkpoint resume must be *byte-identical*
 // to chasing the grown instance from scratch — same facts, same null
-// labels, same fingerprint — at every thread count. The journal case
+// labels, same fingerprint. The journal case
 // additionally requires the same provenance event sequence. The sweep
 // covers the paper's mapping classes (StandardShapes in random_testing.h).
 
@@ -28,7 +28,7 @@ namespace {
 
 // One seeded case: a random mapping, a random growth schedule over a
 // random fact pool, and a checkpoint threaded through every round.
-void RunCase(const CaseShape& shape, uint64_t seed, size_t num_threads) {
+void RunCase(const CaseShape& shape, uint64_t seed) {
   Rng rng(seed);
   SchemaMapping m = RandomMapping(&rng, shape.config);
   std::vector<Value> domain = MakeDomain({"a", "b", "c", "d"});
@@ -47,10 +47,8 @@ void RunCase(const CaseShape& shape, uint64_t seed, size_t num_threads) {
 
   ChaseCheckpoint checkpoint;
   ChaseOptions incremental;
-  incremental.num_threads = num_threads;
   incremental.incremental = &checkpoint;
   ChaseOptions fresh;
-  fresh.num_threads = num_threads;
 
   // Record the base chase, then resume through 3 append rounds.
   ChaseStats stats;
@@ -68,8 +66,7 @@ void RunCase(const CaseShape& shape, uint64_t seed, size_t num_threads) {
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
     ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
     SCOPED_TRACE(std::string(shape.name) + " seed=" +
-                 std::to_string(seed) + " threads=" +
-                 std::to_string(num_threads) + " round=" +
+                 std::to_string(seed) + " round=" +
                  std::to_string(round) +
                  "\n  source:  " + grown.ToString() +
                  "\n  resumed: " + resumed->ToString() +
@@ -81,15 +78,13 @@ void RunCase(const CaseShape& shape, uint64_t seed, size_t num_threads) {
 }
 
 TEST(IncrementalChaseTest, ResumeMatchesFullRechaseAcross108SeededCases) {
-  // 4 shapes x 9 seeds x 3 thread counts = 108 cases, 3 append rounds
-  // each — 324 resume-vs-oracle comparisons.
+  // 4 shapes x 27 seeds = 108 cases, 3 append rounds each — 324
+  // resume-vs-oracle comparisons.
   size_t cases = 0;
   for (const CaseShape& shape : StandardShapes()) {
-    for (uint64_t seed = 1; seed <= 9; ++seed) {
-      for (size_t threads : {1u, 2u, 8u}) {
-        RunCase(shape, seed * 7919 + 257, threads);
-        ++cases;
-      }
+    for (uint64_t seed = 1; seed <= 27; ++seed) {
+      RunCase(shape, seed * 7919 + 257);
+      ++cases;
     }
   }
   EXPECT_EQ(cases, 108u);

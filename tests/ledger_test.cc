@@ -21,8 +21,7 @@
 // Tests for the run record and its ledger (obs/run_record.h): atomic
 // JSONL appends with dense seq assignment, records that no control
 // character can split, survival of a fault-injected crash mid-write,
-// canonical records byte-identical across chase thread counts, and the
-// telemetry diff.
+// canonical records byte-identical across runs, and the telemetry diff.
 
 namespace qimap {
 namespace {
@@ -199,30 +198,26 @@ TEST(LedgerTest, ConcurrentProcessAppendsLoseNoRecords) {
 }
 
 // The determinism contract: the canonical rendering of a ledger record —
-// which omits timing, the meta stamp, and chase.parallel.* counters — is
-// byte-identical whether the chase ran on 1, 2, or 8 threads.
-TEST(LedgerTest, CanonicalRecordsAreByteIdenticalAcrossThreads) {
+// which omits timing and the meta stamp — is byte-identical across two
+// identical back-to-back runs.
+TEST(LedgerTest, CanonicalRecordsAreByteIdenticalAcrossRuns) {
   std::vector<std::string> renderings;
-  for (size_t threads : {1u, 2u, 8u}) {
+  for (int run = 1; run <= 2; ++run) {
     obs::ResetMetrics();
     SchemaMapping m = MustParseMapping("P/3", "Q/2, R/2",
                                        "P(x,y,z) -> Q(x,y) & R(y,z)");
     Instance i = MustParseInstance(m.source, "P(a,b,c), P(d,b,e)");
-    ChaseOptions options;
-    options.num_threads = threads;
-    ASSERT_TRUE(Chase(i, m, options).ok());
+    ASSERT_TRUE(Chase(i, m).ok());
     obs::RunRecord entry = obs::CollectRunRecord(
-        "chase", nullptr, 0, 0.001 * static_cast<double>(threads));
-    entry.ts_us = 1000 * threads;  // timing differs; canonical omits it
+        "chase", nullptr, 0, 0.001 * static_cast<double>(run));
+    entry.ts_us = 1000 * run;  // timing differs; canonical omits it
     renderings.push_back(entry.ToJson(/*canonical=*/true));
     // The full rendering does carry the varying timing fields.
     EXPECT_NE(entry.ToJson(false).find("ts_us"), std::string::npos);
   }
-  ASSERT_EQ(renderings.size(), 3u);
+  ASSERT_EQ(renderings.size(), 2u);
   EXPECT_EQ(renderings[0], renderings[1]);
-  EXPECT_EQ(renderings[0], renderings[2]);
-  // Canonical records exclude the thread-dependent surfaces entirely.
-  EXPECT_EQ(renderings[0].find("chase.parallel."), std::string::npos);
+  // Canonical records exclude the run-dependent surfaces entirely.
   EXPECT_EQ(renderings[0].find("\"meta\""), std::string::npos);
   EXPECT_EQ(renderings[0].find("ts_us"), std::string::npos);
   EXPECT_EQ(renderings[0].find("elapsed_seconds"), std::string::npos);
@@ -238,7 +233,7 @@ obs::JsonValue MustParse(const std::string& text) {
 TEST(LedgerTest, DiffReportsCounterProfileAndOutcomeDeltas) {
   obs::RunRecord a;
   a.command = "chase";
-  a.metrics.counters = {{"chase.steps", 10}, {"chase.parallel.tasks", 4}};
+  a.metrics.counters = {{"chase.steps", 10}};
   obs::ProfileDepSnapshot dep;
   dep.pipeline = "chase/standard";
   dep.text = "P(x) -> Q(x)";
@@ -254,9 +249,8 @@ TEST(LedgerTest, DiffReportsCounterProfileAndOutcomeDeltas) {
   obs::JsonValue jb = MustParse(b.ToJson(false));
   EXPECT_TRUE(obs::DiffLedgerEntries(ja, jb).empty());
 
-  // A counter delta is one diff line; chase.parallel.* stays exempt.
+  // A counter delta is one diff line.
   b.metrics.counters["chase.steps"] = 12;
-  b.metrics.counters["chase.parallel.tasks"] = 9;
   jb = MustParse(b.ToJson(false));
   std::vector<std::string> diffs = obs::DiffLedgerEntries(ja, jb);
   ASSERT_EQ(diffs.size(), 1u);

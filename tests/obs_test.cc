@@ -37,8 +37,8 @@ TEST(MetricsTest, CounterSumsAcrossConcurrentThreads) {
             static_cast<uint64_t>(kThreads) * kIncrements);
 }
 
-// Every thread that touches a metric gets a shard, and a multi-threaded
-// chase starts a fresh pool each run. Exited threads must hand their
+// Every thread that touches a metric gets a shard, and a client may run
+// pipelines on short-lived threads. Exited threads must hand their
 // shards back for reuse: many generations of short-lived threads allocate
 // only as many shards as run at once, the pooled shards keep their
 // counts, and a reset zeroes them too.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chase/chase.h"
@@ -11,9 +12,9 @@
 #include "relational/schema.h"
 
 // Tests for the per-dependency chase profiler (obs/profiler.h) and the
-// CostModel handoff (relational/cost_model.h): determinism across thread
-// counts, zero-delta when disabled, and the per-atom attribution
-// invariant (atom rows sum exactly to the dependency totals).
+// CostModel handoff (relational/cost_model.h): determinism across runs,
+// zero-delta when disabled, and the per-atom attribution invariant (atom
+// rows sum exactly to the dependency totals).
 
 namespace qimap {
 namespace {
@@ -57,29 +58,72 @@ Instance JoinSource(const SchemaMapping& m) {
       "S(c,a,w1), S(c,b,w2), S(c,c,w3)");
 }
 
-TEST_F(ProfilerTest, CanonicalProfileByteIdenticalAcrossThreadCounts) {
+// Two identical back-to-back runs render byte-identical canonical
+// profiles — the determinism `report diff` relies on.
+TEST_F(ProfilerTest, CanonicalProfileByteIdenticalAcrossRuns) {
   SchemaMapping m = JoinMapping();
   Instance src = JoinSource(m);
   std::vector<std::string> profiles;
   std::vector<std::string> results;
-  for (size_t threads : {1u, 2u, 8u}) {
+  for (int run = 0; run < 2; ++run) {
     obs::Profiler::Reset();
     obs::Profiler::Enable();
-    ChaseOptions options;
-    options.num_threads = threads;
-    Instance out = MustChase(src, m, options);
+    Instance out = MustChase(src, m);
     profiles.push_back(obs::Profiler::Snapshot().ToJson(/*canonical=*/true));
     results.push_back(out.ToString());
     obs::Profiler::Disable();
   }
-  ASSERT_EQ(profiles.size(), 3u);
-  EXPECT_EQ(profiles[0], profiles[1]) << "1 vs 2 threads diverged";
-  EXPECT_EQ(profiles[0], profiles[2]) << "1 vs 8 threads diverged";
+  ASSERT_EQ(profiles.size(), 2u);
+  EXPECT_EQ(profiles[0], profiles[1]) << "back-to-back runs diverged";
   EXPECT_EQ(results[0], results[1]);
-  EXPECT_EQ(results[0], results[2]);
   // The canonical rendering must not leak timing fields.
   EXPECT_EQ(profiles[0].find("time_us"), std::string::npos);
   EXPECT_EQ(profiles[0].find("traceEvents"), std::string::npos);
+}
+
+// The chase runs on its caller's thread, and clients may call it from
+// several threads at once: each thread writes its own profiler and
+// metrics shards and its own scratch plan slots, so concurrent chases
+// return the serial result and the merged profile is exactly the serial
+// profile once per chase. The tsan preset runs this under
+// ThreadSanitizer.
+TEST_F(ProfilerTest, ConcurrentClientChasesMergeExactly) {
+  SchemaMapping m = JoinMapping();
+  Instance src = JoinSource(m);
+  obs::Profiler::Enable();
+  const std::string expected = MustChase(src, m).ToString();
+  const obs::ProfileSnapshot one = obs::Profiler::Snapshot();
+  ASSERT_FALSE(one.deps.empty());
+
+  constexpr int kThreads = 4;
+  std::vector<std::string> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&results, &src, &m, t] {
+      results[t] = MustChase(src, m).ToString();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const std::string& result : results) EXPECT_EQ(result, expected);
+
+  // The serial chase registered every dependency, so the concurrent ones
+  // only look them up: same ids, and every count is (1 + kThreads) times
+  // the serial run's.
+  const obs::ProfileSnapshot all = obs::Profiler::Snapshot();
+  ASSERT_EQ(all.deps.size(), one.deps.size());
+  for (size_t d = 0; d < one.deps.size(); ++d) {
+    const obs::ProfileDepCounters& a = all.deps[d].totals;
+    const obs::ProfileDepCounters& o = one.deps[d].totals;
+    SCOPED_TRACE(one.deps[d].text);
+    EXPECT_EQ(all.deps[d].text, one.deps[d].text);
+    EXPECT_EQ(a.searches, (1 + kThreads) * o.searches);
+    EXPECT_EQ(a.matches, (1 + kThreads) * o.matches);
+    EXPECT_EQ(a.backtracks, (1 + kThreads) * o.backtracks);
+    EXPECT_EQ(a.triggers_found, (1 + kThreads) * o.triggers_found);
+    EXPECT_EQ(a.fired, (1 + kThreads) * o.fired);
+    EXPECT_EQ(a.skipped, (1 + kThreads) * o.skipped);
+    EXPECT_EQ(a.facts_added, (1 + kThreads) * o.facts_added);
+  }
 }
 
 TEST_F(ProfilerTest, DisabledProfilerRecordsNothingAndChangesNothing) {

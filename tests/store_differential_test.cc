@@ -13,8 +13,7 @@
 // compiled match planner: every scenario family x body topology the
 // generator emits is chased through a two-way oracle —
 //
-//   1. compiled plan   (`use_index = true`, the hot path, run at 1/2/8
-//                       threads), and
+//   1. compiled plan   (`use_index = true`, the hot path), and
 //   2. full scan       (`use_index = false`, the permanent naive oracle).
 //
 // The two paths share everything above the matcher's candidate
@@ -24,7 +23,7 @@
 // full-tuple dedup slot table, the statistics behind the join order). The
 // diff is total: facts (canonical rendering), null labels, the
 // incremental fingerprint, and the provenance journal must all be
-// byte-identical — at every thread count for the compiled path.
+// byte-identical.
 
 namespace qimap {
 namespace {
@@ -36,13 +35,11 @@ struct ChaseOutput {
   std::vector<std::string> journal;
 };
 
-ChaseOutput RunOnce(const Scenario& scenario, bool use_index,
-                    size_t threads = 1) {
+ChaseOutput RunOnce(const Scenario& scenario, bool use_index) {
   obs::Journal::Clear();
   obs::Journal::Enable();
   ChaseOptions options;
   options.use_index = use_index;
-  options.num_threads = threads;
   Instance chased = MustChase(scenario.source, scenario.mapping, options);
   ChaseOutput out;
   out.facts = chased.ToString();
@@ -86,13 +83,6 @@ void RunCase(const ScenarioConfig& config, uint64_t seed) {
                "\n  plan:    " + plan.facts +
                "\n  naive:   " + naive.facts);
   ExpectSameOutput(plan, naive, "plan vs naive");
-  // The compiled path must also be insensitive to the firing-phase
-  // thread count: same bytes at 2 and 8 workers as at 1.
-  for (size_t threads : {size_t{2}, size_t{8}}) {
-    ChaseOutput threaded = RunOnce(scenario, /*use_index=*/true, threads);
-    ExpectSameOutput(threaded, plan,
-                     threads == 2 ? "plan @2 threads" : "plan @8 threads");
-  }
   EXPECT_FALSE(plan.journal.empty())
       << "journal must capture the run (did Enable() fail?)";
 }

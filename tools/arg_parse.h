@@ -18,8 +18,8 @@ namespace tools {
 ///     `--key=value`;
 ///   * boolean flags take no value (and `--key=value` is an error);
 ///   * multi-value flags consume a fixed number of following operands
-///     (telemetry_check's `--compare A B`); the `=` form is only valid
-///     at arity 1;
+///     (telemetry_check's `--require FILE COUNTER`); the `=` form is
+///     only valid at arity 1;
 ///   * anything not starting with `--` is a positional, rejected unless
 ///     the spec allows them;
 ///   * unknown flags, missing values, and malformed numbers are errors,

@@ -25,19 +25,13 @@
 //   * a bench missing from the baseline fails (refresh the baseline);
 //   * wall time fails when cur > base * (1 + tolerance) + 0.05s
 //     (--tolerance, default 0.5; the additive floor keeps sub-50ms
-//     benches from tripping on scheduler noise). Phases tagged
-//     `requires_cores` larger than the host's hardware concurrency
-//     (override: QIMAP_BENCH_CORES) are excluded from both sides of the
-//     comparison — a 4-thread speedup phase timed on a 1-core runner is
-//     oversubscription noise — but their counters stay gated in full;
+//     benches from tripping on scheduler noise);
 //   * work counters are increases-only: a counter fails when
 //     cur > base * (1 + counter-tolerance) + 16 (--counter-tolerance,
 //     default 0.1);
 //   * a baseline counter the run no longer emits fails: a bench that
 //     stops counting (say `hom.searches`) would otherwise pass, and a
 //     deliberately removed counter is dropped from the baseline.
-//   `chase.parallel.*` counters are exempt from both counter rules (their
-//   split depends on the worker-thread count, not on the work done).
 // Violations print one line each on stderr and the exit code is 1, so a
 // ctest leg wired through this gate fails loudly. To refresh the
 // baseline after an intentional change, re-run the benches and copy the
@@ -47,9 +41,8 @@
 // hand-committed baseline, every merged bench is gated against the
 // median of its own recent history — the last 5 "bench/<name>" records
 // of the run ledger (bench runs append one when QIMAP_LEDGER is set).
-// Same tolerance formulas and core-tagged phase exclusion as --check; a
-// bench with no ledger history yet passes, so the gate self-bootstraps
-// as the ledger grows.
+// Same tolerance formulas as --check; a bench with no ledger history yet
+// passes, so the gate self-bootstraps as the ledger grows.
 //
 // Without --out the summary lands in $QIMAP_BENCH_OUT_DIR (or the working
 // directory), mirroring where JsonReporter puts the per-bench files.
@@ -63,7 +56,6 @@
 #include <cstring>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/json.h"
@@ -76,12 +68,6 @@ namespace {
 struct BenchPhase {
   std::string name;
   double seconds = 0.0;
-  // Minimum hardware threads for the phase's wall time to be meaningful
-  // (0 = any host). Phases requiring more cores than the gate's host has
-  // are excluded from the timing comparison — on both sides — while
-  // their counters stay gated: oversubscribed "parallel" timings are
-  // noise, the work they do is not.
-  unsigned requires_cores = 0;
 };
 
 struct BenchEntry {
@@ -90,39 +76,6 @@ struct BenchEntry {
   std::vector<BenchPhase> phases;
   std::map<std::string, double> counters;
 };
-
-// Cores the timing gate believes this host has: QIMAP_BENCH_CORES (a
-// positive integer, for tests and for CI runners that lie about their
-// shape) else std::thread::hardware_concurrency(), floored at 1.
-unsigned AvailableCores() {
-  const char* env = std::getenv("QIMAP_BENCH_CORES");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    unsigned long value = std::strtoul(env, &end, 10);
-    if (end != nullptr && *end == '\0' && value > 0 &&
-        value <= 1u << 20) {
-      return static_cast<unsigned>(value);
-    }
-    std::fprintf(stderr,
-                 "bench_report: ignoring invalid QIMAP_BENCH_CORES '%s'\n",
-                 env);
-  }
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
-
-// Wall time the gate compares: the sum of the bench's phases that this
-// host can run meaningfully. Baseline entries without phase detail fall
-// back to the recorded total.
-double GatedSeconds(const BenchEntry& bench, unsigned cores) {
-  if (bench.phases.empty()) return bench.seconds;
-  double total = 0.0;
-  for (const BenchPhase& phase : bench.phases) {
-    if (phase.requires_cores > cores) continue;
-    total += phase.seconds;
-  }
-  return total;
-}
 
 bool Fail(const char* file, const std::string& why) {
   std::fprintf(stderr, "bench_report: %s: %s\n", file, why.c_str());
@@ -156,16 +109,6 @@ bool ReadBenchRecord(const char* path, const obs::JsonValue& record,
     BenchPhase parsed;
     parsed.name = phase_name->string_value;
     parsed.seconds = seconds->number_value;
-    const obs::JsonValue* requires_cores = phase.Find("requires_cores");
-    if (requires_cores != nullptr) {
-      if (!requires_cores->IsNumber() ||
-          requires_cores->number_value < 0) {
-        return Fail(path, where + "malformed 'requires_cores' in phase '" +
-                              parsed.name + "'");
-      }
-      parsed.requires_cores =
-          static_cast<unsigned>(requires_cores->number_value);
-    }
     out->seconds += parsed.seconds;
     out->phases.push_back(std::move(parsed));
   }
@@ -190,7 +133,9 @@ bool LoadReport(const char* path, std::vector<BenchEntry>* benches,
 }
 
 // Parses a previously written BENCH_summary.json (the committed
-// baseline): bench name -> {seconds, per-bench counters}.
+// baseline): bench name -> {seconds, per-bench counters}. The gate
+// compares whole-bench seconds, so the baseline's phase detail is not
+// read.
 bool LoadBaseline(const char* path,
                   std::map<std::string, BenchEntry>* baseline) {
   Result<obs::JsonValue> doc = obs::ParseJsonFile(path);
@@ -210,30 +155,6 @@ bool LoadBaseline(const char* path,
     BenchEntry entry;
     entry.name = name->string_value;
     entry.seconds = seconds->number_value;
-    // Phase detail (when the baseline has it) lets the timing gate
-    // exclude core-tagged phases symmetrically on both sides.
-    const obs::JsonValue* phases = bench.Find("phases");
-    if (phases != nullptr && phases->IsArray()) {
-      for (const obs::JsonValue& phase : phases->items) {
-        const obs::JsonValue* phase_name = phase.Find("name");
-        const obs::JsonValue* phase_seconds = phase.Find("seconds");
-        if (phase_name == nullptr || !phase_name->IsString() ||
-            phase_seconds == nullptr || !phase_seconds->IsNumber()) {
-          return Fail(path, "malformed baseline phase entry");
-        }
-        BenchPhase parsed;
-        parsed.name = phase_name->string_value;
-        parsed.seconds = phase_seconds->number_value;
-        const obs::JsonValue* requires_cores =
-            phase.Find("requires_cores");
-        if (requires_cores != nullptr && requires_cores->IsNumber() &&
-            requires_cores->number_value >= 0) {
-          parsed.requires_cores =
-              static_cast<unsigned>(requires_cores->number_value);
-        }
-        entry.phases.push_back(std::move(parsed));
-      }
-    }
     const obs::JsonValue* bench_counters = bench.Find("counters");
     if (bench_counters != nullptr && bench_counters->IsObject()) {
       for (const auto& [key, value] : bench_counters->members) {
@@ -245,19 +166,11 @@ bool LoadBaseline(const char* path,
   return true;
 }
 
-// The per-thread split of the parallel chase depends on the worker count
-// and scheduling, not on the amount of work done; gating it would make
-// the check flaky across machines.
-bool CounterExempt(const std::string& name) {
-  return name.rfind("chase.parallel.", 0) == 0;
-}
-
 // Compares the merged benches against the baseline; one stderr line per
 // violation. Returns the number of violations.
 int CheckAgainstBaseline(const std::vector<BenchEntry>& benches,
                          const std::map<std::string, BenchEntry>& baseline,
-                         double tolerance, double counter_tolerance,
-                         unsigned cores) {
+                         double tolerance, double counter_tolerance) {
   int violations = 0;
   for (const BenchEntry& bench : benches) {
     auto it = baseline.find(bench.name);
@@ -271,28 +184,17 @@ int CheckAgainstBaseline(const std::vector<BenchEntry>& benches,
       continue;
     }
     const BenchEntry& base = it->second;
-    for (const BenchPhase& phase : bench.phases) {
-      if (phase.requires_cores > cores) {
-        std::printf("bench_report: '%s' phase '%s' excluded from the "
-                    "timing gate (requires %u cores, host has %u)\n",
-                    bench.name.c_str(), phase.name.c_str(),
-                    phase.requires_cores, cores);
-      }
-    }
-    double gated_seconds = GatedSeconds(bench, cores);
-    double base_seconds = GatedSeconds(base, cores);
     // Additive 50ms floor: sub-50ms benches are all scheduler noise.
-    double time_limit = base_seconds * (1.0 + tolerance) + 0.05;
-    if (gated_seconds > time_limit) {
+    double time_limit = base.seconds * (1.0 + tolerance) + 0.05;
+    if (bench.seconds > time_limit) {
       std::fprintf(stderr,
                    "bench_report: CHECK FAIL: '%s' took %.3fs, limit "
                    "%.3fs (baseline %.3fs, tolerance %.0f%%)\n",
-                   bench.name.c_str(), gated_seconds, time_limit,
-                   base_seconds, tolerance * 100.0);
+                   bench.name.c_str(), bench.seconds, time_limit,
+                   base.seconds, tolerance * 100.0);
       ++violations;
     }
     for (const auto& [key, value] : bench.counters) {
-      if (CounterExempt(key)) continue;
       auto base_counter = base.counters.find(key);
       // A counter the baseline has never seen is new instrumentation,
       // not a regression; only increases of known counters are gated.
@@ -309,7 +211,7 @@ int CheckAgainstBaseline(const std::vector<BenchEntry>& benches,
       }
     }
     for (const auto& [key, value] : base.counters) {
-      if (CounterExempt(key) || bench.counters.count(key) != 0) continue;
+      if (bench.counters.count(key) != 0) continue;
       std::fprintf(stderr,
                    "bench_report: CHECK FAIL: '%s' counter '%s' is in the "
                    "baseline (%.0f) but the run does not report it; drop "
@@ -355,8 +257,7 @@ double Median(std::vector<double> values) {
 int CheckAgainstHistory(
     const std::vector<BenchEntry>& benches,
     const std::map<std::string, std::vector<BenchEntry>>& history,
-    double tolerance, double counter_tolerance, size_t window,
-    unsigned cores) {
+    double tolerance, double counter_tolerance, size_t window) {
   int violations = 0;
   for (const BenchEntry& bench : benches) {
     auto it = history.find(bench.name);
@@ -369,21 +270,19 @@ int CheckAgainstHistory(
     size_t first = runs.size() > window ? runs.size() - window : 0;
     std::vector<double> seconds;
     for (size_t i = first; i < runs.size(); ++i) {
-      seconds.push_back(GatedSeconds(runs[i], cores));
+      seconds.push_back(runs[i].seconds);
     }
-    double gated_seconds = GatedSeconds(bench, cores);
     double median_seconds = Median(seconds);
     double time_limit = median_seconds * (1.0 + tolerance) + 0.05;
-    if (gated_seconds > time_limit) {
+    if (bench.seconds > time_limit) {
       std::fprintf(stderr,
                    "bench_report: HISTORY FAIL: '%s' took %.3fs, limit "
                    "%.3fs (median of last %zu: %.3fs)\n",
-                   bench.name.c_str(), gated_seconds, time_limit,
+                   bench.name.c_str(), bench.seconds, time_limit,
                    seconds.size(), median_seconds);
       ++violations;
     }
     for (const auto& [key, value] : bench.counters) {
-      if (CounterExempt(key)) continue;
       std::vector<double> samples;
       for (size_t i = first; i < runs.size(); ++i) {
         auto counter = runs[i].counters.find(key);
@@ -457,10 +356,6 @@ std::string ToJson(const std::vector<BenchEntry>& benches,
       obs::AppendJsonString(&out, phase.name);
       out += ",\"seconds\":";
       AppendNumber(&out, phase.seconds);
-      if (phase.requires_cores > 0) {
-        out += ",\"requires_cores\":" +
-               std::to_string(phase.requires_cores);
-      }
       out.push_back('}');
     }
     out += "],\"counters\":";
@@ -545,8 +440,7 @@ int Main(int argc, char** argv) {
     std::map<std::string, BenchEntry> baseline;
     if (!LoadBaseline(baseline_path, &baseline)) return 1;
     int violations = CheckAgainstBaseline(benches, baseline, tolerance,
-                                          counter_tolerance,
-                                          AvailableCores());
+                                          counter_tolerance);
     if (violations > 0) {
       std::fprintf(stderr,
                    "bench_report: %d regression(s) against baseline %s\n",
@@ -564,8 +458,7 @@ int Main(int argc, char** argv) {
     if (!LoadHistory(history_path, &history)) return 1;
     constexpr size_t kHistoryWindow = 5;
     int violations = CheckAgainstHistory(benches, history, tolerance,
-                                         counter_tolerance, kHistoryWindow,
-                                         AvailableCores());
+                                         counter_tolerance, kHistoryWindow);
     if (violations > 0) {
       std::fprintf(stderr,
                    "bench_report: %d regression(s) against ledger "

@@ -36,7 +36,6 @@
 #include "base/budget.h"
 #include "base/fault.h"
 #include "base/strings.h"
-#include "base/thread_pool.h"
 #include "base/version.h"
 #include "chase/chase.h"
 #include "chase/chase_checkpoint.h"
@@ -88,10 +87,7 @@ Budget* g_budget = nullptr;
 // in the run record as the planner handoff.
 std::optional<CostModel> g_cost_model;
 
-// Worker threads for every chase (--threads, capped; 0 defers to
-// QIMAP_CHASE_THREADS) and the bounded-space fact limit (--max-facts),
-// both parsed strictly in Main.
-size_t g_threads = 1;
+// The bounded-space fact limit (--max-facts), parsed strictly in Main.
 size_t g_max_facts = 2;
 
 // The corpus case loaded by --case, supplying the mapping (and, for
@@ -134,7 +130,7 @@ const tools::ArgSpec& CliSpec() {
         "source",        "target",      "tgds",        "instance",
         "reverse",       "mode",        "domain",      "max-facts",
         "trace-out",     "record-out",  "journal-out", "fact",
-        "format",        "explain-out", "threads",     "deadline-ms",
+        "format",        "explain-out", "deadline-ms",
         "max-memory-mb", "max-nulls",   "max-steps",   "delta",
         "progress-out",  "progress-interval", "ledger",
         "case",          "contained-in", "plan-out"};
@@ -159,8 +155,6 @@ int Usage() {
       "             source instance) instead of --source/--target/--tgds/"
       "--instance\n"
       "         --mode quasi|inverse  --domain a,b  --max-facts 2\n"
-      "         --threads N           chase worker threads (0 reads "
-      "QIMAP_CHASE_THREADS)\n"
       "chase:   --incremental --delta \"P(c,d)\"  record a checkpoint "
       "chase of --instance,\n"
       "             add the --delta facts, and resume incrementally "
@@ -229,11 +223,9 @@ int Usage() {
   return 2;
 }
 
-// Chase options shared by every command that chases: --threads N
-// (default 1; 0 defers to the QIMAP_CHASE_THREADS environment variable).
+// Chase options shared by every command that chases: the shared budget.
 ChaseOptions LoadChaseOptions() {
   ChaseOptions options;
-  options.num_threads = g_threads;
   options.budget = g_budget;
   return options;
 }
@@ -591,7 +583,6 @@ int RunContains(const Args& args, const SchemaMapping& m) {
       super.tgds, ParseTgds(*m.source, *m.target, super_text));
   ContainmentOptions options;
   options.budget = g_budget;
-  options.num_threads = g_threads;
   ContainmentReport partial;
   if (g_budget != nullptr) options.partial_out = &partial;
   Result<ContainmentReport> report = CheckContainment(m, super, options);
@@ -850,17 +841,9 @@ int Main(int argc, char** argv) {
     g_budget = &*budget;
   }
 
-  uint64_t threads = 1, max_facts = 2;
-  if (!ParseLimitFlag(args, "threads", &threads, "1") ||
-      !ParseLimitFlag(args, "max-facts", &max_facts, "2")) {
-    return 2;
-  }
-  g_threads = CapThreadCount(static_cast<size_t>(threads),
-                             std::string("--threads ") +
-                                 args.Get("threads", "1"));
+  uint64_t max_facts = 2;
+  if (!ParseLimitFlag(args, "max-facts", &max_facts, "2")) return 2;
   g_max_facts = static_cast<size_t>(max_facts);
-  // Requested worker-thread count, stamped into every telemetry artifact.
-  obs::SetRunThreads(static_cast<int>(g_threads));
 
   // Live heartbeats: --progress renders the stderr status line (TTY-aware,
   // --quiet wins), --progress-out streams every snapshot as JSONL. Either

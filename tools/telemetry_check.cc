@@ -1,8 +1,8 @@
 // telemetry_check — validates the telemetry files qimap writes.
 //
 //   telemetry_check [--record F] [--ledger F] [--require F COUNTER]
-//                   [--compare A B] [--trace F] [--journal F]
-//                   [--explain F] [--progress F] [--plan F]
+//                   [--trace F] [--journal F] [--explain F]
+//                   [--progress F] [--plan F]
 //
 // Every flag repeats; checks run in command-line order and the exit code
 // is 0 iff every one passes (diagnostics go to stderr):
@@ -16,10 +16,6 @@
 //              valid record, with `seq` dense and 1-based
 //   --require  the record's counter COUNTER is nonzero; `prefix.*`
 //              requires at least one nonzero counter with that prefix
-//   --compare  two records whose counters are identical except for the
-//              chase.parallel.* family — the multi-threaded chase must do
-//              exactly the same work as the serial one, it may only
-//              distribute it
 //   --trace    well-formed Chrome trace-event JSON with >= 1 event
 //   --journal  provenance JSONL: monotone event ids, known kinds, every
 //              parent/null reference resolves to an earlier event
@@ -130,14 +126,14 @@ bool GetString(const char* path, const obs::JsonValue& obj, const char* key,
   return true;
 }
 
-// Validates a run-metadata stamp: the producing library's version, its
-// build type and the run's thread count.
+// Validates a run-metadata stamp: the producing library's version and
+// its build type. Other members (older stamps carry `threads`) are
+// ignored.
 bool CheckMetaObject(const char* path, const obs::JsonValue& meta,
                      const std::string& where) {
   if (!meta.IsObject()) return Fail(path, where + ": 'meta' is not an object");
   return GetString(path, meta, "qimap_version", where + " meta") &&
-         GetString(path, meta, "build_type", where + " meta") &&
-         GetCount(path, meta, "threads", where + " meta");
+         GetString(path, meta, "build_type", where + " meta");
 }
 
 // Validates a record's non-null `profile`: a nonempty deps array with
@@ -306,10 +302,6 @@ bool CheckRecordValue(const char* path, const obs::JsonValue& record,
           !GetCount(path, phase, "seconds", phase_where)) {
         return false;
       }
-      if (phase.Find("requires_cores") != nullptr &&
-          !GetCount(path, phase, "requires_cores", phase_where)) {
-        return false;
-      }
     }
   }
   const obs::JsonValue* counters = record.Find("counters");
@@ -405,49 +397,6 @@ bool CheckRequire(const char* path, const std::string& counter) {
     return Fail(path, "counter '" + counter + "' is missing or zero");
   }
   return true;
-}
-
-bool IsParallelCounter(const std::string& key) {
-  return key.rfind("chase.parallel.", 0) == 0;
-}
-
-// Serial-vs-parallel differential check: every counter except the
-// chase.parallel.* family must agree exactly, because thread count may
-// only change how the chase's work is distributed, never what it does.
-bool CheckCompare(const char* path_a, const char* path_b) {
-  obs::JsonValue record_a, record_b;
-  if (!LoadRecord(path_a, &record_a) || !LoadRecord(path_b, &record_b)) {
-    return false;
-  }
-  const obs::JsonValue* a = record_a.Find("counters");
-  const obs::JsonValue* b = record_b.Find("counters");
-  if (a == nullptr || !a->IsObject()) {
-    return Fail(path_a, "missing 'counters' object");
-  }
-  if (b == nullptr || !b->IsObject()) {
-    return Fail(path_b, "missing 'counters' object");
-  }
-  bool ok = true;
-  for (const auto& [key, value_a] : a->members) {
-    if (IsParallelCounter(key)) continue;
-    const obs::JsonValue* value_b = b->Find(key);
-    double number_b = value_b != nullptr ? value_b->number_value : 0.0;
-    if (value_a.number_value != number_b) {
-      char why[256];
-      std::snprintf(why, sizeof(why),
-                    "counter '%s' differs: %.0f vs %.0f in %s", key.c_str(),
-                    value_a.number_value, number_b, path_b);
-      ok = Fail(path_a, why) && ok;
-    }
-  }
-  for (const auto& [key, value_b] : b->members) {
-    if (IsParallelCounter(key) || a->Find(key) != nullptr ||
-        value_b.number_value == 0) {
-      continue;
-    }
-    ok = Fail(path_b, "counter '" + key + "' missing from " + path_a) && ok;
-  }
-  return ok;
 }
 
 // Each id-array member ("parents", "nulls") must reference an event that
@@ -769,24 +718,21 @@ int Usage() {
   std::fprintf(stderr,
                "usage: telemetry_check [--record FILE] [--ledger FILE] "
                "[--require FILE COUNTER]\n"
-               "                       [--compare FILE_A FILE_B] "
-               "[--trace FILE] [--journal FILE]\n"
-               "                       [--explain FILE] [--progress FILE] "
-               "[--plan FILE]\n");
+               "                       [--trace FILE] [--journal FILE] "
+               "[--explain FILE]\n"
+               "                       [--progress FILE] [--plan FILE]\n");
   return 2;
 }
 
 int Main(int argc, char** argv) {
   // Every check is a repeatable `--flag FILE` pair, run in command-line
-  // order; --require and --compare consume two operands
-  // (tools/arg_parse.h).
+  // order; --require consumes two operands (tools/arg_parse.h).
   tools::ArgSpec spec;
   for (const char* name : {"record", "ledger", "trace", "journal",
                            "explain", "progress", "plan"}) {
     spec.multi_value_flags[name] = 1;
   }
   spec.multi_value_flags["require"] = 2;
-  spec.multi_value_flags["compare"] = 2;
   tools::ParsedArgs args;
   std::string error;
   if (!tools::ParseArgs(argc, argv, 1, spec, &args, &error)) {
@@ -804,8 +750,6 @@ int Main(int argc, char** argv) {
     const char* file = occ.values[0].c_str();
     if (occ.flag == "require") {
       ok = CheckRequire(file, occ.values[1]) && ok;
-    } else if (occ.flag == "compare") {
-      ok = CheckCompare(file, occ.values[1].c_str()) && ok;
     } else {
       ok = kFileChecks.at(occ.flag)(file) && ok;
     }
