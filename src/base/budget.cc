@@ -13,16 +13,22 @@ uint64_t SteadyNowUs() {
           .count());
 }
 
-std::string NormalizedHint(const char* hint) {
-  if (hint == nullptr) return "";
-  // Exactly one separating space before a non-empty hint, regardless of
-  // how the caller spelled it.
+}  // namespace
+
+std::string StepLimitMessage(const char* what, size_t max_steps,
+                             const char* hint) {
+  std::string message = std::string(what) + " exceeded its step limit (" +
+                        std::to_string(max_steps) + " steps)";
+  if (hint == nullptr) return message;
   while (*hint == ' ') ++hint;
-  if (*hint == '\0') return "";
-  return std::string(" ") + hint;
+  if (*hint != '\0') message += std::string(" ") + hint;
+  return message;
 }
 
-}  // namespace
+std::string UsageCounts(size_t steps, size_t nulls, size_t bytes) {
+  return "steps=" + std::to_string(steps) + ", nulls=" +
+         std::to_string(nulls) + ", bytes=" + std::to_string(bytes);
+}
 
 const char* BudgetLimitName(BudgetLimit limit) {
   switch (limit) {
@@ -57,9 +63,7 @@ uint64_t Budget::elapsed_us() const {
 }
 
 std::string Budget::UsageString() const {
-  std::string usage = "steps=" + std::to_string(steps());
-  usage += ", nulls=" + std::to_string(nulls());
-  usage += ", bytes=" + std::to_string(memory_bytes());
+  std::string usage = UsageCounts(steps(), nulls(), memory_bytes());
   if (spec_.deadline_us != 0 || spec_.clock) {
     usage += ", elapsed_us=" + std::to_string(elapsed_us());
   }
@@ -110,9 +114,7 @@ Status Budget::Tick(const char* what, const char* hint) {
   if (spec_.max_steps != 0 &&
       steps_.load(std::memory_order_relaxed) >= spec_.max_steps) {
     return Trip(BudgetLimit::kSteps,
-                std::string(what) + " exceeded its step limit (" +
-                    std::to_string(spec_.max_steps) + " steps)" +
-                    NormalizedHint(hint));
+                StepLimitMessage(what, spec_.max_steps, hint));
   }
   steps_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();

@@ -21,17 +21,21 @@ namespace qimap {
 /// bounds four resources at once — chase steps, wall-clock time (via an
 /// injectable clock), approximate memory bytes, and generated labeled
 /// nulls — and observes a cooperative `Cancellation` token, which trigger
-/// collection also checks before each dependency. One `Budget` may be
-/// shared across a whole pipeline composition (QuasiInverse -> its MinGen
-/// searches) so the limits bound the end-to-end run, not each stage
-/// separately.
+/// collection also checks before each dependency. The caller attaches one
+/// `Budget` to a pipeline's options, and it may be shared across a whole
+/// pipeline composition (QuasiInverse -> its MinGen searches) so the
+/// limits bound the end-to-end run, not each stage separately.
+///
+/// Each pipeline call charges it through its `obs::PipelineRun`
+/// (obs/pipeline_run.h), which also enforces the call's own `max_steps`
+/// option as a step valve and counts the call's own steps.
 ///
 /// A budget trips at most once and is sticky: the first limit violation
 /// records which limit tripped and every later check returns the same
 /// structured status (`ResourceExhausted`, or `Cancelled` for the token).
 /// Engines translate a trip into a best-effort partial result flagged
 /// `partial = true` plus a `budget` journal event and `budget.*` metrics
-/// (`obs::PipelineRun::Trip`, obs/pipeline_run.h).
+/// (`obs::PipelineRun::Trip`).
 
 /// Which resource limit tripped a Budget.
 enum class BudgetLimit : uint8_t {
@@ -82,8 +86,7 @@ struct BudgetSpec {
   /// Deterministic fault injection (inactive by default).
   FaultPlan fault_plan;
 
-  /// A spec with only a step limit set (the RunBudget local-valve
-  /// shape).
+  /// A spec with only a step limit set.
   static BudgetSpec StepsOnly(size_t max_steps) {
     BudgetSpec spec;
     spec.max_steps = max_steps;
@@ -179,72 +182,16 @@ constexpr size_t ApproxFactBytes(size_t arity, size_t value_bytes) {
   return 64 + arity * value_bytes;
 }
 
-/// The per-run guard the engines actually hold: a run-local Budget
-/// enforcing the run's own option limits (`max_steps` from ChaseOptions
-/// and friends, so the default safety valves survive even when a shared
-/// budget is attached) paired with the optional shared Budget from the
-/// caller's options. Every charge hits the local budget first, then the
-/// shared one; run stats (`steps()`) come from the local side so a shared
-/// budget spanning several runs never skews per-run counters.
-class RunBudget {
- public:
-  /// `what` and `hint` must outlive the guard (string literals at every
-  /// call site). `max_steps = 0` disables the local step limit;
-  /// `shared` may be null.
-  RunBudget(const char* what, size_t max_steps, Budget* shared,
-            const char* hint = "")
-      : local_(BudgetSpec::StepsOnly(max_steps)),
-        shared_(shared),
-        what_(what),
-        hint_(hint) {}
+/// The step-limit trip message, "<what> exceeded its step limit (N
+/// steps)", followed by `hint` with exactly one separating space however
+/// the caller spelled it. `Budget::Tick` and a pipeline call's own step
+/// valve (obs::PipelineRun) both trip with it.
+std::string StepLimitMessage(const char* what, size_t max_steps,
+                             const char* hint);
 
-  Status Tick() {
-    Status status = local_.Tick(what_, hint_);
-    if (status.ok() && shared_ != nullptr) {
-      status = shared_->Tick(what_, hint_);
-    }
-    return status;
-  }
-  Status ChargeNulls(size_t count = 1) {
-    Status status = local_.ChargeNulls(what_, count);
-    if (status.ok() && shared_ != nullptr) {
-      status = shared_->ChargeNulls(what_, count);
-    }
-    return status;
-  }
-  Status ChargeMemory(size_t bytes) {
-    Status status = local_.ChargeMemory(what_, bytes);
-    if (status.ok() && shared_ != nullptr) {
-      status = shared_->ChargeMemory(what_, bytes);
-    }
-    return status;
-  }
-  Status Check() {
-    Status status = local_.Check(what_);
-    if (status.ok() && shared_ != nullptr) {
-      status = shared_->Check(what_);
-    }
-    return status;
-  }
-  /// Steps this run performed (local count, shared-budget agnostic).
-  size_t steps() const { return local_.steps(); }
-  BudgetLimit tripped() const {
-    BudgetLimit limit = local_.tripped();
-    if (limit == BudgetLimit::kNone && shared_ != nullptr) {
-      limit = shared_->tripped();
-    }
-    return limit;
-  }
-  bool exhausted() const { return tripped() != BudgetLimit::kNone; }
-  /// This run's local usage (what the journal's budget event reports).
-  std::string UsageString() const { return local_.UsageString(); }
-
- private:
-  Budget local_;
-  Budget* shared_;
-  const char* what_;
-  const char* hint_;
-};
+/// "steps=12, nulls=3, bytes=456": the counts `Budget::UsageString` and a
+/// pipeline call's `budget` journal event report.
+std::string UsageCounts(size_t steps, size_t nulls, size_t bytes);
 
 }  // namespace qimap
 

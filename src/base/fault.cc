@@ -59,7 +59,10 @@ Result<FaultPlan> FaultPlan::Parse(std::string_view text) {
   uint64_t nth = 0;
   for (char c : rest) {
     if (c < '0' || c > '9') return bad();
-    nth = nth * 10 + static_cast<uint64_t>(c - '0');
+    uint64_t digit = static_cast<uint64_t>(c - '0');
+    // An ordinal past 2^64 - 1 must not wrap to a small one.
+    if (nth > (UINT64_MAX - digit) / 10) return bad();
+    nth = nth * 10 + digit;
   }
   if (nth == 0) return bad();
   plan.nth = nth;

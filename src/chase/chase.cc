@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/pipeline_run.h"
 #include "obs/profiler.h"
-#include "relational/cost_model.h"
 #include "relational/homomorphism.h"
 
 namespace qimap {
@@ -82,9 +81,8 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
   ChaseStats& st = stats != nullptr ? *stats : local_stats;
   st = ChaseStats{};
   // Heartbeats: sampled from `st` on the serial fire loop only, so every
-  // snapshot is a deterministic function of the input. The initial total
-  // is the CostModel product bound; trigger collection refines it to the
-  // exact merged-batch count below.
+  // snapshot is a deterministic function of the input. Trigger
+  // collection sets the total to the exact merged-batch count below.
   obs::PipelineRun run(kRun, options.max_steps, options.budget, [&st]() {
     obs::ProgressSample sample;
     sample.facts = st.facts_added;
@@ -102,10 +100,6 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
                            : source_inst.MaxNullLabel() + 1;
   uint32_t next_null = null_base;
   Status overflow = Status::OK();
-  if (obs::Progress::Enabled()) {
-    run.SetTotalEstimate(
-        EstimateChaseSteps(CostModel::FromInstance(source_inst), tgds));
-  }
 
   // Incremental resume: a checkpoint matches when it was cut from a
   // prefix of this source instance (proved by the prefix fingerprint —
@@ -440,32 +434,6 @@ Instance MustChase(const Instance& source_inst, const SchemaMapping& m,
     std::abort();
   }
   return std::move(result).value();
-}
-
-uint64_t EstimateChaseSteps(const CostModel& model,
-                            const std::vector<Tgd>& tgds) {
-  constexpr uint64_t kMax = ~uint64_t{0};
-  uint64_t total = 0;
-  for (const Tgd& tgd : tgds) {
-    uint64_t product = 1;
-    for (const Atom& atom : tgd.lhs) {
-      uint64_t rows = atom.relation < model.relations.size()
-                          ? model.relations[atom.relation].rows
-                          : 0;
-      if (rows == 0) {
-        product = 0;
-        break;
-      }
-      if (product > kMax / rows) {
-        product = kMax;
-        break;
-      }
-      product *= rows;
-    }
-    if (total > kMax - product) return kMax;
-    total += product;
-  }
-  return total;
 }
 
 }  // namespace qimap

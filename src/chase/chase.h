@@ -11,7 +11,6 @@ namespace qimap {
 
 class Budget;            // base/budget.h
 struct ChaseCheckpoint;  // chase/chase_checkpoint.h
-struct CostModel;        // relational/cost_model.h
 
 /// Options for the chase.
 struct ChaseOptions {
@@ -35,7 +34,7 @@ struct ChaseOptions {
   /// count, cancellation, and fault injection all flow through it. Not
   /// owned; one Budget may be shared across a whole pipeline composition
   /// so the limits bound the end-to-end run. nullptr (default) leaves
-  /// only the local step valve.
+  /// only the `max_steps` valve.
   Budget* budget = nullptr;
   /// When non-null and the run trips a budget limit, receives the
   /// best-effort partial result (the target instance built so far) and
@@ -104,14 +103,6 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
 /// Like Chase but aborts on error (tests/examples/benchmarks).
 Instance MustChase(const Instance& source_inst, const SchemaMapping& m,
                    const ChaseOptions& options = {});
-
-/// CostModel-derived upper bound on the chase's step count: the sum over
-/// dependencies of the product of their body atoms' relation row counts
-/// (every trigger is one such combination), saturating at UINT64_MAX.
-/// The progress heartbeats use it as the initial `total_estimate` / ETA
-/// denominator until trigger collection refines it to the exact total.
-uint64_t EstimateChaseSteps(const CostModel& model,
-                            const std::vector<Tgd>& tgds);
 
 }  // namespace qimap
 

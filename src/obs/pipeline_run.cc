@@ -9,19 +9,31 @@ namespace qimap {
 namespace obs {
 
 PipelineRun::PipelineRun(const PipelineSpec& spec, size_t max_steps,
-                         Budget* shared, ProgressRun::Sampler sampler)
-    : pipeline_(spec.pipeline),
+                         Budget* shared, Sampler sampler)
+    : spec_(spec),
       span_(spec.span),
-      guard_(spec.budget, max_steps, shared, spec.hint),
-      progress_(spec.pipeline, std::move(sampler), shared) {}
+      shared_(shared),
+      max_steps_(max_steps),
+      sampler_(std::move(sampler)) {
+  heartbeat_interval_ = internal::StartHeartbeats(&start_us_);
+}
+
+PipelineRun::~PipelineRun() {
+  if (heartbeat_interval_ != 0) Heartbeat(/*is_final=*/true);
+}
+
+void PipelineRun::Heartbeat(bool is_final) {
+  internal::EmitHeartbeat(spec_.pipeline, is_final, steps_, total_estimate_,
+                          start_us_, sampler_, shared_);
+}
 
 uint32_t PipelineRun::RegisterDep(const std::string& text,
                                   uint32_t body_atoms) const {
-  return Profiler::RegisterDep(pipeline_, text, body_atoms);
+  return Profiler::RegisterDep(spec_.pipeline, text, body_atoms);
 }
 
 void PipelineRun::Trip(const Status& status, bool partial) {
-  BudgetLimit limit = guard_.tripped();
+  BudgetLimit limit = tripped();
   if (limit == BudgetLimit::kNone) return;
 
   static const MetricId kExhausted = RegisterCounter("budget.exhausted");
@@ -36,7 +48,7 @@ void PipelineRun::Trip(const Status& status, bool partial) {
   JournalRun& run_journal = journal();
   if (run_journal.active()) {
     run_journal.RecordBudget(status.message(), BudgetLimitName(limit),
-                             guard_.UsageString());
+                             UsageCounts(steps_, nulls_, bytes_));
   }
 }
 

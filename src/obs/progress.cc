@@ -58,6 +58,55 @@ void AppendUint(std::string* out, const char* key, uint64_t value,
   *out += buf;
 }
 
+uint64_t ProgressNowUs() {
+  std::function<uint64_t()> clock;
+  {
+    std::lock_guard<std::mutex> lock(g_mu);
+    clock = g_config.clock;
+  }
+  return clock ? clock() : SteadyNowUs();
+}
+
+uint64_t NextProgressSeq() {
+  return g_seq.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+void EmitProgress(const ProgressSnapshot& snap) {
+  static const MetricId kHeartbeats = RegisterCounter("progress.heartbeats");
+  CounterAdd(kHeartbeats);
+
+  std::function<void(const ProgressSnapshot&)> sink;
+  bool to_stderr = false;
+  {
+    std::lock_guard<std::mutex> lock(g_mu);
+    sink = g_config.sink;
+    to_stderr = g_config.stderr_line && StderrIsTty();
+    if (!g_config.jsonl_path.empty() && !g_stream_failed) {
+      if (g_stream == nullptr) {
+        g_stream = std::fopen(g_config.jsonl_path.c_str(), "wb");
+        if (g_stream == nullptr) {
+          g_stream_failed = true;
+        } else {
+          std::string header = "{\"meta\": " + RunMetaJson() + "}\n";
+          std::fwrite(header.data(), 1, header.size(), g_stream);
+        }
+      }
+      if (g_stream != nullptr) {
+        std::string line = snap.ToJson(/*canonical=*/false) + "\n";
+        std::fwrite(line.data(), 1, line.size(), g_stream);
+        std::fflush(g_stream);
+      }
+    }
+  }
+  if (to_stderr) {
+    std::string line = "\r" + snap.ToLine();
+    if (snap.is_final) line += "\n";
+    std::fwrite(line.data(), 1, line.size(), stderr);
+    std::fflush(stderr);
+  }
+  if (sink) sink(snap);
+}
+
 }  // namespace
 
 std::string ProgressSnapshot::ToJson(bool canonical) const {
@@ -156,95 +205,38 @@ void Progress::CloseStream() {
 
 namespace internal {
 
-ProgressConfig& ProgressConfigRef() { return g_config; }
-
-uint64_t NextProgressSeq() {
-  return g_seq.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-uint64_t ProgressNowUs() {
-  std::function<uint64_t()> clock;
+uint64_t StartHeartbeats(uint64_t* start_us) {
+  if (!Progress::Enabled()) return 0;
+  uint64_t interval = 1;
   {
     std::lock_guard<std::mutex> lock(g_mu);
-    clock = g_config.clock;
+    if (g_config.interval != 0) interval = g_config.interval;
   }
-  return clock ? clock() : SteadyNowUs();
+  *start_us = ProgressNowUs();
+  return interval;
 }
 
-void EmitProgress(const ProgressSnapshot& snap) {
-  static const MetricId kHeartbeats = RegisterCounter("progress.heartbeats");
-  CounterAdd(kHeartbeats);
-
-  std::function<void(const ProgressSnapshot&)> sink;
-  bool to_stderr = false;
-  {
-    std::lock_guard<std::mutex> lock(g_mu);
-    sink = g_config.sink;
-    to_stderr = g_config.stderr_line && StderrIsTty();
-    if (!g_config.jsonl_path.empty() && !g_stream_failed) {
-      if (g_stream == nullptr) {
-        g_stream = std::fopen(g_config.jsonl_path.c_str(), "wb");
-        if (g_stream == nullptr) {
-          g_stream_failed = true;
-        } else {
-          std::string header = "{\"meta\": " + RunMetaJson() + "}\n";
-          std::fwrite(header.data(), 1, header.size(), g_stream);
-        }
-      }
-      if (g_stream != nullptr) {
-        std::string line = snap.ToJson(/*canonical=*/false) + "\n";
-        std::fwrite(line.data(), 1, line.size(), g_stream);
-        std::fflush(g_stream);
-      }
-    }
-  }
-  if (to_stderr) {
-    std::string line = "\r" + snap.ToLine();
-    if (snap.is_final) line += "\n";
-    std::fwrite(line.data(), 1, line.size(), stderr);
-    std::fflush(stderr);
-  }
-  if (sink) sink(snap);
-}
-
-}  // namespace internal
-
-ProgressRun::ProgressRun(const char* pipeline, Sampler sampler,
-                         const Budget* budget) {
-  if (!Progress::Enabled()) return;
-  active_ = true;
-  pipeline_ = pipeline;
-  sampler_ = std::move(sampler);
-  budget_ = budget;
-  {
-    std::lock_guard<std::mutex> lock(g_mu);
-    interval_ = g_config.interval == 0 ? 1 : g_config.interval;
-  }
-  start_us_ = internal::ProgressNowUs();
-}
-
-ProgressRun::~ProgressRun() {
-  if (active_) Emit(/*is_final=*/true);
-}
-
-void ProgressRun::Emit(bool is_final) {
+void EmitHeartbeat(const char* pipeline, bool is_final, uint64_t steps,
+                   uint64_t total_estimate, uint64_t start_us,
+                   const std::function<ProgressSample()>& sampler,
+                   const Budget* budget) {
   ProgressSnapshot snap;
-  snap.seq = internal::NextProgressSeq();
-  snap.pipeline = pipeline_;
+  snap.seq = NextProgressSeq();
+  snap.pipeline = pipeline;
   snap.is_final = is_final;
-  snap.steps = steps_;
-  if (sampler_) {
-    ProgressSample sample = sampler_();
+  snap.steps = steps;
+  if (sampler) {
+    ProgressSample sample = sampler();
     snap.facts = sample.facts;
     snap.nulls = sample.nulls;
     snap.fired = sample.fired;
     snap.skipped = sample.skipped;
   }
-  snap.total_estimate = total_estimate_;
-  if (budget_ != nullptr) {
+  snap.total_estimate = total_estimate;
+  if (budget != nullptr) {
     // Largest consumed fraction over the bounded *counter* limits only;
     // the deadline is timing and stays out of canonical snapshots.
-    const BudgetSpec& spec = budget_->spec();
+    const BudgetSpec& spec = budget->spec();
     double fraction = -1.0;
     auto consider = [&fraction](size_t used, size_t limit) {
       if (limit == 0) return;
@@ -252,18 +244,19 @@ void ProgressRun::Emit(bool is_final) {
       if (f > 1.0) f = 1.0;
       if (f > fraction) fraction = f;
     };
-    consider(budget_->steps(), spec.max_steps);
-    consider(budget_->nulls(), spec.max_nulls);
-    consider(budget_->memory_bytes(), spec.max_memory_bytes);
+    consider(budget->steps(), spec.max_steps);
+    consider(budget->nulls(), spec.max_nulls);
+    consider(budget->memory_bytes(), spec.max_memory_bytes);
     snap.budget_fraction = fraction;
   }
-  uint64_t now_us = internal::ProgressNowUs();
-  snap.elapsed_us = now_us >= start_us_ ? now_us - start_us_ : 0;
-  if (total_estimate_ > 0 && steps_ > 0 && steps_ < total_estimate_) {
-    snap.eta_us = snap.elapsed_us * (total_estimate_ - steps_) / steps_;
+  uint64_t now_us = ProgressNowUs();
+  snap.elapsed_us = now_us >= start_us ? now_us - start_us : 0;
+  if (total_estimate > 0 && steps > 0 && steps < total_estimate) {
+    snap.eta_us = snap.elapsed_us * (total_estimate - steps) / steps;
   }
-  internal::EmitProgress(snap);
+  EmitProgress(snap);
 }
 
+}  // namespace internal
 }  // namespace obs
 }  // namespace qimap

@@ -12,13 +12,13 @@ class Budget;
 namespace obs {
 
 /// Live progress heartbeats for the chase engines and inversion
-/// pipelines. Every engine's serial firing loop already ticks a
-/// RunBudget; a ProgressRun piggybacks on the same loop (both live in the
-/// pipeline's obs::PipelineRun) and emits a snapshot every `interval`
-/// steps — facts written, nulls minted, triggers fired/skipped, the
-/// consumed fraction of the attached budget, and a CostModel-derived
-/// ETA — to any combination of a stderr status line (TTY-aware), a JSONL
-/// stream, and an in-process sink (tests).
+/// pipelines. Every engine's serial firing loop already ticks its
+/// pipeline call's obs::PipelineRun; every `interval` counted steps that
+/// scope emits a snapshot — facts written, nulls minted, triggers
+/// fired/skipped, the consumed fraction of the attached budget, and an
+/// ETA against the pipeline's total-steps estimate — to any combination
+/// of a stderr status line (TTY-aware), a JSONL stream, and an in-process
+/// sink (tests).
 ///
 /// Determinism contract, same as every obs surface: snapshots are taken
 /// in the engines' firing loops, counters come from the engines' own
@@ -26,7 +26,7 @@ namespace obs {
 /// (timing-free) rendering of every heartbeat is byte-identical across
 /// runs of the same input.
 ///
-/// Disabled (the default) a ProgressRun costs one branch per Step().
+/// Disabled (the default) heartbeats cost one branch per counted step.
 
 /// The engine-side counters a heartbeat samples. Each pipeline fills
 /// this from its own stats struct via the sampler callback.
@@ -48,9 +48,9 @@ struct ProgressSnapshot {
   uint64_t nulls = 0;
   uint64_t fired = 0;
   uint64_t skipped = 0;
-  /// Upper-bound step estimate (chase: CostModel product bound refined to
-  /// the exact merged-batch total once triggers are collected;
-  /// QuasiInverse: its sigma-star member count). 0 = unknown.
+  /// Total-steps estimate (chase: the exact merged-batch total once
+  /// triggers are collected; QuasiInverse: its sigma-star member count).
+  /// 0 = unknown, as in a chase whose trigger collection tripped.
   uint64_t total_estimate = 0;
   /// Largest consumed fraction across the attached budget's bounded
   /// counter limits (steps, nulls, memory) in [0, 1]; -1 when no bounded
@@ -104,54 +104,24 @@ class Progress {
 };
 
 namespace internal {
-ProgressConfig& ProgressConfigRef();
-uint64_t NextProgressSeq();
-uint64_t ProgressNowUs();
-void EmitProgress(const ProgressSnapshot& snap);
+
+/// Starts a pipeline call's heartbeats: returns the steps between them,
+/// 0 when progress is disabled (the call then emits none), and otherwise
+/// sets `*start_us` from the progress clock.
+uint64_t StartHeartbeats(uint64_t* start_us);
+
+/// Assembles one heartbeat of a pipeline call from its counters and
+/// emits it. `steps` is the call's counted steps, `sampler` reads the
+/// engine's stats struct (may be empty), and `budget` is the caller's
+/// shared budget (may be null), the source of the consumed-fraction
+/// display. obs::PipelineRun calls it every `interval` steps and once,
+/// final, from its destructor.
+void EmitHeartbeat(const char* pipeline, bool is_final, uint64_t steps,
+                   uint64_t total_estimate, uint64_t start_us,
+                   const std::function<ProgressSample()>& sampler,
+                   const Budget* budget);
+
 }  // namespace internal
-
-/// The per-run recorder an engine's obs::PipelineRun holds next to its
-/// RunBudget. Inert when Progress is disabled at construction time. The destructor emits
-/// a final heartbeat (is_final = true), so every observed run produces at
-/// least one snapshot.
-class ProgressRun {
- public:
-  using Sampler = std::function<ProgressSample()>;
-
-  /// `pipeline` must outlive the run (string literals at every call
-  /// site). `sampler` reads the engine's stats struct; it is only
-  /// invoked from Step()/the destructor on the engine's serial path.
-  /// `budget` is the caller's shared budget (may be null) — the source
-  /// of the consumed-fraction display.
-  ProgressRun(const char* pipeline, Sampler sampler, const Budget* budget);
-  ProgressRun(const ProgressRun&) = delete;
-  ProgressRun& operator=(const ProgressRun&) = delete;
-  ~ProgressRun();
-
-  /// Counts one engine step; emits a heartbeat every `interval` steps.
-  void Step() {
-    if (!active_) return;
-    if (++steps_ % interval_ == 0) Emit(false);
-  }
-
-  /// Sets (or refines) the total-steps upper bound shown as
-  /// `total_estimate` and used for the ETA.
-  void SetTotalEstimate(uint64_t total) { total_estimate_ = total; }
-
-  uint64_t steps() const { return steps_; }
-
- private:
-  void Emit(bool is_final);
-
-  bool active_ = false;
-  const char* pipeline_ = "";
-  Sampler sampler_;
-  const Budget* budget_ = nullptr;
-  uint64_t interval_ = 1;
-  uint64_t steps_ = 0;
-  uint64_t total_estimate_ = 0;
-  uint64_t start_us_ = 0;
-};
 
 }  // namespace obs
 }  // namespace qimap

@@ -136,6 +136,7 @@ TEST(ArgParseTest, ParseUint64IsStrict) {
   EXPECT_EQ(value, 0u);
   EXPECT_TRUE(ParseUint64("123456789012345", &value));
   EXPECT_EQ(value, 123456789012345u);
+  EXPECT_FALSE(ParseUint64("18446744073709551616", &value));
   EXPECT_FALSE(ParseUint64("", &value));
   EXPECT_FALSE(ParseUint64("12x", &value));
   EXPECT_FALSE(ParseUint64("x12", &value));

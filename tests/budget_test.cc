@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "base/budget.h"
 #include "base/fault.h"
@@ -155,7 +157,7 @@ TEST(BudgetTest, FaultPlanParsesAndRoundTrips) {
   EXPECT_TRUE(FaultPlan::Parse("batch:1").ok());
   for (const char* bad :
        {"", "alloc", "alloc:", "alloc:0", "alloc:x", "bogus:1",
-        "task:5:retry"}) {
+        "task:5:retry", "alloc:18446744073709551617"}) {
     Result<FaultPlan> parsed = FaultPlan::Parse(bad);
     EXPECT_FALSE(parsed.ok()) << bad;
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
@@ -220,45 +222,6 @@ TEST(BudgetTest, UsageStringReportsCounts) {
   EXPECT_NE(usage.find("bytes=128"), std::string::npos) << usage;
 }
 
-TEST(RunBudgetTest, LocalValveTripsWithoutTouchingSharedState) {
-  BudgetSpec spec;
-  spec.max_steps = 100;
-  Budget shared(spec);
-  RunBudget guard("standard chase", 3, &shared);
-  EXPECT_TRUE(guard.Tick().ok());
-  EXPECT_TRUE(guard.Tick().ok());
-  EXPECT_TRUE(guard.Tick().ok());
-  EXPECT_FALSE(guard.Tick().ok());
-  EXPECT_EQ(guard.steps(), 3u);
-  EXPECT_EQ(guard.tripped(), BudgetLimit::kSteps);
-  // The shared budget saw only the performed steps and never tripped.
-  EXPECT_EQ(shared.steps(), 3u);
-  EXPECT_FALSE(shared.exhausted());
-}
-
-TEST(RunBudgetTest, SharedTripWinsWhenLocalValveIsOff) {
-  BudgetSpec spec;
-  spec.max_steps = 2;
-  Budget shared(spec);
-  RunBudget guard("MinGen", 0, &shared);
-  EXPECT_TRUE(guard.Tick().ok());
-  EXPECT_TRUE(guard.Tick().ok());
-  Status third = guard.Tick();
-  ASSERT_FALSE(third.ok());
-  EXPECT_EQ(third.code(), StatusCode::kResourceExhausted);
-  // Per-run stats stay local: the refused shared tick was still a local
-  // tick, so this run counts 3 attempts while the shared budget holds 2.
-  EXPECT_EQ(guard.steps(), 3u);
-  EXPECT_EQ(shared.steps(), 2u);
-  EXPECT_TRUE(guard.exhausted());
-  EXPECT_EQ(guard.tripped(), BudgetLimit::kSteps);
-}
-
-TEST(RunBudgetTest, CheckPassesWithoutASharedBudget) {
-  RunBudget guard("standard chase", 0, nullptr);
-  EXPECT_TRUE(guard.Check().ok());
-}
-
 TEST(BudgetTest, StepLimitHintRendersWithExactlyOneSeparator) {
   // Callers spell the hint with and without a leading space; both must
   // render with exactly one separator.
@@ -306,6 +269,63 @@ TEST(BudgetChaseTest, ChaseReturnsPartialResultOnNullBudgetTrip) {
   Result<Instance> full = Chase(*source, *m, unlimited);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   EXPECT_EQ(full->NumFacts(), 3u);
+}
+
+// budget.h promises thread-safe, first-tripper-wins charging. Four client
+// threads chase under one shared step budget that trips partway: each run
+// returns the full chase or a flagged partial one, and every step the
+// budget admitted is counted by exactly one run.
+TEST(BudgetChaseTest, ClientThreadsShareOneStepBudget) {
+  SchemaMapping m =
+      MustParseMapping("P/3", "Q/2, R/2", "P(x,y,z) -> Q(x,y) & R(y,z)");
+  std::string facts;
+  for (int k = 0; k < 10; ++k) {
+    if (k > 0) facts += ", ";
+    facts += "P(a" + std::to_string(k) + ",b,c" + std::to_string(k) + ")";
+  }
+  Instance source = MustParseInstance(m.source, facts);
+  const std::string full = MustChase(source, m).ToString();
+
+  // Ten steps per run, forty in all: at most two runs can finish.
+  constexpr int kThreads = 4;
+  constexpr size_t kMaxSteps = 25;
+  Budget budget(BudgetSpec::StepsOnly(kMaxSteps));
+  std::vector<ChaseStats> stats(kThreads);
+  std::vector<Status> statuses(kThreads);
+  std::vector<std::string> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ChaseOptions options;
+      options.budget = &budget;
+      Result<Instance> chased = Chase(source, m, options, &stats[t]);
+      statuses[t] = chased.status();
+      if (chased.ok()) results[t] = chased->ToString();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  size_t step_sum = 0;
+  size_t refused = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE(t);
+    step_sum += stats[t].steps;
+    EXPECT_EQ(stats[t].steps,
+              stats[t].triggers_fired + stats[t].satisfaction_hits);
+    if (statuses[t].ok()) {
+      EXPECT_EQ(results[t], full);
+      EXPECT_EQ(stats[t].steps, 10u);
+      EXPECT_FALSE(stats[t].partial);
+    } else {
+      ++refused;
+      EXPECT_EQ(statuses[t].code(), StatusCode::kResourceExhausted);
+      EXPECT_TRUE(stats[t].partial);
+    }
+  }
+  EXPECT_GE(refused, 2u);
+  EXPECT_EQ(budget.tripped(), BudgetLimit::kSteps);
+  EXPECT_EQ(budget.steps(), kMaxSteps);
+  EXPECT_EQ(step_sum, budget.steps());
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "dependency/egd.h"
 #include "dependency/parser.h"
 #include "obs/journal.h"
+#include "obs/pipeline_run.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "relational/instance.h"
@@ -273,6 +274,69 @@ TEST_F(PipelineRunTest, CheckContainmentRejectsDifferentSchemas) {
     Result<ContainmentReport> report = CheckContainment(sub, super);
     EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
   });
+}
+
+// The run's own step valve trips ahead of the shared budget: the refused
+// tick reaches neither count, so the shared budget holds exactly the
+// steps the run performed and stays untripped.
+TEST_F(PipelineRunTest, StepValveTripsWithoutTrippingTheSharedBudget) {
+  SchemaMapping m = Figure1();
+  Instance source = MustParseInstance(
+      m.source, "P(a,b,c), P(d,b,e), P(f,g,h), P(i,j,k)");
+  Budget shared(BudgetSpec::StepsOnly(100));
+  ChaseOptions options;
+  options.max_steps = 3;
+  options.budget = &shared;
+  ChaseStats stats;
+  obs::ProgressSnapshot last = FinalHeartbeat("chase/standard", [&] {
+    Result<Instance> chased = Chase(source, m, options, &stats);
+    EXPECT_EQ(chased.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(chased.status().message(),
+              "standard chase exceeded its step limit (3 steps)");
+  });
+  EXPECT_TRUE(stats.partial);
+  EXPECT_EQ(stats.steps, 3u);
+  EXPECT_EQ(last.steps, 3u);
+  EXPECT_EQ(shared.steps(), 3u);
+  EXPECT_FALSE(shared.exhausted());
+}
+
+// A tick the shared budget refuses is not counted either: the run's
+// steps, its fired + skipped triggers, its heartbeats, its journal budget
+// event and the shared budget all read the one step performed.
+TEST_F(PipelineRunTest, SharedBudgetTripCountsOnlyAdmittedSteps) {
+  SchemaMapping m = Figure1();
+  Instance source = MustParseInstance(m.source, "P(a,b,c), P(d,b,e)");
+  Budget shared(BudgetSpec::StepsOnly(1));
+  ChaseOptions options;
+  options.budget = &shared;
+  ChaseStats stats;
+  obs::ProgressSnapshot last = FinalHeartbeat("chase/standard", [&] {
+    Result<Instance> chased = Chase(source, m, options, &stats);
+    EXPECT_EQ(chased.status().code(), StatusCode::kResourceExhausted);
+  });
+  EXPECT_TRUE(stats.partial);
+  EXPECT_EQ(stats.steps, 1u);
+  EXPECT_EQ(stats.triggers_fired + stats.satisfaction_hits, 1u);
+  EXPECT_EQ(shared.steps(), 1u);
+  EXPECT_EQ(last.steps, 1u);
+  std::vector<std::string> usages;
+  for (const obs::JournalEvent& event : obs::Journal::Events()) {
+    if (event.kind == obs::JournalEventKind::kBudgetTrip) {
+      usages.push_back(event.bindings);
+    }
+  }
+  ASSERT_EQ(usages.size(), 1u);
+  EXPECT_EQ(usages[0].rfind("steps=1, ", 0), 0u) << usages[0];
+}
+
+// With no shared budget and no valve, nothing can trip a call.
+TEST_F(PipelineRunTest, CheckPassesWithoutASharedBudget) {
+  obs::PipelineRun run({"test/run", "test", "test run"}, 0, nullptr, {});
+  EXPECT_TRUE(run.Check().ok());
+  EXPECT_TRUE(run.Tick().ok());
+  EXPECT_TRUE(run.Check().ok());
+  EXPECT_FALSE(run.exhausted());
 }
 
 // A final heartbeat reports what the run did, although the pipeline has

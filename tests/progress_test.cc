@@ -220,7 +220,7 @@ TEST_F(ProgressTest, JsonlStreamHasMetaHeaderAndFinalHeartbeat) {
 }
 
 // Disabled progress must not perturb the chase: same output, zero
-// heartbeats, and a ProgressRun that never samples.
+// heartbeats, and a pipeline run that never samples.
 TEST_F(ProgressTest, DisabledProgressIsZeroDelta) {
   SchemaMapping m = Figure1Mapping();
   Instance i = Figure1Instance(m);

@@ -1,6 +1,7 @@
 #ifndef QIMAP_TOOLS_ARG_PARSE_H_
 #define QIMAP_TOOLS_ARG_PARSE_H_
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -143,14 +144,16 @@ inline bool ParseArgs(int argc, char** argv, int begin, const ArgSpec& spec,
 }
 
 /// Strict non-negative integer parse: garbage must be an error, not a
-/// silent 0 (= "limit off" for the budget flags).
+/// silent 0 (= "limit off" for the budget flags), and so is a value past
+/// 2^64 - 1, which strtoull would clamp.
 inline bool ParseUint64(const char* text, uint64_t* out) {
   if (text == nullptr || *text == '\0' || *text == '-' || *text == '+') {
     return false;
   }
   char* end = nullptr;
+  errno = 0;
   unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
+  if (end == text || *end != '\0' || errno == ERANGE) return false;
   *out = value;
   return true;
 }

@@ -110,13 +110,20 @@ struct Args {
 };
 
 // Strict parse for the numeric flags: garbage must be an error, not a
-// silent 0 (= "limit off" for the budget flags).
+// silent 0 (= "limit off" for the budget flags). So is a value above
+// `max`, which the flags in coarse units set so that converting to the
+// budget's unit cannot wrap to a tiny or vanished limit.
 bool ParseLimitFlag(const Args& args, const char* key, uint64_t* out,
-                    const char* fallback = "0") {
+                    const char* fallback = "0", uint64_t max = UINT64_MAX) {
   const char* text = args.Get(key, fallback);
   if (!tools::ParseUint64(text, out)) {
     std::fprintf(stderr, "qimap_cli: --%s expects a non-negative integer, "
                  "got '%s'\n", key, text);
+    return false;
+  }
+  if (*out > max) {
+    std::fprintf(stderr, "qimap_cli: --%s must be at most %" PRIu64
+                 ", got '%s'\n", key, max, text);
     return false;
   }
   return true;
@@ -817,8 +824,10 @@ int Main(int argc, char** argv) {
   BudgetSpec budget_spec;
   uint64_t max_steps = 0, deadline_ms = 0, max_memory_mb = 0, max_nulls = 0;
   if (!ParseLimitFlag(args, "max-steps", &max_steps) ||
-      !ParseLimitFlag(args, "deadline-ms", &deadline_ms) ||
-      !ParseLimitFlag(args, "max-memory-mb", &max_memory_mb) ||
+      !ParseLimitFlag(args, "deadline-ms", &deadline_ms, "0",
+                      UINT64_MAX / 1000) ||
+      !ParseLimitFlag(args, "max-memory-mb", &max_memory_mb, "0",
+                      SIZE_MAX >> 20) ||
       !ParseLimitFlag(args, "max-nulls", &max_nulls)) {
     return 2;
   }
