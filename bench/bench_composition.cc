@@ -9,7 +9,7 @@
 
 #include "bench/bench_util.h"
 #include "chase/chase.h"
-#include "core/forward_composition.h"
+#include "core/composition.h"
 #include "core/so_composition.h"
 #include "dependency/parser.h"
 #include "dependency/satisfaction.h"

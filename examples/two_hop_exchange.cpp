@@ -11,8 +11,8 @@
 #include "base/strings.h"
 #include "chase/chase.h"
 #include "core/certain_answers.h"
-#include "core/forward_composition.h"
 #include "core/quasi_inverse.h"
+#include "core/so_composition.h"
 #include "core/soundness.h"
 #include "dependency/parser.h"
 

@@ -25,6 +25,19 @@ Result<bool> InComposition(const SchemaMapping& m,
       });
 }
 
+Result<bool> InForwardComposition(const SchemaMapping& m12,
+                                  const SchemaMapping& m23,
+                                  const Instance& i, const Instance& k,
+                                  const CompositionOptions& options) {
+  return SomeNullCollapseSatisfies(
+      m12, i, k, options.max_assignments,
+      [&](const Instance& j) { return SatisfiesAll(j, k, m23); },
+      [](size_t, size_t) {
+        return Status::ResourceExhausted(
+            "forward composition oracle: too many null assignments");
+      });
+}
+
 Result<bool> SomeNullCollapseSatisfies(
     const SchemaMapping& m, const Instance& i1, const Instance& i2,
     size_t max_assignments,

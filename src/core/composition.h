@@ -10,7 +10,7 @@
 
 namespace qimap {
 
-/// Options for the composition-membership oracle.
+/// Options for the composition-membership oracles.
 struct CompositionOptions {
   /// Guard on the number of candidate null-assignments enumerated
   /// (`|pool|^k` for `k` nulls in the universal solution).
@@ -32,6 +32,19 @@ Result<bool> InComposition(const SchemaMapping& m,
                            const ReverseMapping& m_prime,
                            const Instance& i1, const Instance& i2,
                            const CompositionOptions& options = {});
+
+/// Decides `(i, k) ∈ Inst(M12 ∘ M23)` for consecutive schema mappings
+/// given by s-t tgds: is there a middle instance `J` with
+/// `(i, J) |= Sigma12` and `(J, k) |= Sigma23`? Exact, by the argument of
+/// InComposition with `Sigma23`-satisfaction in place of `Sigma'`. `k` may
+/// contain nulls (they are treated as plain values).
+///
+/// `m23.source` must declare the same relations in the same order as
+/// `m12.target` (relation ids are matched positionally).
+Result<bool> InForwardComposition(const SchemaMapping& m12,
+                                  const SchemaMapping& m23,
+                                  const Instance& i, const Instance& k,
+                                  const CompositionOptions& options = {});
 
 /// The null-collapse search behind both composition-membership oracles
 /// (`InComposition` and `InForwardComposition`): chases `i1` with `m` and

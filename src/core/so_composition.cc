@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "base/strings.h"
+#include "core/mingen.h"
 #include "relational/homomorphism.h"
 
 namespace qimap {
@@ -57,8 +58,9 @@ SoImplication RenameImplicationApart(const SoImplication& implication,
   return out;
 }
 
-// Rewrites the renamed-apart copy variables ("e@0") to readable unique
-// names: the base name when free, otherwise base name + counter.
+// Rewrites the renamed-apart copy variables ("e@0") and the read-back's
+// existential variables to readable unique names: the base name when
+// free, otherwise base name + counter.
 void PrettifySoImplication(SoImplication* implication) {
   std::set<std::string> taken;
   std::map<Value, Value> rename;
@@ -134,6 +136,71 @@ SoMapping SkolemizeWithPrefix(const SchemaMapping& m,
     so.implications.push_back(std::move(implication));
   }
   return so;
+}
+
+// Reads one implication of ComposeSo's output for a full first mapping
+// back as an s-t tgd (see ComposeFullFirst).
+Tgd ReadBackTgd(SoImplication implication) {
+  // Merge the variables the equalities join: theta sends each merged
+  // variable to its class's representative, the earliest-joined member.
+  std::map<Value, Term> theta;
+  for (const auto& [a, b] : implication.equalities) {
+    Term ra = SubstituteTerm(a, theta);
+    Term rb = SubstituteTerm(b, theta);
+    if (ra == rb) continue;
+    for (auto& [v, t] : theta) {
+      if (t == rb) t = ra;
+    }
+    theta.emplace(rb.variable, ra);
+  }
+  implication.equalities.clear();
+  Conjunction lhs;
+  for (Atom& atom : implication.lhs) {
+    for (Value& v : atom.args) v = SubstituteTerm(Term::Var(v), theta).variable;
+    if (std::find(lhs.begin(), lhs.end(), atom) == lhs.end()) {
+      lhs.push_back(std::move(atom));
+    }
+  }
+  implication.lhs = std::move(lhs);
+  // Each distinct function term, keyed by its rendering, becomes one
+  // existential variable named after the m23 existential it Skolemizes:
+  // "g2_z(x)" reads back as "z@<n>", which the prettifier renames apart
+  // from the body's variables.
+  std::map<std::string, Term> existentials;
+  for (TermAtom& atom : implication.rhs) {
+    for (Term& term : atom.args) {
+      term = SubstituteTerm(term, theta);
+      if (term.IsVariable()) continue;
+      auto [it, fresh] = existentials.try_emplace(term.ToString());
+      if (fresh) {
+        it->second = Term::Var(Value::MakeVariable(
+            term.function.substr(term.function.find('_') + 1) + "@" +
+            std::to_string(existentials.size())));
+      }
+      term = it->second;
+    }
+  }
+  PrettifySoImplication(&implication);
+  Tgd tgd{std::move(implication.lhs), {}};
+  for (const TermAtom& atom : implication.rhs) {
+    Atom plain{atom.relation, {}};
+    for (const Term& term : atom.args) plain.args.push_back(term.variable);
+    tgd.rhs.push_back(std::move(plain));
+  }
+  return tgd;
+}
+
+// The tgd's body and head as one set of atoms, the head's relations
+// numbered after the body schema's `source_size` relations.
+Conjunction AtomSetOf(const Tgd& tgd, RelationId source_size) {
+  Conjunction atoms = tgd.lhs;
+  for (Atom atom : tgd.rhs) {
+    atom.relation += source_size;
+    if (std::find(atoms.begin(), atoms.end(), atom) == atoms.end()) {
+      atoms.push_back(std::move(atom));
+    }
+  }
+  return atoms;
 }
 
 }  // namespace
@@ -222,6 +289,35 @@ Result<SoMapping> ComposeSo(const SchemaMapping& m12,
         ++pos;
       }
       if (pos == slots) break;
+    }
+  }
+  return composed;
+}
+
+Result<SchemaMapping> ComposeFullFirst(const SchemaMapping& m12,
+                                       const SchemaMapping& m23) {
+  if (!m12.IsFull()) {
+    return Status::FailedPrecondition(
+        "ComposeFullFirst requires the first mapping to be full "
+        "(arbitrary-first compositions may need second-order tgds)");
+  }
+  QIMAP_ASSIGN_OR_RETURN(SoMapping so, ComposeSo(m12, m23));
+  SchemaMapping composed;
+  composed.source = so.source;
+  composed.target = so.target;
+  // Two tgds are equal up to a renaming of variables iff their atom sets
+  // are the same size and one embeds injectively into the other.
+  std::vector<Conjunction> kept;
+  const auto source_size = static_cast<RelationId>(m12.source->size());
+  for (SoImplication& implication : so.implications) {
+    Tgd tgd = ReadBackTgd(std::move(implication));
+    Conjunction atoms = AtomSetOf(tgd, source_size);
+    if (std::none_of(kept.begin(), kept.end(), [&](const Conjunction& o) {
+          return o.size() == atoms.size() &&
+                 IsSubConjunctionUpToRenaming(atoms, o, {});
+        })) {
+      kept.push_back(std::move(atoms));
+      composed.tgds.push_back(std::move(tgd));
     }
   }
   return composed;

@@ -27,6 +27,22 @@ SoMapping Skolemize(const SchemaMapping& m);
 Result<SoMapping> ComposeSo(const SchemaMapping& m12,
                             const SchemaMapping& m23);
 
+/// Composes two schema mappings into one set of s-t tgds when the *first*
+/// mapping is full; with a non-full first mapping the composition may need
+/// second-order tgds, and this function refuses.
+///
+/// Reads ComposeSo's output back as s-t tgds. A full first mapping puts
+/// no function term in the middle schema, so every equality of an
+/// implication relates two variables and every function term Skolemizes
+/// one of `m23`'s existentials. Each implication becomes one tgd: the
+/// variables its equalities join are merged, each distinct function term
+/// becomes one existential variable, and body atoms that the merge made
+/// equal are dropped. No two of the returned tgds are equal up to a
+/// renaming of variables, with body and head read as sets of atoms. The
+/// result maps `m12.source` to `m23.target`.
+Result<SchemaMapping> ComposeFullFirst(const SchemaMapping& m12,
+                                       const SchemaMapping& m23);
+
 /// Options for the SO chase.
 struct SoChaseOptions {
   size_t max_steps = 1u << 20;

@@ -13,7 +13,7 @@ namespace qimap {
 
 /// A first-order term over variables and (Skolem) function symbols:
 /// either a variable or `f(t1, ..., tn)`. Terms nest (composition chains
-/// produce `g(f(x))`). Value-type, totally ordered.
+/// produce `g(f(x))`). Value-type.
 ///
 /// Terms are the vocabulary of second-order tgds
 /// (Fagin-Kolaitis-Popa-Tan, "Composing Schema Mappings: Second-Order
@@ -37,7 +37,6 @@ struct Term {
   std::string ToString() const;
 
   friend bool operator==(const Term& a, const Term& b) = default;
-  friend auto operator<=>(const Term& a, const Term& b) = default;
 };
 
 /// An atom whose arguments are terms.

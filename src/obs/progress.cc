@@ -28,6 +28,8 @@ std::atomic<uint64_t> g_seq{0};
 std::mutex g_mu;
 ProgressConfig g_config;
 std::FILE* g_stream = nullptr;
+// Set when opening or writing the stream fails; heartbeats are dropped
+// from then on and the next close reports the failure.
 bool g_stream_failed = false;
 
 uint64_t SteadyNowUs() {
@@ -37,12 +39,23 @@ uint64_t SteadyNowUs() {
           .count());
 }
 
-void CloseStreamLocked() {
+bool CloseStreamLocked() {
+  bool ok = !g_stream_failed;
   if (g_stream != nullptr) {
-    std::fclose(g_stream);
+    ok = std::fclose(g_stream) == 0 && ok;
     g_stream = nullptr;
   }
   g_stream_failed = false;
+  return ok;
+}
+
+// Writes `text` to the open stream, flushed; a short write or a failed
+// flush marks the stream failed.
+void WriteStreamLocked(const std::string& text) {
+  if (std::fwrite(text.data(), 1, text.size(), g_stream) != text.size() ||
+      std::fflush(g_stream) != 0) {
+    g_stream_failed = true;
+  }
 }
 
 bool StderrIsTty() {
@@ -87,14 +100,11 @@ void EmitProgress(const ProgressSnapshot& snap) {
         if (g_stream == nullptr) {
           g_stream_failed = true;
         } else {
-          std::string header = "{\"meta\": " + RunMetaJson() + "}\n";
-          std::fwrite(header.data(), 1, header.size(), g_stream);
+          WriteStreamLocked("{\"meta\": " + RunMetaJson() + "}\n");
         }
       }
-      if (g_stream != nullptr) {
-        std::string line = snap.ToJson(/*canonical=*/false) + "\n";
-        std::fwrite(line.data(), 1, line.size(), g_stream);
-        std::fflush(g_stream);
+      if (g_stream != nullptr && !g_stream_failed) {
+        WriteStreamLocked(snap.ToJson(/*canonical=*/false) + "\n");
       }
     }
   }
@@ -198,9 +208,9 @@ void Progress::Reset() {
   g_config = ProgressConfig{};
 }
 
-void Progress::CloseStream() {
+bool Progress::CloseStream() {
   std::lock_guard<std::mutex> lock(g_mu);
-  CloseStreamLocked();
+  return CloseStreamLocked();
 }
 
 namespace internal {

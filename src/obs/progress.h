@@ -99,8 +99,10 @@ class Progress {
   /// Disables, restores the default configuration, rewinds `seq`.
   static void Reset();
 
-  /// Flushes and closes the JSONL stream, if open (idempotent).
-  static void CloseStream();
+  /// Flushes and closes the JSONL stream, if open (idempotent). Returns
+  /// false if opening, writing or closing the stream failed since it was
+  /// last closed; a run that emitted no heartbeat never opened it.
+  static bool CloseStream();
 };
 
 namespace internal {

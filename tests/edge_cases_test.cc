@@ -6,7 +6,6 @@
 
 #include "chase/chase.h"
 #include "core/composition.h"
-#include "core/forward_composition.h"
 #include "core/framework.h"
 #include "core/so_composition.h"
 #include "dependency/parser.h"
@@ -113,7 +112,7 @@ TEST(CompositionBudgetTest, ForwardOracleBudgetEnforced) {
     ASSERT_TRUE(status.ok());
   }
   Instance k_inst(m23.target);
-  ForwardCompositionOptions options;
+  CompositionOptions options;
   options.max_assignments = 16;
   Result<bool> member =
       InForwardComposition(m12, m23, i, k_inst, options);

@@ -3,9 +3,9 @@
 #include "dependency/parser.h"
 
 #include "base/rng.h"
-#include "core/forward_composition.h"
 #include "core/inverse.h"
 #include "core/quasi_inverse.h"
+#include "core/so_composition.h"
 #include "workload/paper_catalog.h"
 #include "workload/random_mappings.h"
 #include "random_testing.h"

@@ -181,7 +181,7 @@ TEST_F(ProgressTest, JsonlStreamHasMetaHeaderAndFinalHeartbeat) {
   SchemaMapping m = Figure1Mapping();
   Instance i = Figure1Instance(m);
   ASSERT_TRUE(Chase(i, m).ok());
-  obs::Progress::CloseStream();
+  EXPECT_TRUE(obs::Progress::CloseStream());
   obs::Progress::Disable();
 
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -217,6 +217,22 @@ TEST_F(ProgressTest, JsonlStreamHasMetaHeaderAndFinalHeartbeat) {
     if (final_flag->bool_value) saw_final = true;
   }
   EXPECT_TRUE(saw_final);
+}
+
+// A stream path that cannot be opened is reported by CloseStream once
+// heartbeats tried to use it; a run that emitted none never opened it.
+TEST_F(ProgressTest, CloseStreamReportsAnUnwritablePath) {
+  obs::ProgressConfig config;
+  config.interval = 1;
+  config.jsonl_path = ::testing::TempDir() + "no_such_dir/progress.jsonl";
+  obs::Progress::Configure(config);
+  obs::Progress::Enable();
+  EXPECT_TRUE(obs::Progress::CloseStream());
+
+  SchemaMapping m = Figure1Mapping();
+  ASSERT_TRUE(Chase(Figure1Instance(m), m).ok());
+  EXPECT_FALSE(obs::Progress::CloseStream());
+  EXPECT_TRUE(obs::Progress::CloseStream());
 }
 
 // Disabled progress must not perturb the chase: same output, zero

@@ -5,7 +5,7 @@
 
 #include "base/rng.h"
 #include "chase/chase.h"
-#include "core/forward_composition.h"
+#include "core/composition.h"
 #include "core/so_composition.h"
 #include "dependency/satisfaction.h"
 #include "relational/homomorphism.h"
@@ -49,14 +49,18 @@ Pipeline RandomPipeline(Rng* rng, bool full_first) {
   return pipeline;
 }
 
-// The full-first unfolding agrees with the exact membership oracle on a
-// bounded pair space, for random full-first pipelines.
+// The full-first unfolding holds no two tgds equal up to renaming and
+// agrees with the exact membership oracle on a bounded pair space, for
+// random full-first pipelines.
 TEST_P(ComposeSeededTest, UnfoldingAgreesWithOracle) {
   Rng rng(GetParam() * 70001);
   Pipeline pipeline = RandomPipeline(&rng, /*full_first=*/true);
   Result<SchemaMapping> composed =
       ComposeFullFirst(pipeline.m12, pipeline.m23);
   ASSERT_TRUE(composed.ok()) << pipeline.m12.ToString();
+  EXPECT_FALSE(HasRenamedDuplicate(*composed))
+      << pipeline.m12.ToString() << pipeline.m23.ToString()
+      << composed->ToString();
   EnumerationSpace source_space{pipeline.m12.source, MakeDomain({"a", "b"}),
                                 1};
   EnumerationSpace target_space{pipeline.m23.target, MakeDomain({"a", "b"}),

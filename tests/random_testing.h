@@ -1,9 +1,12 @@
 #ifndef QIMAP_TESTS_RANDOM_TESTING_H_
 #define QIMAP_TESTS_RANDOM_TESTING_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/journal.h"
@@ -13,7 +16,8 @@
 // same four mapping classes (LAV / full / GAV-style / mixed) or start
 // from the same small two-relation configuration; keeping the knobs here
 // means a generator change retunes every suite in one place. The journal
-// renderer below is what the determinism suites diff.
+// renderer below is what the determinism suites diff, and the renamed-
+// duplicate check is what the composition suites assert.
 
 namespace qimap {
 
@@ -93,6 +97,71 @@ inline std::vector<std::string> NormalizedJournalLines() {
     lines.push_back(event.ToJson());
   }
   return lines;
+}
+
+/// Sends `from[next..]` to unused atoms of `to` on the same side (the
+/// `int` tags body 0 / head 1), extending the two directions of one
+/// bijective variable renaming.
+inline bool ExtendRenaming(const std::vector<std::pair<int, Atom>>& from,
+                           const std::vector<std::pair<int, Atom>>& to,
+                           size_t next, std::vector<bool>* used,
+                           const std::map<Value, Value>& forward,
+                           const std::map<Value, Value>& backward) {
+  if (next == from.size()) return true;
+  const auto& [side, atom] = from[next];
+  for (size_t j = 0; j < to.size(); ++j) {
+    if ((*used)[j] || to[j].first != side ||
+        to[j].second.relation != atom.relation) {
+      continue;
+    }
+    std::map<Value, Value> f = forward;
+    std::map<Value, Value> b = backward;
+    bool consistent = true;
+    for (size_t p = 0; consistent && p < atom.args.size(); ++p) {
+      const Value& x = atom.args[p];
+      const Value& y = to[j].second.args[p];
+      consistent = f.emplace(x, y).first->second == y &&
+                   b.emplace(y, x).first->second == x;
+    }
+    if (!consistent) continue;
+    (*used)[j] = true;
+    if (ExtendRenaming(from, to, next + 1, used, f, b)) return true;
+    (*used)[j] = false;
+  }
+  return false;
+}
+
+/// True iff one bijective renaming of variables maps the body of `a` onto
+/// the body of `b` and the head of `a` onto the head of `b`, each read as
+/// a set of atoms.
+inline bool EqualUpToRenaming(const Tgd& a, const Tgd& b) {
+  auto tagged = [](const Tgd& tgd) {
+    std::vector<std::pair<int, Atom>> atoms;
+    for (int side = 0; side < 2; ++side) {
+      for (const Atom& atom : side == 0 ? tgd.lhs : tgd.rhs) {
+        std::pair<int, Atom> entry{side, atom};
+        if (std::find(atoms.begin(), atoms.end(), entry) == atoms.end()) {
+          atoms.push_back(std::move(entry));
+        }
+      }
+    }
+    return atoms;
+  };
+  std::vector<std::pair<int, Atom>> from = tagged(a);
+  std::vector<std::pair<int, Atom>> to = tagged(b);
+  if (from.size() != to.size()) return false;
+  std::vector<bool> used(to.size(), false);
+  return ExtendRenaming(from, to, 0, &used, {}, {});
+}
+
+/// True iff two of `m`'s tgds are equal up to a renaming of variables.
+inline bool HasRenamedDuplicate(const SchemaMapping& m) {
+  for (size_t i = 0; i < m.tgds.size(); ++i) {
+    for (size_t j = i + 1; j < m.tgds.size(); ++j) {
+      if (EqualUpToRenaming(m.tgds[i], m.tgds[j])) return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace qimap

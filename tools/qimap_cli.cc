@@ -962,8 +962,13 @@ int Main(int argc, char** argv) {
       if (code == 0) code = 1;
     }
   }
-  // Flush the heartbeat stream so the final snapshot is on disk.
-  obs::Progress::CloseStream();
+  // Flush the heartbeat stream so the final snapshot is on disk. Only a
+  // --progress-out stream can fail to open or write.
+  if (!obs::Progress::CloseStream()) {
+    std::fprintf(stderr, "qimap_cli: cannot write heartbeats to '%s'\n",
+                 progress_out);
+    if (code == 0) code = 1;
+  }
 
   // The record is collected once, after every other telemetry file, so it
   // summarizes the run exactly as those artifacts saw it (including a
