@@ -1,10 +1,12 @@
 #include "chase/chase.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
 #include "base/budget.h"
 #include "chase/chase_checkpoint.h"
+#include "chase/match_plan.h"
 #include "chase/trigger_finder.h"
 #include "obs/metrics.h"
 #include "obs/pipeline_run.h"
@@ -262,6 +264,38 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
   }
   HomSearchOptions rhs_options;
   rhs_options.use_index = options.use_index;
+  // The satisfaction searches' counts, flushed once after the loop.
+  SearchTally fire_tally;
+  // One fact being built, and the fresh nulls of the firing trigger.
+  Tuple cells;
+  std::vector<Value> fresh;
+  // Writes the image of `atom` under `h` into `cells`, with `fresh[k]`
+  // standing in for the k-th existential variable `ys[k]`.
+  auto instantiate = [&cells, &fresh](const Atom& atom, const Assignment& h,
+                                      const std::vector<Value>& ys) {
+    cells.clear();
+    for (const Value& arg : atom.args) {
+      auto y = std::find(ys.begin(), ys.end(), arg);
+      cells.push_back(y != ys.end() ? fresh[y - ys.begin()]
+                                    : Resolve(h, arg));
+    }
+  };
+
+  // A run that records no checkpoint sizes each target table once, for
+  // every fact its merged triggers could add, so firing never rehashes. A
+  // recorded run grows as it goes: its checkpoint copies the tables, and a
+  // copy takes them at their full size.
+  if (!record && overflow.ok()) {
+    std::vector<size_t> could_add(target_inst.schema()->size(), 0);
+    for (size_t d = 0; d < tgds.size(); ++d) {
+      for (const Atom& atom : tgds[d].rhs) {
+        could_add[atom.relation] += merged[d].size();
+      }
+    }
+    for (RelationId r = 0; r < could_add.size(); ++r) {
+      target_inst.Reserve(r, target_inst.NumRows(r) + could_add[r]);
+    }
+  }
 
   // Phase 2 — fire in (dependency, canonical match) order. The
   // satisfaction check reads the growing target instance, and fresh-null
@@ -302,6 +336,8 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
     const uint32_t prof_dep =
         profiled ? prof_deps[dep_index] : obs::kProfileNoDep;
     obs::ProfiledDepScope prof_scope(prof_dep, obs::ProfilePhase::kFire);
+    const std::vector<Value>& ys = existentials[dep_index];
+    HeldSearch satisfied(tgd.rhs, rhs_options, &fire_tally);
     for (const MergedTrigger& mt : merged[dep_index]) {
       const Assignment& h = *mt.h;
       Status tick = run.Tick();
@@ -327,7 +363,7 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
                  !TouchesRhs(tgd, touched)) {
         ++st.checks_skipped;
       } else {
-        fire = !HasHomomorphism(tgd.rhs, target_inst, h, rhs_options);
+        fire = !satisfied.Exists(target_inst, h);
       }
       if (!fire) {
         ++st.satisfaction_hits;
@@ -342,39 +378,38 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
       std::vector<uint64_t> parent_ids;
       std::vector<uint64_t> null_ids;
       if (journal.active()) {
-        for (const Atom& atom : ApplyAssignmentToConjunction(tgd.lhs, h)) {
+        for (const Atom& atom : tgd.lhs) {
+          instantiate(atom, h, {});
           parent_ids.push_back(journal.RecordBaseFact(
-              AtomToString(atom, *source_inst.schema())));
+              AtomToString({atom.relation, cells}, *source_inst.schema())));
         }
       }
-      Assignment extended = h;
-      size_t fresh_nulls = 0;
-      for (const Value& y : existentials[dep_index]) {
-        Value fresh = Value::MakeNull(next_null++);
-        extended.emplace(y, fresh);
+      fresh.clear();
+      for (const Value& y : ys) {
+        fresh.push_back(Value::MakeNull(next_null++));
         ++st.nulls_minted;
-        ++fresh_nulls;
         if (journal.active()) {
           null_ids.push_back(journal.RecordNull(
-              fresh.ToString(), y.ToString(), dep_texts[dep_index],
+              fresh.back().ToString(), y.ToString(), dep_texts[dep_index],
               static_cast<int32_t>(dep_index)));
         }
       }
-      if (fresh_nulls > 0) {
-        overflow = run.ChargeNulls(fresh_nulls);
+      if (!fresh.empty()) {
+        overflow = run.ChargeNulls(fresh.size());
         if (!overflow.ok()) break;
       }
       size_t facts_this_fire = 0;
-      for (Atom& atom : ApplyAssignmentToConjunction(tgd.rhs, extended)) {
+      for (const Atom& atom : tgd.rhs) {
         overflow =
             run.ChargeMemory(ApproxFactBytes(atom.args.size(), sizeof(Value)));
         if (!overflow.ok()) break;
+        instantiate(atom, h, ys);
         std::string fact_text;
         if (journal.active()) {
-          fact_text = AtomToString(atom, *target_inst.schema());
+          fact_text =
+              AtomToString({atom.relation, cells}, *target_inst.schema());
         }
-        Status status =
-            target_inst.AddFact(atom.relation, std::move(atom.args));
+        Status status = target_inst.AddFact(atom.relation, cells);
         ++st.facts_added;
         ++facts_this_fire;
         if (journal.active()) {
@@ -391,11 +426,12 @@ Result<Instance> Chase(const Instance& source_inst, const SchemaMapping& m,
           break;
         }
       }
-      obs::ProfileRecordFire(prof_dep, fresh_nulls, facts_this_fire);
+      obs::ProfileRecordFire(prof_dep, fresh.size(), facts_this_fire);
       if (record) out_records[dep_index].push_back({h, true});
       if (!overflow.ok()) break;
     }
   }
+  fire_tally.Flush();
   st.steps = run.steps();
   st.partial = !overflow.ok() && run.exhausted();
   FlushChaseMetrics(st);

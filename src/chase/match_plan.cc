@@ -259,6 +259,8 @@ void CompileInto(const Conjunction& body, const Instance& instance,
   BuildPlan(body, partial, options, plan);
 }
 
+}  // namespace
+
 // ---------------------------------------------------------------------
 // Scratch slots.
 //
@@ -266,10 +268,11 @@ void CompileInto(const Conjunction& body, const Instance& instance,
 // slot for the search's nesting depth: a search's callback may start
 // another search (Satisfies, SatisfiesDisjunctive, the chase's
 // collect->fire), which needs its own plan while the outer one still
-// runs. A slot's vectors keep their capacity from search to search, so a
-// warmed-up search allocates nothing. Each slot is a separate heap object,
-// so a nested search that grows the stack never moves the plan an outer
-// search is executing.
+// runs. A HeldSearch keeps its slot for a whole loop; searches started
+// meanwhile claim deeper ones. A slot's vectors keep their capacity from
+// search to search, so a warmed-up search allocates nothing. Each slot is
+// a separate heap object, so a nested search that grows the stack never
+// moves the plan an outer search is executing.
 // ---------------------------------------------------------------------
 
 struct ScratchSlot {
@@ -281,30 +284,35 @@ struct ScratchSlot {
   std::vector<obs::ProfileAtomCounters> step_counts;
 };
 
-// Holds the calling thread's slot at the current nesting depth for one
-// search.
+namespace {
+
+thread_local std::vector<std::unique_ptr<ScratchSlot>> t_slots;
+thread_local size_t t_depth = 0;  // slots claimed on this thread
+
+// Claims the calling thread's slot at the current nesting depth; claims
+// are released in reverse order.
+ScratchSlot* ClaimSlot() {
+  if (t_depth == t_slots.size()) {
+    t_slots.push_back(std::make_unique<ScratchSlot>());
+  }
+  return t_slots[t_depth++].get();
+}
+
+void ReleaseSlot() { --t_depth; }
+
+// Holds a slot for one search.
 class ScratchClaim {
  public:
-  ScratchClaim() {
-    if (depth_ == slots_.size()) {
-      slots_.push_back(std::make_unique<ScratchSlot>());
-    }
-    slot_ = slots_[depth_++].get();
-  }
-  ~ScratchClaim() { --depth_; }
+  ScratchClaim() : slot_(ClaimSlot()) {}
+  ~ScratchClaim() { ReleaseSlot(); }
   ScratchClaim(const ScratchClaim&) = delete;
   ScratchClaim& operator=(const ScratchClaim&) = delete;
 
   ScratchSlot& slot() const { return *slot_; }
 
  private:
-  static thread_local std::vector<std::unique_ptr<ScratchSlot>> slots_;
-  static thread_local size_t depth_;  // searches running on this thread
   ScratchSlot* slot_;
 };
-
-thread_local std::vector<std::unique_ptr<ScratchSlot>> ScratchClaim::slots_;
-thread_local size_t ScratchClaim::depth_ = 0;
 
 // ---------------------------------------------------------------------
 // Plan execution: a recursive matcher over the flat register frame. No
@@ -515,6 +523,34 @@ class PlanRunner {
   bool stop_ = false;
 };
 
+// Runs the plan compiled into `slot` and adds the search's counts to
+// `tally`; attributes per-atom profiler telemetry through the plan's perm.
+size_t RunCompiled(const Conjunction& body, ScratchSlot& slot,
+                   const Instance& target, const Assignment& partial,
+                   const HomSearchOptions& options,
+                   const std::function<bool(const Assignment&)>* fn,
+                   SearchTally* tally) {
+  PlanRunner runner(slot, target, partial, options, fn);
+  const size_t count = runner.Run();
+  ++tally->searches;
+  tally->matches += count;
+  tally->backtracks += runner.backtracks();
+  tally->index_lookups += runner.index_probes();
+  tally->index_hits += runner.index_hits();
+  tally->index_rows += runner.index_rows();
+  tally->scan_rows += runner.scan_rows();
+  tally->point_lookups += runner.point_lookups();
+  if (obs::ProfileSearchActive()) {
+    // Map per-step telemetry back to the body's positions as written.
+    std::vector<obs::ProfileAtomCounters> atoms(body.size());
+    for (size_t s = 0; s < slot.plan.perm.size(); ++s) {
+      atoms[slot.plan.perm[s]] = slot.step_counts[s];
+    }
+    obs::ProfileRecordSearch(count, runner.backtracks(), atoms);
+  }
+  return count;
+}
+
 }  // namespace
 
 const char* PlanStepModeName(PlanStepMode mode) {
@@ -540,9 +576,8 @@ MatchPlan CompileMatchPlan(const Conjunction& body, const Instance& instance,
 
 void ClearMatchPlanCache() {}
 
-size_t RunMatchPlan(const Conjunction& body, const Instance& target,
-                    const Assignment& partial, const HomSearchOptions& options,
-                    const std::function<bool(const Assignment&)>* fn) {
+void SearchTally::Flush() {
+  if (searches == 0) return;
   static const obs::MetricId kSearches =
       obs::RegisterCounter("hom.searches");
   static const obs::MetricId kMatches = obs::RegisterCounter("hom.matches");
@@ -558,29 +593,47 @@ size_t RunMatchPlan(const Conjunction& body, const Instance& target,
       obs::RegisterCounter("chase.index.scan_rows");
   static const obs::MetricId kPointLookups =
       obs::RegisterCounter("chase.index.point_lookups");
+  obs::CounterAdd(kSearches, searches);
+  obs::CounterAdd(kMatches, matches);
+  obs::CounterAdd(kBacktracks, backtracks);
+  obs::CounterAdd(kIndexLookups, index_lookups);
+  obs::CounterAdd(kIndexHits, index_hits);
+  obs::CounterAdd(kIndexRows, index_rows);
+  obs::CounterAdd(kScanRows, scan_rows);
+  obs::CounterAdd(kPointLookups, point_lookups);
+  *this = SearchTally{};
+}
 
+size_t RunMatchPlan(const Conjunction& body, const Instance& target,
+                    const Assignment& partial, const HomSearchOptions& options,
+                    const std::function<bool(const Assignment&)>* fn) {
   ScratchClaim claim;
   ScratchSlot& slot = claim.slot();
   CompileInto(body, target, partial, options, &slot.plan, &slot.spare_steps);
-  PlanRunner runner(slot, target, partial, options, fn);
-  size_t count = runner.Run();
-  obs::CounterAdd(kSearches);
-  obs::CounterAdd(kMatches, count);
-  obs::CounterAdd(kBacktracks, runner.backtracks());
-  obs::CounterAdd(kIndexLookups, runner.index_probes());
-  obs::CounterAdd(kIndexHits, runner.index_hits());
-  obs::CounterAdd(kIndexRows, runner.index_rows());
-  obs::CounterAdd(kScanRows, runner.scan_rows());
-  obs::CounterAdd(kPointLookups, runner.point_lookups());
-  if (obs::ProfileSearchActive()) {
-    // Map per-step telemetry back to the body's positions as written.
-    std::vector<obs::ProfileAtomCounters> atoms(body.size());
-    for (size_t s = 0; s < slot.plan.perm.size(); ++s) {
-      atoms[slot.plan.perm[s]] = slot.step_counts[s];
-    }
-    obs::ProfileRecordSearch(count, runner.backtracks(), atoms);
-  }
+  SearchTally tally;
+  const size_t count =
+      RunCompiled(body, slot, target, partial, options, fn, &tally);
+  tally.Flush();
   return count;
+}
+
+HeldSearch::HeldSearch(const Conjunction& head,
+                       const HomSearchOptions& options, SearchTally* tally)
+    : head_(head), options_(options), tally_(tally), slot_(ClaimSlot()) {}
+
+HeldSearch::~HeldSearch() { ReleaseSlot(); }
+
+bool HeldSearch::Exists(const Instance& target, const Assignment& partial) {
+  if (!options_.use_index || head_.empty()) {
+    return HasHomomorphism(head_, target, partial, options_);
+  }
+  if (!compiled_ || !slot_->plan.stats_free) {
+    CompileInto(head_, target, partial, options_, &slot_->plan,
+                &slot_->spare_steps);
+    compiled_ = true;
+  }
+  return RunCompiled(head_, *slot_, target, partial, options_, nullptr,
+                     tally_) > 0;
 }
 
 std::string MatchPlan::ToText(const Schema& schema) const {

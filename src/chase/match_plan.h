@@ -27,14 +27,18 @@ namespace qimap {
 /// variable slots). Executing a plan touches no Assignment until a match
 /// is actually emitted.
 ///
-/// No plan outlives its search. A plan's steps are a pure function of the
-/// body, the options' movability/side-condition bits, the partial
-/// assignment's key set, and the join order; only the join order reads
-/// index statistics (row counts, per-column distinct counts, literal
+/// No plan outlives the loop that compiled it. A plan's steps are a pure
+/// function of the body, the options' movability/side-condition bits, the
+/// partial assignment's key set, and the join order; only the join order
+/// reads index statistics (row counts, per-column distinct counts, literal
 /// posting lengths). Each search compiles its plan into the calling
 /// thread's scratch slot for its nesting depth (a search's callback may
 /// start another search); the slots keep their vectors' capacity, so a
 /// warmed-up search allocates nothing, and no caller owns or clears plans.
+/// The one exception is a `HeldSearch`: a loop over one dependency's
+/// triggers holds a slot for its whole run and reuses a stats-free plan,
+/// which reads no statistics, for every trigger. Nothing is cached, keyed
+/// or looked up across searches.
 ///
 /// Determinism contract: the partial assignment's *values* never
 /// influence compilation, so the `hom.*` and `chase.index.*` counters are
@@ -123,9 +127,28 @@ MatchPlan CompileMatchPlan(const Conjunction& body, const Instance& instance,
                            const Assignment& partial,
                            const HomSearchOptions& options);
 
-/// Does nothing: no plan outlives its search. Kept only because perfbench
-/// still calls it (ROADMAP #7 drops the call).
+/// Does nothing: no plan is cached. Kept only because perfbench still
+/// calls it (ROADMAP #7 drops the call).
 void ClearMatchPlanCache();
+
+/// The `hom.*` and `chase.index.*` counts of indexed searches, flushed to
+/// the metrics registry together. RunMatchPlan tallies its one search and
+/// flushes it; the standard chase's fire loop tallies every satisfaction
+/// search of a run and flushes once, with the same totals.
+struct SearchTally {
+  uint64_t searches = 0;
+  uint64_t matches = 0;
+  uint64_t backtracks = 0;
+  uint64_t index_lookups = 0;
+  uint64_t index_hits = 0;
+  uint64_t index_rows = 0;
+  uint64_t scan_rows = 0;
+  uint64_t point_lookups = 0;
+
+  /// Adds the counts to the metrics registry and zeroes the tally. A tally
+  /// of no searches touches the registry not at all.
+  void Flush();
+};
 
 /// Compiles the plan for `body` into the calling thread's scratch slot for
 /// the current search nesting depth and runs it: `fn` is called for every
@@ -137,6 +160,44 @@ void ClearMatchPlanCache();
 size_t RunMatchPlan(const Conjunction& body, const Instance& target,
                     const Assignment& partial, const HomSearchOptions& options,
                     const std::function<bool(const Assignment&)>* fn);
+
+struct ScratchSlot;  // match_plan.cc
+
+/// One satisfaction search, held for the run of a loop over one
+/// dependency's triggers (the standard chase's fire loop). It claims the
+/// calling thread's scratch slot at the current nesting depth until it is
+/// destroyed, so it must live in a scope that closes before any search
+/// started around it ends; searches started while it lives claim deeper
+/// slots and leave its plan alone.
+///
+/// `Exists` answers what HasHomomorphism would, by running the plan
+/// HasHomomorphism would compile, and adds the counts HasHomomorphism
+/// would flush to `tally`. The plan is compiled at the first check. A
+/// stats-free plan is a pure function of the head, the key set and the
+/// options, so it serves every later check; any other plan reads the
+/// target's growing statistics and is recompiled, into the same slot, for
+/// every check. Every `partial` must have the key set of the first one (a
+/// dependency's triggers all bind its body variables). Without the index,
+/// or for an empty head, each check is HasHomomorphism itself.
+class HeldSearch {
+ public:
+  /// `head` and `options` must outlive the search.
+  HeldSearch(const Conjunction& head, const HomSearchOptions& options,
+             SearchTally* tally);
+  ~HeldSearch();
+  HeldSearch(const HeldSearch&) = delete;
+  HeldSearch& operator=(const HeldSearch&) = delete;
+
+  /// True iff some extension of `partial` maps the head into `target`.
+  bool Exists(const Instance& target, const Assignment& partial);
+
+ private:
+  const Conjunction& head_;
+  const HomSearchOptions& options_;
+  SearchTally* tally_;
+  ScratchSlot* slot_;
+  bool compiled_ = false;
+};
 
 }  // namespace qimap
 

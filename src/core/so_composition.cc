@@ -24,6 +24,15 @@ Term SubstituteTerm(const Term& term, const std::map<Value, Term>& theta) {
   return out;
 }
 
+// Adds the equality `a = b` to `implication` unless it already holds it,
+// in either orientation.
+void AddEquality(SoImplication* implication, Term a, Term b) {
+  for (const auto& [x, y] : implication->equalities) {
+    if ((x == a && y == b) || (x == b && y == a)) return;
+  }
+  implication->equalities.emplace_back(std::move(a), std::move(b));
+}
+
 // Renames every variable occurring in the term with an "@<slot>" suffix.
 Term RenameTermApart(const Term& term, size_t slot) {
   if (term.IsVariable()) {
@@ -252,8 +261,8 @@ Result<SoMapping> ComposeSo(const SchemaMapping& m12,
             implication.lhs.push_back(std::move(atom));
           }
         }
-        for (auto& eq : copy.equalities) {
-          implication.equalities.push_back(std::move(eq));
+        for (auto& [a, b] : copy.equalities) {
+          AddEquality(&implication, std::move(a), std::move(b));
         }
         const TermAtom& produced = copy.rhs[r];
         const Atom& consumed = sigma23.lhs[s];
@@ -267,7 +276,7 @@ Result<SoMapping> ComposeSo(const SchemaMapping& m12,
             // The same sigma23 variable resolves to two different terms:
             // keep the constraint as an lhs equality (this is where the
             // genuinely second-order conditions arise).
-            implication.equalities.emplace_back(it->second, t_term);
+            AddEquality(&implication, it->second, t_term);
           }
         }
       }

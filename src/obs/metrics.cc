@@ -81,7 +81,12 @@ MetricId RegisterCounter(const std::string& name) {
 
 void CounterAdd(MetricId id, uint64_t delta) {
   if (id >= kMaxCounters) return;
-  LocalShard().counters[id].fetch_add(delta, std::memory_order_relaxed);
+  // A shard has one writer at a time (a pooled shard changes hands under
+  // the registry mutex, and ResetMetrics requires quiesced writers), so a
+  // plain load and store is exact and takes no locked instruction.
+  std::atomic<uint64_t>& counter = LocalShard().counters[id];
+  counter.store(counter.load(std::memory_order_relaxed) + delta,
+                std::memory_order_relaxed);
 }
 
 MetricsSnapshot SnapshotMetrics() {

@@ -14,7 +14,8 @@ namespace obs {
 /// Design: increments go to lock-free thread-local shards (plain relaxed
 /// atomic stores owned by the writing thread) and are summed across shards
 /// only when a snapshot is taken, so instrumenting a hot path costs a
-/// thread-local pointer fetch plus one relaxed atomic add. Registration is
+/// thread-local pointer fetch plus one relaxed load and one relaxed store,
+/// with no locked read-modify-write. Registration is
 /// idempotent by name and mutex-protected; hot paths cache the returned
 /// id in a function-local static:
 ///

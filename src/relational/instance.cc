@@ -36,6 +36,14 @@ uint64_t ChainHash(uint32_t col, const Value& v) {
   return h ^ (h >> 32);
 }
 
+// The smallest table capacity, a power of two and at least 16, that holds
+// `entries` under the 7/8 load rule the growth checks apply.
+size_t TableCapacity(size_t entries) {
+  size_t capacity = 16;
+  while (entries * 8 >= capacity * 7) capacity *= 2;
+  return capacity;
+}
+
 }  // namespace
 
 bool Instance::RelationStore::RowEquals(uint32_t row,
@@ -58,19 +66,30 @@ uint32_t Instance::RelationStore::Find(const Tuple& tuple,
   }
 }
 
+void Instance::RelationStore::ResizeSlots(size_t capacity) {
+  std::vector<uint32_t> grown(capacity, kNoRow);
+  const size_t mask = capacity - 1;
+  for (uint32_t row = 0; row < num_rows; ++row) {
+    size_t i = hashes[row] & mask;
+    while (grown[i] != kNoRow) i = (i + 1) & mask;
+    grown[i] = row;
+  }
+  slots = std::move(grown);
+}
+
+void Instance::RelationStore::ResizeChains(size_t capacity) {
+  std::vector<Chain> previous =
+      std::exchange(chains, std::vector<Chain>(capacity));
+  for (const Chain& chain : previous) {
+    if (chain.count != 0) chains[ChainSlot(chain.col, chain.value)] = chain;
+  }
+}
+
 void Instance::RelationStore::IndexNewRow(uint32_t row_id, uint64_t hash) {
   // Grow before the load factor crosses 7/8; capacity stays a power of
   // two so probing can mask instead of mod.
   if ((static_cast<size_t>(num_rows) + 1) * 8 >= slots.size() * 7) {
-    size_t capacity = slots.empty() ? 16 : slots.size() * 2;
-    std::vector<uint32_t> grown(capacity, kNoRow);
-    const size_t mask = capacity - 1;
-    for (uint32_t row = 0; row < num_rows; ++row) {
-      size_t i = hashes[row] & mask;
-      while (grown[i] != kNoRow) i = (i + 1) & mask;
-      grown[i] = row;
-    }
-    slots = std::move(grown);
+    ResizeSlots(slots.empty() ? 16 : slots.size() * 2);
   }
   const size_t mask = slots.size() - 1;
   size_t i = hash & mask;
@@ -95,12 +114,7 @@ void Instance::RelationStore::LinkNewRow(uint32_t row_id) {
     // The slot table's 7/8 growth rule, checked per cell since each cell
     // may start a chain.
     if ((static_cast<size_t>(num_chains) + 1) * 8 >= chains.size() * 7) {
-      size_t capacity = chains.empty() ? 16 : chains.size() * 2;
-      std::vector<Chain> previous =
-          std::exchange(chains, std::vector<Chain>(capacity));
-      for (const Chain& chain : previous) {
-        if (chain.count != 0) chains[ChainSlot(chain.col, chain.value)] = chain;
-      }
+      ResizeChains(chains.empty() ? 16 : chains.size() * 2);
     }
     const Value& v = cells[base + c];
     Chain& chain = chains[ChainSlot(c, v)];
@@ -118,7 +132,7 @@ void Instance::RelationStore::LinkNewRow(uint32_t row_id) {
   }
 }
 
-Status Instance::AddFact(RelationId relation, Tuple tuple) {
+Status Instance::AddFact(RelationId relation, const Tuple& tuple) {
   if (relation >= schema_->size()) {
     return Status::InvalidArgument("bad relation id");
   }
@@ -145,10 +159,21 @@ Status Instance::AddFact(RelationId relation, Tuple tuple) {
   return Status::OK();
 }
 
-Status Instance::AddFact(std::string_view relation_name, Tuple tuple) {
+Status Instance::AddFact(std::string_view relation_name,
+                         const Tuple& tuple) {
   QIMAP_ASSIGN_OR_RETURN(RelationId id,
                          schema_->FindRelation(relation_name));
-  return AddFact(id, std::move(tuple));
+  return AddFact(id, tuple);
+}
+
+void Instance::Reserve(RelationId relation, size_t rows) {
+  RelationStore& store = stores_[relation];
+  if (rows <= store.num_rows) return;
+  const size_t slots = TableCapacity(rows);
+  if (slots > store.slots.size()) store.ResizeSlots(slots);
+  if (store.arity == 0) return;  // no column, no chain
+  const size_t chains = TableCapacity(rows * store.arity);
+  if (chains > store.chains.size()) store.ResizeChains(chains);
 }
 
 bool Instance::ContainsFact(RelationId relation, const Tuple& tuple) const {

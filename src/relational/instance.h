@@ -55,8 +55,10 @@ struct Fact {
 /// incrementally (one per `(column, value)` entry), so
 /// `CostModel::FromInstance` reads statistics instead of rescanning.
 /// `AddFact` is amortized O(arity) and allocates only when an array grows;
-/// copying or freeing an instance costs a few allocations per relation,
-/// however many distinct values it holds.
+/// the two tables grow by doubling and rehashing unless `Reserve` sized
+/// them up front (the standard chase does, for the facts its triggers
+/// could add). Copying or freeing an instance costs a few allocations per
+/// relation, however many distinct values it holds.
 class Instance {
  public:
   /// The ascending row ids of one posting list, read through the store's
@@ -118,9 +120,18 @@ class Instance {
   const SchemaPtr& schema() const { return schema_; }
 
   /// Adds a fact; returns InvalidArgument on arity mismatch or bad id.
-  Status AddFact(RelationId relation, Tuple tuple);
+  Status AddFact(RelationId relation, const Tuple& tuple);
   /// Adds a fact by relation name.
-  Status AddFact(std::string_view relation_name, Tuple tuple);
+  Status AddFact(std::string_view relation_name, const Tuple& tuple);
+
+  /// Sizes one relation's slot table for `rows` rows, and its chain table
+  /// for `rows` x arity chains, under the tables' 7/8 load rule, so that
+  /// adding facts up to `rows` rows never rehashes. That is at most what
+  /// those rows would use if every cell held a new value. Contents, row
+  /// order and every read are unchanged; a `rows` at or below the current
+  /// row count does nothing. Copying the instance copies the tables at
+  /// their reserved size.
+  void Reserve(RelationId relation, size_t rows);
 
   /// Returns true iff the fact is present (one full-tuple hash probe).
   bool ContainsFact(RelationId relation, const Tuple& tuple) const;
@@ -276,6 +287,12 @@ class Instance {
     /// Inserts the row id mapping for a row about to be appended. Grows
     /// and rehashes the slot table as needed.
     void IndexNewRow(uint32_t row_id, uint64_t hash);
+    /// Rehashes the stored rows into a slot table of `capacity` (a power
+    /// of two).
+    void ResizeSlots(size_t capacity);
+    /// Rehashes the chains into a chain table of `capacity` (a power of
+    /// two).
+    void ResizeChains(size_t capacity);
     /// Appends the just-stored row `row_id` to the chain of each of its
     /// cells, starting a chain for each new `(column, value)`.
     void LinkNewRow(uint32_t row_id);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -248,6 +249,101 @@ TEST(MatchPlanTest, NestedSearchesKeepTheirOwnPlans) {
   });
   fresh.join();
   EXPECT_GT(inner_matches, 0u);
+}
+
+// A HeldSearch keeps its slot for a whole loop. Here one lives inside an
+// outer search's callback (a search around it), and between its checks
+// other searches of other shapes run (searches inside it), each compiling
+// into a deeper slot. Every check must answer what HasHomomorphism
+// answers, so neither kind may disturb the held plan.
+TEST(MatchPlanTest, HeldSearchSurvivesSearchesInsideAndAround) {
+  SchemaPtr schema = MakeSchema("P/2, Q/2, R/1");
+  Instance inst = MustParseInstance(
+      schema,
+      "P(a,b), P(b,c), P(c,a), P(a,c), Q(b,a), Q(c,b), Q(a,a), Q(c,c), "
+      "R(a), R(b)");
+  const Conjunction outer = {{0, {Var("x"), Var("y")}}};
+  // Stats-free: every head argument is a key of the partial.
+  const Conjunction head = {{1, {Var("y"), Var("x")}}, {2, {Var("x")}}};
+  const Conjunction other = {{0, {Var("u"), Var("v")}},
+                             {1, {Var("v"), Var("w")}}};
+  HomSearchOptions options;
+  SearchTally tally;
+  size_t checks = 0;
+  size_t satisfied = 0;
+  std::thread fresh([&] {
+    ForEachHomomorphism(outer, inst, {}, {}, [&](const Assignment& h0) {
+      HeldSearch held(head, options, &tally);
+      for (const char* x : {"a", "b", "c"}) {
+        Assignment partial = {{Var("x"), Const(x)},
+                              {Var("y"), h0.at(Var("y"))}};
+        const bool want = HasHomomorphism(head, inst, partial, options);
+        EXPECT_EQ(held.Exists(inst, partial), want)
+            << AssignmentToString(partial);
+        ++checks;
+        if (want) ++satisfied;
+        EXPECT_FALSE(FindAllHomomorphisms(other, inst, {}, options).empty());
+      }
+      return true;
+    });
+  });
+  fresh.join();
+  EXPECT_EQ(checks, 12u);
+  EXPECT_GT(satisfied, 0u);
+  EXPECT_LT(satisfied, checks);
+  EXPECT_EQ(tally.searches, checks);
+}
+
+// The counter deltas of `run`: every counter it moved, by how much.
+std::map<std::string, uint64_t> CounterDelta(const std::function<void()>& run) {
+  std::map<std::string, uint64_t> before = obs::SnapshotMetrics().counters;
+  run();
+  std::map<std::string, uint64_t> delta;
+  for (const auto& [name, value] : obs::SnapshotMetrics().counters) {
+    const uint64_t base = before.count(name) ? before.at(name) : 0;
+    if (value != base) delta[name] = value - base;
+  }
+  return delta;
+}
+
+// A head with an existential joining two atoms compiles in the greedy
+// order, which reads the target's statistics. As the target grows, that
+// order flips; the held search must follow it, compiling afresh for every
+// check, so each check answers and counts exactly what a per-call
+// HasHomomorphism does.
+TEST(MatchPlanTest, GreedyHeldSearchRecompilesAndCountsLikePerCallSearch) {
+  SchemaPtr schema = MakeSchema("Q/2, R/2");
+  Instance inst = MustParseInstance(
+      schema, "Q(a,n1), Q(a,n2), Q(a,n3), Q(a,n4), R(n5,b)");
+  const Conjunction head = {{0, {Var("x"), Var("z")}},
+                            {1, {Var("z"), Var("y")}}};
+  const Assignment partial = {{Var("x"), Const("a")}, {Var("y"), Const("b")}};
+  HomSearchOptions options;
+  const std::vector<size_t> first_order =
+      CompileMatchPlan(head, inst, partial, options).perm;
+  EXPECT_FALSE(CompileMatchPlan(head, inst, partial, options).stats_free);
+
+  SearchTally tally;
+  HeldSearch held(head, options, &tally);
+  for (int round = 0; round < 6; ++round) {
+    bool per_call = false;
+    std::map<std::string, uint64_t> want = CounterDelta(
+        [&] { per_call = HasHomomorphism(head, inst, partial, options); });
+    bool got = false;
+    std::map<std::string, uint64_t> have = CounterDelta([&] {
+      got = held.Exists(inst, partial);
+      tally.Flush();
+    });
+    EXPECT_EQ(got, per_call) << "round " << round;
+    EXPECT_EQ(have, want) << "round " << round;
+    // Grow R on y's value: R stops being the cheaper side of the join.
+    const std::string n = "m" + std::to_string(round);
+    ASSERT_TRUE(inst.AddFact(1, {Const(n.c_str()), Const("b")}).ok());
+    ASSERT_TRUE(inst.AddFact(1, {Const((n + "x").c_str()), Const("b")}).ok());
+  }
+  ASSERT_TRUE(inst.AddFact(0, {Const("a"), Const("m5")}).ok());
+  EXPECT_TRUE(held.Exists(inst, partial));
+  EXPECT_NE(CompileMatchPlan(head, inst, partial, options).perm, first_order);
 }
 
 // A search's counters are a function of the search alone: two identical

@@ -110,6 +110,21 @@ TEST(SoComposeTest, SelfManagerEqualityAppears) {
   EXPECT_EQ(chased->NumRows(*mgr), 1u);
 }
 
+TEST(SoComposeTest, RepeatedEqualityAppearsOnce) {
+  // u resolves to x at R's first position and to y at the other two, so
+  // both positions ask for x = y; the implication states it once.
+  SchemaMapping m12 = MustParseMapping("S/2", "R/3", "S(x,y) -> R(x,y,y)");
+  SchemaMapping m23 = MustParseMapping("R/3", "W/1", "R(u,u,u) -> W(u)");
+  Result<SoMapping> composed = ComposeSo(m12, m23);
+  ASSERT_TRUE(composed.ok());
+  ASSERT_EQ(composed->implications.size(), 1u) << composed->ToString();
+  EXPECT_EQ(composed->implications[0].equalities.size(), 1u)
+      << composed->ToString();
+  Result<SchemaMapping> full_first = ComposeFullFirst(m12, m23);
+  ASSERT_TRUE(full_first.ok());
+  EXPECT_EQ(full_first->ToString(), "S(x,x) -> W(x)\n");
+}
+
 TEST(SoComposeTest, ChaseEquivalentToTwoStepChase) {
   // SoChase with the composed SO tgd is homomorphically equivalent to
   // chasing through the middle schema — including for non-full first

@@ -125,5 +125,119 @@ TEST_F(StoreDifferentialTest, WideShapesAgreeToo) {
   }
 }
 
+// Every read the store offers: rendering, fingerprint, rows in row-id
+// order, membership, per-column distinct counts and the posting list of
+// every stored value (and of one never stored) in every column.
+void ExpectSameStore(const Instance& got, const Instance& want) {
+  EXPECT_EQ(got.ToString(), want.ToString());
+  EXPECT_EQ(got.Fingerprint(), want.Fingerprint());
+  std::vector<Value> domain = want.ActiveDomain();
+  domain.push_back(Value::MakeConstant("never_stored"));
+  auto rows_with = [](const Instance& inst, RelationId r, uint32_t col,
+                      const Value& v) {
+    std::vector<uint32_t> rows;
+    for (uint32_t row : inst.RowsWith(r, col, v)) rows.push_back(row);
+    return rows;
+  };
+  for (RelationId r = 0; r < want.schema()->size(); ++r) {
+    ASSERT_EQ(got.NumRows(r), want.NumRows(r));
+    for (uint32_t row = 0; row < want.NumRows(r); ++row) {
+      EXPECT_EQ(got.Row(r, row), want.Row(r, row));
+      EXPECT_TRUE(got.ContainsFact(r, want.Row(r, row)));
+    }
+    for (uint32_t col = 0; col < want.schema()->relation(r).arity; ++col) {
+      EXPECT_EQ(got.ColumnDistinct(r, col), want.ColumnDistinct(r, col));
+      for (const Value& v : domain) {
+        EXPECT_EQ(rows_with(got, r, col, v), rows_with(want, r, col, v));
+      }
+    }
+  }
+}
+
+// The chased facts of one generated scenario (nulls and constants, every
+// relation arity up to 3), each listed twice so that the second add is a
+// duplicate the store absorbs.
+std::vector<Fact> ChasedFacts(uint64_t seed, SchemaPtr* schema) {
+  ScenarioConfig config;
+  config.family = ScenarioFamily::kMixed;
+  config.body_atoms = 2;
+  Scenario scenario = GenerateScenario(config, seed, /*num_facts=*/120);
+  Instance chased = MustChase(scenario.source, scenario.mapping);
+  *schema = chased.schema();
+  std::vector<Fact> facts;
+  for (RelationId r = 0; r < chased.schema()->size(); ++r) {
+    for (uint32_t row = 0; row < chased.NumRows(r); ++row) {
+      facts.push_back({r, chased.Row(r, row)});
+      facts.push_back({r, chased.Row(r, row)});
+    }
+  }
+  return facts;
+}
+
+// Reserving tables changes where rows hash to, never what the store holds
+// or answers: an instance reserved up front for its facts, one reserved
+// for half of them (so it grows past the reservation), one reserved
+// midway, once it holds rows to rehash, and a copy all read exactly like
+// one grown fact by fact, also after the copy and the grown instance take
+// further facts.
+TEST_F(StoreDifferentialTest, ReservedStoreReadsLikeGrownStore) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SchemaPtr schema;
+    std::vector<Fact> facts = ChasedFacts(seed * 7307 + 3, &schema);
+    const size_t first = facts.size() * 3 / 4;
+    std::vector<size_t> per_relation(schema->size(), 0);
+    for (size_t i = 0; i < first; ++i) ++per_relation[facts[i].relation];
+
+    Instance grown(schema);
+    Instance reserved(schema);
+    Instance half_reserved(schema);
+    Instance late_reserved(schema);
+    for (RelationId r = 0; r < schema->size(); ++r) {
+      reserved.Reserve(r, per_relation[r]);
+      half_reserved.Reserve(r, per_relation[r] / 2);
+    }
+    for (size_t i = 0; i < first; ++i) {
+      if (i == first / 2) {
+        for (RelationId r = 0; r < schema->size(); ++r) {
+          late_reserved.Reserve(r, 2 * per_relation[r]);
+        }
+      }
+      for (Instance* inst : {&grown, &reserved, &half_reserved,
+                             &late_reserved}) {
+        ASSERT_TRUE(inst->AddFact(facts[i].relation, facts[i].tuple).ok());
+      }
+    }
+    ExpectSameStore(reserved, grown);
+    ExpectSameStore(half_reserved, grown);
+    ExpectSameStore(late_reserved, grown);
+
+    Instance copy = reserved;
+    ExpectSameStore(copy, grown);
+    for (size_t i = first; i < facts.size(); ++i) {
+      for (Instance* inst : {&grown, &copy}) {
+        ASSERT_TRUE(inst->AddFact(facts[i].relation, facts[i].tuple).ok());
+      }
+    }
+    ExpectSameStore(copy, grown);
+  }
+}
+
+TEST_F(StoreDifferentialTest, ReserveAtOrBelowRowCountChangesNothing) {
+  SchemaPtr schema;
+  std::vector<Fact> facts = ChasedFacts(42, &schema);
+  Instance grown(schema);
+  Instance reserved(schema);
+  for (const Fact& fact : facts) {
+    ASSERT_TRUE(grown.AddFact(fact.relation, fact.tuple).ok());
+    ASSERT_TRUE(reserved.AddFact(fact.relation, fact.tuple).ok());
+  }
+  for (RelationId r = 0; r < schema->size(); ++r) {
+    reserved.Reserve(r, reserved.NumRows(r));
+    reserved.Reserve(r, 0);
+  }
+  ExpectSameStore(reserved, grown);
+}
+
 }  // namespace
 }  // namespace qimap
